@@ -1,6 +1,8 @@
 #include "city/city_runner.h"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "city/neighbourhood_sampler.h"
 #include "core/metrics.h"
@@ -86,6 +88,17 @@ NeighbourhoodOutcome simulate_neighbourhood(const CityConfig& config,
   return outcome;
 }
 
+CityMetrics fold_city(const CityConfig& config,
+                      const std::vector<NeighbourhoodOutcome>& outcomes) {
+  OBS_SCOPE("city.fold");
+  std::vector<std::string> names;
+  names.reserve(config.mix.size());
+  for (const CityMixComponent& component : config.mix) names.push_back(component.preset);
+  CityMetrics metrics(std::move(names));
+  for (const NeighbourhoodOutcome& outcome : outcomes) metrics.add(outcome);
+  return metrics;
+}
+
 CityResult run_city(const CityConfig& config) {
   return run_city(config, resolve_mix(config));
 }
@@ -94,11 +107,6 @@ CityResult run_city(const CityConfig& config,
                     const std::vector<core::ScenarioPreset>& presets) {
   validate(config);
   core::find_scheme(config.scheme);  // unknown names fail before any sharding
-
-  std::vector<std::string> names;
-  names.reserve(config.mix.size());
-  for (const CityMixComponent& component : config.mix) names.push_back(component.preset);
-  CityResult result{config, CityMetrics(std::move(names))};
 
   // Shard the fleet: each neighbourhood is an independent task keyed by its
   // index, returning only the small outcome struct — no day series — so N
@@ -119,10 +127,7 @@ CityResult run_city(const CityConfig& config,
                    }
                  });
 
-  // Fold in index order — the exact serial accumulation sequence.
-  OBS_SCOPE("city.fold");
-  for (const NeighbourhoodOutcome& outcome : outcomes) result.metrics.add(outcome);
-  return result;
+  return {config, fold_city(config, outcomes)};
 }
 
 }  // namespace insomnia::city

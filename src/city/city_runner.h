@@ -28,6 +28,14 @@ NeighbourhoodOutcome simulate_neighbourhood(const CityConfig& config,
                                             const std::vector<core::ScenarioPreset>& presets,
                                             std::size_t index);
 
+/// The one city fold: accumulates per-neighbourhood outcomes, given in index
+/// order, left to right into the city's aggregates (one slice per
+/// config.mix component). run_city folds through here, and so does the
+/// country runner when it schedules neighbourhoods itself, which keeps both
+/// bit-identical to the serial accumulation.
+CityMetrics fold_city(const CityConfig& config,
+                      const std::vector<NeighbourhoodOutcome>& outcomes);
+
 /// Runs the whole fleet against the preset registry (config.mix names).
 CityResult run_city(const CityConfig& config);
 

@@ -11,11 +11,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "city/city_runner.h"
+#include "city/neighbourhood_sampler.h"
 #include "core/scheme_registry.h"
 #include "country/checkpoint.h"
 #include "exec/sweep_runner.h"
@@ -178,13 +181,56 @@ struct ShardListOutcome {
   std::vector<QuarantinedCity> quarantined;
 };
 
-/// Simulates `shards` in flush-sized parallel batches through the retry
-/// policy, checkpointing after each batch. Precondition violations
-/// (util::InvalidArgument) always propagate, whatever the mode — a config
-/// bug must never be quarantined into a silently-smaller country.
-/// `kill_after_flush` is the child-kill injection point: SIGKILL this
-/// process right after its first non-empty checkpoint flush, guaranteeing
-/// the supervisor sees both a dead child AND forward progress.
+/// A city past its prologue: the keyed sample, its resolved population, and
+/// the predicted cost of each neighbourhood (its client count).
+struct CityPlan {
+  CitySample sample;
+  std::vector<core::ScenarioPreset> presets;
+  std::vector<int> costs;  ///< by neighbourhood index
+};
+
+/// One neighbourhood of an admitted city in the flat work list.
+struct NeighbourhoodTask {
+  std::size_t slot = 0;   ///< the city's position in the batch
+  std::size_t index = 0;  ///< neighbourhood index within the city
+  int cost = 0;
+};
+
+/// Carries a failed attempt record over to another result type.
+template <typename To, typename From>
+exec::ShardOutcome<To> failed_as(const exec::ShardOutcome<From>& from) {
+  exec::ShardOutcome<To> out;
+  out.error = from.error;
+  out.message = from.message;
+  out.attempts = from.attempts;
+  out.fatal = from.fatal;
+  return out;
+}
+
+void note_city_done() {
+#ifndef INSOMNIA_OBS_DISABLED
+  static obs::Counter& done = obs::counter("country.cities_done");
+  done.add(1);
+#endif
+}
+
+/// Simulates `shards` in flush-sized batches, checkpointing after each.
+/// A batch runs in three stages over one SweepRunner:
+///   1. one prologue task per city, through the retry policy and keyed on
+///      the city's batch index: the injected slow-shard / shard-throw
+///      checks, then sampling. Retry, backoff and quarantine stay per city;
+///   2. every neighbourhood of every admitted city as one flat list,
+///      dispatched longest-first by predicted cost, so a metro city spreads
+///      across all workers instead of pinning one;
+///   3. each city's outcomes folded in neighbourhood-index order through
+///      city::fold_city, then collapsed to its digest.
+/// A neighbourhood still failing after its retries fails its city.
+/// Precondition violations (util::InvalidArgument) always propagate,
+/// whatever the mode — a config bug must never be quarantined into a
+/// silently-smaller country. `kill_after_flush` is the child-kill injection
+/// point: SIGKILL this process right after its first non-empty checkpoint
+/// flush, guaranteeing the supervisor sees both a dead child AND forward
+/// progress.
 ShardListOutcome run_shard_list(const CountryConfig& config,
                                 const std::vector<core::ScenarioPreset>& population,
                                 const std::vector<Shard>& shards,
@@ -210,38 +256,117 @@ ShardListOutcome run_shard_list(const CountryConfig& config,
   out.digests.reserve(shards.size());
   for (std::size_t start = 0; start < shards.size(); start += flush) {
     const std::size_t count = std::min(flush, shards.size() - start);
-    const auto shard_fn = [&](std::size_t i, int attempt) {
-      const Shard& shard = shards[start + i];
-      const std::uint64_t stream = shard_stream(shard.first, shard.second);
-      if (resilience::fault_fires(plan.slow_shard, fault_seed, stream,
-                                  resilience::kSlowShardSalt, attempt)) {
-        resilience::count_injected("slow_shard");
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(plan.slow_shard_ms));
+    const Shard* batch = shards.data() + start;
+
+    // Stage 1: city prologues.
+    auto plans = runner.run_settled(
+        count,
+        [&](std::size_t i, int attempt) {
+          const Shard& shard = batch[i];
+          const std::uint64_t stream = shard_stream(shard.first, shard.second);
+          if (resilience::fault_fires(plan.slow_shard, fault_seed, stream,
+                                      resilience::kSlowShardSalt, attempt)) {
+            resilience::count_injected("slow_shard");
+            std::this_thread::sleep_for(
+                std::chrono::duration<double, std::milli>(plan.slow_shard_ms));
+          }
+          if (resilience::fault_fires(plan.shard_throw, fault_seed, stream,
+                                      resilience::kShardThrowSalt, attempt)) {
+            resilience::count_injected("shard_throw");
+            throw resilience::InjectedFault("injected shard fault at city " +
+                                            shard_name(shard));
+          }
+          CityPlan city;
+          city.sample = sample_city(config, shard.first, shard.second);
+          city.presets = resolve_presets(city.sample.city.mix, population);
+          const auto n = static_cast<std::size_t>(city.sample.city.neighbourhoods);
+          city.costs.reserve(n);
+          for (std::size_t k = 0; k < n; ++k) {
+            city.costs.push_back(
+                city::sample_neighbourhood(city.sample.city, city.presets, k)
+                    .scenario.client_count);
+          }
+          return city;
+        },
+        policy);
+
+    // Stage 2: the flat neighbourhood list. `tasks` is in canonical
+    // (city, neighbourhood) order, so each city's tasks are contiguous from
+    // first[slot]; `order` is the dispatch order, longest first, ties kept
+    // canonical.
+    std::vector<NeighbourhoodTask> tasks;
+    std::vector<std::size_t> first(count, 0);
+    for (std::size_t slot = 0; slot < count; ++slot) {
+      first[slot] = tasks.size();
+      if (!plans[slot].ok()) continue;
+      const std::vector<int>& costs = plans[slot].value->costs;
+      for (std::size_t k = 0; k < costs.size(); ++k) tasks.push_back({slot, k, costs[k]});
+    }
+    std::vector<std::size_t> order(tasks.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return tasks[a].cost > tasks[b].cost;
+    });
+    auto ran = runner.run_settled(
+        order.size(),
+        [&](std::size_t t) {
+          const NeighbourhoodTask& task = tasks[order[t]];
+          const CityPlan& city = *plans[task.slot].value;
+          try {
+            return city::simulate_neighbourhood(city.sample.city, city.presets, task.index);
+          } catch (const util::InvalidArgument&) {
+            throw;  // precondition contracts stay typed
+          } catch (const std::exception& error) {
+            throw std::runtime_error("neighbourhood " + std::to_string(task.index) +
+                                     " of city " + shard_name(batch[task.slot]) +
+                                     " failed: " + error.what());
+          }
+        },
+        policy);
+    std::vector<exec::ShardOutcome<city::NeighbourhoodOutcome>> landed(tasks.size());
+    for (std::size_t t = 0; t < order.size(); ++t) landed[order[t]] = std::move(ran[t]);
+
+    // Stage 3: per-city fold. A city takes its prologue's failure, else its
+    // first fatal neighbourhood, else its first failing one.
+    std::vector<exec::ShardOutcome<CityDigest>> cities(count);
+    for (std::size_t slot = 0; slot < count; ++slot) {
+      if (!plans[slot].ok()) {
+        cities[slot] = failed_as<CityDigest>(plans[slot]);
+        continue;
       }
-      if (resilience::fault_fires(plan.shard_throw, fault_seed, stream,
-                                  resilience::kShardThrowSalt, attempt)) {
-        resilience::count_injected("shard_throw");
-        throw resilience::InjectedFault("injected shard fault at city " +
-                                        shard_name(shard));
+      const CityPlan& city = *plans[slot].value;
+      const auto begin = landed.begin() + static_cast<std::ptrdiff_t>(first[slot]);
+      const auto end = begin + static_cast<std::ptrdiff_t>(city.costs.size());
+      auto failed = std::find_if(begin, end, [](const auto& o) { return o.fatal; });
+      if (failed == end) {
+        failed = std::find_if(begin, end, [](const auto& o) { return !o.ok(); });
       }
-      return simulate_city(config, population, shard.first, shard.second);
-    };
+      if (failed != end) {
+        cities[slot] = failed_as<CityDigest>(*failed);
+        continue;
+      }
+      std::vector<city::NeighbourhoodOutcome> outcomes;
+      outcomes.reserve(city.costs.size());
+      for (auto it = begin; it != end; ++it) outcomes.push_back(std::move(*it->value));
+      cities[slot].value.emplace(
+          digest_from_city(city::fold_city(city.sample.city, outcomes), batch[slot].first,
+                           batch[slot].second, city.sample.template_index));
+      note_city_done();
+    }
 
     if (mode == FailureMode::kThrow) {
-      std::vector<CityDigest> chunk = runner.run(count, shard_fn, policy);
-      for (CityDigest& digest : chunk) out.digests.push_back(std::move(digest));
+      for (CityDigest& digest : exec::take_values(std::move(cities))) {
+        out.digests.push_back(std::move(digest));
+      }
     } else {
-      auto outcomes = runner.run_settled(count, shard_fn, policy);
-      for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        if (outcomes[i].ok()) {
-          out.digests.push_back(std::move(*outcomes[i].value));
+      for (std::size_t i = 0; i < count; ++i) {
+        if (cities[i].ok()) {
+          out.digests.push_back(std::move(*cities[i].value));
           continue;
         }
-        if (outcomes[i].fatal) std::rethrow_exception(outcomes[i].error);
-        const Shard& shard = shards[start + i];
-        out.quarantined.push_back({shard.first, shard.second, outcomes[i].message,
-                                   outcomes[i].attempts});
+        if (cities[i].fatal) std::rethrow_exception(cities[i].error);
+        out.quarantined.push_back({batch[i].first, batch[i].second, cities[i].message,
+                                   cities[i].attempts});
       }
     }
 
@@ -303,9 +428,9 @@ CitySample sample_city(const CountryConfig& config, std::uint32_t region,
       sampler.uniform_int(tmpl.neighbourhoods_min, tmpl.neighbourhoods_max);
   sample.city.seed = sim::Random::substream_seed(config.seed, stream, kCitySeedSalt);
   sample.city.scheme = config.scheme;
-  // City shards are the parallel unit; each city runs its neighbourhoods
-  // serially so nested pools never oversubscribe (and the serial city path
-  // is the bit-identity reference anyway).
+  // simulate_city runs a city's neighbourhoods serially: it is the
+  // bit-identity reference, and run_country schedules neighbourhoods across
+  // its own workers instead of nesting a pool per city.
   sample.city.threads = 1;
   sample.city.peak_start = config.peak_start;
   sample.city.peak_end = config.peak_end;
@@ -319,10 +444,7 @@ CityDigest simulate_city(const CountryConfig& config,
   const CitySample sample = sample_city(config, region, city_index);
   const city::CityResult result =
       city::run_city(sample.city, resolve_presets(sample.city.mix, population));
-#ifndef INSOMNIA_OBS_DISABLED
-  static obs::Counter& done = obs::counter("country.cities_done");
-  done.add(1);
-#endif
+  note_city_done();
   return digest_from_city(result.metrics, region, city_index, sample.template_index);
 }
 

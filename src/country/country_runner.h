@@ -1,15 +1,19 @@
 // The country engine: instantiates every city of the portfolio (archetype
 // draw -> neighbourhood count -> keyed city seed), simulates it through the
 // city layer, collapses it to a CityDigest, and folds the digests into
-// CountryMetrics in canonical order. City shards run across threads
-// (exec::SweepRunner), across processes (CountryRunOptions::procs, fork +
-// shared checkpoint directory), or across separate invocations
-// (checkpoint/resume) — all three produce bit-identical final aggregates
+// CountryMetrics in canonical order. Within a process, the neighbourhoods
+// of a batch of cities run as one flat, longest-first work list across
+// threads (exec::SweepRunner), and each city folds once its neighbourhoods
+// land. City shards also split across processes (CountryRunOptions::procs,
+// fork + shared checkpoint directory) or across separate invocations
+// (checkpoint/resume) — every split produces bit-identical final aggregates
 // because every shard derives all randomness from substreams keyed on
-// (country seed, region, city) alone.
+// (country seed, region, city) alone, and folds in canonical order.
 //
-// Resilience: the runner self-heals. Failing shards are retried with
-// capped-exponential-backoff full jitter; a child process that dies is
+// Resilience: the runner self-heals, and the unit of failure stays the
+// city even though scheduling is per neighbourhood (a neighbourhood still
+// failing after its retries fails its city). Failing shards are retried
+// with capped-exponential-backoff full jitter; a child process that dies is
 // re-forked from the last checkpoint; a shard still failing after its whole
 // retry budget is QUARANTINED — dropped from the fold — instead of aborting
 // the fleet, and the result reports the degradation (coverage fraction plus
@@ -58,8 +62,9 @@ struct CountryRunOptions {
   /// resumed (completed shards are not re-simulated), a mismatched one is
   /// refused.
   std::string checkpoint_dir;
-  /// City shards between checkpoint rewrites (also the parallel batch
-  /// width); <= 0 selects max(8, 2 * worker threads).
+  /// City shards between checkpoint rewrites; every neighbourhood of one
+  /// such batch shares the flat work list. <= 0 selects
+  /// max(8, 2 * worker threads).
   int flush_every = 0;
   /// Process fan-out: fork this many children, each simulating a
   /// round-robin slice of the pending shards and writing its own checkpoint
@@ -78,9 +83,9 @@ struct CountryRunOptions {
   /// Deterministic fault injection plan (chaos testing); default none.
   /// Faults key off faults.seed when set, else the country seed.
   resilience::FaultPlan faults;
-  /// Per-shard retry budget (>= 1); 1 disables retries. Retries cannot
-  /// change results — a shard that eventually succeeds is bit-identical to
-  /// one that succeeded first try.
+  /// Retry budget (>= 1) of each city prologue and of each neighbourhood
+  /// task; 1 disables retries. Retries cannot change results — a task that
+  /// eventually succeeds is bit-identical to one that succeeded first try.
   int max_attempts = 3;
   /// Capped-exponential full-jitter backoff between attempts of one shard;
   /// base <= 0 disables sleeping (retries run back to back).
@@ -95,8 +100,10 @@ struct CountryRunOptions {
 struct QuarantinedCity {
   std::uint32_t region = 0;
   std::uint32_t city = 0;
-  std::string reason;  ///< what() of the shard's first failing attempt
-  int attempts = 0;    ///< attempts made before giving up
+  /// what() of the first failing attempt of the city's prologue, or of its
+  /// failing neighbourhood (which the message names)
+  std::string reason;
+  int attempts = 0;  ///< attempts that task made before giving up
 };
 
 /// One worker process that did not exit cleanly (the supervisor re-forks

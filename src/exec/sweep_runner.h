@@ -144,6 +144,31 @@ auto run_with_retries(Fn& shard, std::size_t i, const RetryPolicy& policy)
 
 }  // namespace detail
 
+/// Applies the failure contract at the top of this file to settled
+/// outcomes — lowest-indexed fatal rethrown alone, a single failure
+/// rethrown as its original exception, several failures thrown as one
+/// AggregateError — and otherwise returns the values, indexed as given.
+/// SweepRunner::run is run_settled followed by this; callers that settle
+/// work at one grain and report it at another apply it themselves.
+template <typename T>
+std::vector<T> take_values(std::vector<ShardOutcome<T>> outcomes) {
+  std::vector<AggregateError::Failure> failures;
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    if (outcomes[i].ok()) continue;
+    if (outcomes[i].fatal) std::rethrow_exception(outcomes[i].error);
+    failures.push_back({i, outcomes[i].message});
+  }
+  if (failures.size() == 1) {
+    std::rethrow_exception(outcomes[failures.front().index].error);
+  }
+  if (!failures.empty()) throw AggregateError(std::move(failures));
+
+  std::vector<T> results;
+  results.reserve(outcomes.size());
+  for (auto& outcome : outcomes) results.push_back(std::move(*outcome.value));
+  return results;
+}
+
 /// Runs families of independent shards over a reusable thread pool.
 class SweepRunner {
  public:
@@ -156,9 +181,12 @@ class SweepRunner {
 
   /// Evaluates every shard i in [0, count) through its retry budget and
   /// returns the settled outcomes indexed by i — never throws for shard
-  /// failures (a quarantining caller inspects the outcomes). Shards run
-  /// concurrently in unspecified order; outcome order is always by index,
-  /// and outcomes are bit-identical at any thread count.
+  /// failures (a quarantining caller inspects the outcomes). Shards START in
+  /// index order: inline one after another on one thread, and through the
+  /// pool's FIFO queue otherwise, so a caller that sorts its work
+  /// longest-first gets longest-first dispatch. They finish in any order;
+  /// outcome order is always by index, and outcomes are bit-identical at any
+  /// thread count.
   template <typename Fn>
   auto run_settled(std::size_t count, Fn&& shard, const RetryPolicy& policy = {})
       -> std::vector<ShardOutcome<std::decay_t<decltype(detail::invoke_shard(
@@ -191,32 +219,12 @@ class SweepRunner {
 
   /// The throwing form: evaluates shard(i) for every i in [0, count) and
   /// returns the results indexed by i. All shards run (and retry) to
-  /// settlement first; then the failure contract at the top of this file
-  /// applies — lowest-indexed fatal rethrown alone, a single failure
-  /// rethrown as its original exception, several failures thrown as one
-  /// AggregateError.
+  /// settlement first; then take_values applies the failure contract.
   template <typename Fn>
   auto run(std::size_t count, Fn&& shard, const RetryPolicy& policy = {})
       -> std::vector<std::decay_t<decltype(detail::invoke_shard(shard, std::size_t{0},
                                                                 0))>> {
-    using Result = std::decay_t<decltype(detail::invoke_shard(shard, std::size_t{0}, 0))>;
-    auto outcomes = run_settled(count, shard, policy);
-
-    std::vector<AggregateError::Failure> failures;
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      if (outcomes[i].ok()) continue;
-      if (outcomes[i].fatal) std::rethrow_exception(outcomes[i].error);
-      failures.push_back({i, outcomes[i].message});
-    }
-    if (failures.size() == 1) {
-      std::rethrow_exception(outcomes[failures.front().index].error);
-    }
-    if (!failures.empty()) throw AggregateError(std::move(failures));
-
-    std::vector<Result> results;
-    results.reserve(count);
-    for (auto& outcome : outcomes) results.push_back(std::move(*outcome.value));
-    return results;
+    return take_values(run_settled(count, shard, policy));
   }
 
  private:

@@ -1,5 +1,6 @@
 #include "trace/incremental_reader.h"
 
+#include <string>
 #include <vector>
 
 #include "trace/trace_io.h"
@@ -13,9 +14,11 @@ std::size_t FlowLineDecoder::feed(std::string_view data, FlowTrace& out) {
   while (!data.empty()) {
     const std::size_t nl = data.find('\n');
     if (nl == std::string_view::npos) {
+      check_line_length(partial_.size() + data.size());
       partial_.append(data);
       break;
     }
+    check_line_length(partial_.size() + nl);
     if (partial_.empty()) {
       decoded += decode_line(data.substr(0, nl), out);
     } else {
@@ -33,6 +36,13 @@ std::size_t FlowLineDecoder::finalize(FlowTrace& out) {
   const std::string line = std::move(partial_);
   partial_.clear();
   return decode_line(line, out);
+}
+
+void FlowLineDecoder::check_line_length(std::size_t bytes) {
+  if (bytes <= kMaxLineBytes) return;
+  partial_.clear();
+  throw util::InvalidArgument("flow trace line longer than " +
+                              std::to_string(kMaxLineBytes) + " bytes");
 }
 
 std::size_t FlowLineDecoder::decode_line(std::string_view line, FlowTrace& out) {

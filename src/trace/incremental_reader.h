@@ -21,12 +21,18 @@ namespace insomnia::trace {
 /// the sorted-times contract across chunks, and keys the trace-garble chaos
 /// hook on the running data-row index (matching read_flow_trace). Malformed
 /// input throws util::InvalidArgument — a corrupt live feed must fail as
-/// loudly as a corrupt file.
+/// loudly as a corrupt file. So does a line longer than kMaxLineBytes,
+/// which bounds the buffer a peer that never sends a newline can grow.
 class FlowLineDecoder {
  public:
+  /// Longest accepted line, newline excluded: far above any data row or
+  /// comment the trace writers emit.
+  static constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
   /// Decodes every complete line in `data`, appending finished records to
   /// `out`. Returns the number of records appended. An incomplete trailing
-  /// line is buffered for the next feed.
+  /// line is buffered for the next feed. A line past kMaxLineBytes, complete
+  /// or not, throws util::InvalidArgument and leaves nothing buffered.
   std::size_t feed(std::string_view data, FlowTrace& out);
 
   /// Flushes the buffered trailing line at true end-of-input (a file's last
@@ -47,6 +53,9 @@ class FlowLineDecoder {
  private:
   /// Decodes one complete line (no newline). Appends 0 or 1 records.
   std::size_t decode_line(std::string_view line, FlowTrace& out);
+
+  /// Refuses a line of `bytes` past kMaxLineBytes, dropping the buffer.
+  void check_line_length(std::size_t bytes);
 
   std::string partial_;
   bool header_seen_ = false;

@@ -77,6 +77,42 @@ CountryConfig tiny_country(int threads = 1) {
   return config;
 }
 
+/// The metro shape in miniature: one city holds six of the eight
+/// neighbourhoods, so under flat scheduling its neighbourhoods spread over
+/// every worker and interleave with the two one-neighbourhood cities.
+CountryConfig skewed_country(int threads = 1) {
+  city::NeighbourhoodJitter jitter;
+  jitter.gateway_count_spread = 0.2;
+  jitter.client_density_spread = 0.2;
+
+  CityTemplate metro;
+  metro.name = "metro";
+  metro.mix = {{"tiny-a", 3.0, jitter}, {"tiny-b", 1.0, jitter}};
+  metro.neighbourhoods_min = metro.neighbourhoods_max = 6;
+
+  CityTemplate town = metro;
+  town.name = "town";
+  town.mix = {{"tiny-b", 1.0, jitter}};
+  town.neighbourhoods_min = town.neighbourhoods_max = 1;
+
+  RegionConfig core;
+  core.name = "core";
+  core.cities = 1;
+  core.portfolio = {metro};
+
+  RegionConfig fringe;
+  fringe.name = "fringe";
+  fringe.cities = 2;
+  fringe.portfolio = {town};
+
+  CountryConfig config;
+  config.name = "skewed-country";
+  config.regions = {core, fringe};
+  config.seed = 77;
+  config.threads = threads;
+  return config;
+}
+
 std::string fresh_dir(const std::string& name) {
   const std::string dir = testing::TempDir() + "insomnia_runner_" + name;
   fs::remove_all(dir);
@@ -202,6 +238,53 @@ TEST(CountryRunner, ProcessFanOutMatchesInProcessBitForBit) {
     files += entry.path().extension() == ".ckpt" ? 1 : 0;
   }
   EXPECT_EQ(files, 3u);
+}
+
+TEST(CountryRunner, SkewedFleetFoldsBitIdenticalUnderEverySchedule) {
+  const CountryResult serial = run_country(skewed_country(1), {}, tiny_population());
+  ASSERT_TRUE(serial.complete);
+  ASSERT_EQ(serial.metrics.neighbourhoods(), 8u);
+
+  const CountryResult threaded = run_country(skewed_country(3), {}, tiny_population());
+  ASSERT_TRUE(threaded.complete);
+  expect_bit_identical(serial.metrics, threaded.metrics);
+
+  // One city per invocation, checkpointed after each: the metro city's
+  // neighbourhoods are scheduled alone, the towns' in later invocations.
+  CountryRunOptions options;
+  options.checkpoint_dir = fresh_dir("skewed");
+  options.flush_every = 1;
+  options.max_city_shards = 1;
+  CountryResult chained;
+  for (int invocation = 0; invocation < 3; ++invocation) {
+    chained = run_country(skewed_country(3), options, tiny_population());
+    EXPECT_EQ(chained.completed_shards, static_cast<std::size_t>(invocation) + 1);
+  }
+  ASSERT_TRUE(chained.complete);
+  expect_bit_identical(serial.metrics, chained.metrics);
+
+  // The serial reference: simulate_city over every shard, folded in
+  // canonical order.
+  const CountryConfig config = skewed_country();
+  std::vector<std::string> names;
+  for (const RegionConfig& region : config.regions) names.push_back(region.name);
+  CountryMetrics folded(names);
+  for (std::uint32_t r = 0; r < config.regions.size(); ++r) {
+    const auto cities = static_cast<std::uint32_t>(config.regions[r].cities);
+    for (std::uint32_t c = 0; c < cities; ++c) {
+      folded.add(simulate_city(config, tiny_population(), r, c));
+    }
+  }
+  expect_bit_identical(serial.metrics, folded);
+}
+
+TEST(CountryRunner, NeighbourhoodPreconditionViolationIsFatalNotQuarantined) {
+  // Sampling accepts this population; the metro's neighbourhood days then
+  // reject its traffic model. A config bug must abort, never shrink the
+  // country by quarantine.
+  std::vector<core::ScenarioPreset> broken = tiny_population();
+  broken[0].scenario.traffic.flow_size_max = broken[0].scenario.traffic.flow_size_min;
+  EXPECT_THROW(run_country(skewed_country(3), {}, broken), util::InvalidArgument);
 }
 
 TEST(CountryRunner, ResumeUnderADifferentConfigIsRefused) {

@@ -1,5 +1,8 @@
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -208,6 +211,31 @@ TEST(SweepRunner, SettledOutcomesAreThreadCountInvariant) {
     if (a[i].ok()) {
       EXPECT_EQ(*a[i].value, *b[i].value) << "shard " << i;
     }
+  }
+}
+
+TEST(SweepRunner, ShardsStartInIndexOrder) {
+  // Callers sort work longest-first and rely on dispatch following index
+  // order. Each shard waits (bounded) for its turn before recording its
+  // start, so the record is race-free when the pool dispatches in index
+  // order; a shard dispatched early waits out the timeout and lands out of
+  // place.
+  constexpr std::size_t kShards = 16;
+  std::vector<std::size_t> expected(kShards);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  for (int threads : {2, 4}) {
+    SweepRunner runner(threads);
+    std::mutex mutex;
+    std::condition_variable turn;
+    std::vector<std::size_t> started;
+    runner.run_settled(kShards, [&](std::size_t i) {
+      std::unique_lock<std::mutex> lock(mutex);
+      turn.wait_for(lock, std::chrono::seconds(2), [&] { return started.size() == i; });
+      started.push_back(i);
+      turn.notify_all();
+      return i;
+    });
+    EXPECT_EQ(started, expected) << threads << " threads";
   }
 }
 

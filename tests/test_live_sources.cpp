@@ -161,6 +161,34 @@ TEST(FlowLineDecoder, EnforcesSortedTimesAcrossChunks) {
   EXPECT_THROW(decoder.feed("4.0,1,10\n", out), util::InvalidArgument);
 }
 
+TEST(FlowLineDecoder, NewlineFreeFeedPastTheCapIsRefusedWithNothingBuffered) {
+  trace::FlowLineDecoder decoder;
+  trace::FlowTrace out;
+  decoder.feed("start_time,client,bytes\n1.0,1,10\n", out);
+  ASSERT_EQ(out.size(), 1u);
+
+  // A peer that never sends a newline: chunks fill the buffer up to the
+  // cap, and the chunk that would cross it is refused.
+  const std::string chunk(4096, '9');
+  std::size_t fed = 0;
+  while (fed + chunk.size() <= trace::FlowLineDecoder::kMaxLineBytes) {
+    decoder.feed(chunk, out);
+    fed += chunk.size();
+  }
+  EXPECT_EQ(decoder.buffered_bytes(), fed);
+  EXPECT_THROW(decoder.feed(chunk, out), util::InvalidArgument);
+  EXPECT_EQ(decoder.buffered_bytes(), 0u);
+  EXPECT_EQ(out.size(), 1u);
+
+  // A complete line over the cap is refused the same way, however it is
+  // chunked, and nothing of it stays buffered.
+  trace::FlowLineDecoder whole;
+  whole.feed("start_time,client,bytes\n", out);
+  const std::string long_line(trace::FlowLineDecoder::kMaxLineBytes + 1, '#');
+  EXPECT_THROW(whole.feed(long_line + "\n", out), util::InvalidArgument);
+  EXPECT_EQ(whole.buffered_bytes(), 0u);
+}
+
 // --- TailSource -----------------------------------------------------------
 
 TEST(TailSource, GrowthBetweenPollsIsPickedUp) {
