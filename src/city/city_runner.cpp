@@ -64,10 +64,10 @@ NeighbourhoodOutcome simulate_neighbourhood(const CityConfig& config,
   const trace::FlowTrace flows =
       trace::SyntheticCrawdadGenerator(scenario.traffic).generate(trace_rng);
 
-  // Paired days: same topology and trace under no-sleep and the scheme.
-  const core::RunMetrics baseline =
-      core::run_scheme(scenario, topology, flows, core::find_scheme("no-sleep"),
-                       sim::Random::substream_seed(config.seed, index, kBaselineSalt));
+  // Paired days: the traffic-free baseline and the scheme, same topology.
+  const core::RunMetrics baseline = core::run_no_sleep_baseline(
+      scenario, topology, sim::Random::substream_seed(config.seed, index, kBaselineSalt),
+      scenario.duration);
   const core::RunMetrics scheme =
       core::run_scheme(scenario, topology, flows, core::find_scheme(config.scheme),
                        sim::Random::substream_seed(config.seed, index, kSchemeSalt));

@@ -30,7 +30,6 @@ RunReport Engine::run(const RunSpec& spec) const {
                 "RunSpec sets both a preset name and an inline scenario");
 
   const SchemeSpec& scheme = registry_->find(spec.scheme);
-  const SchemeSpec& baseline_scheme = registry_->find("no-sleep");
 
   ScenarioConfig scenario;
   std::string preset_name = "(inline)";
@@ -77,9 +76,9 @@ RunReport Engine::run(const RunSpec& spec) const {
         }
         const trace::FlowTrace& flows = spec.trace_file.empty() ? generated : recorded;
 
-        const RunMetrics baseline =
-            run_scheme(scenario, topology, flows, baseline_scheme,
-                       sim::Random::substream_seed(spec.seed, run, 2));
+        const RunMetrics baseline = run_no_sleep_baseline(
+            scenario, topology, sim::Random::substream_seed(spec.seed, run, 2),
+            scenario.duration);
         const RunMetrics metrics =
             run_scheme(scenario, topology, flows, scheme,
                        sim::Random::substream_seed(spec.seed, run, 100));

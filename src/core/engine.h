@@ -2,11 +2,11 @@
 // structured RunReport out. One Engine call replaces the scenario-resolve /
 // topology / trace / paired-day / aggregate boilerplate every driver used
 // to hand-roll: it resolves a scenario (preset name or inline config),
-// builds the shared topology, replays `runs` paired days (no-sleep baseline
-// + the named scheme on the same trace), shards them over the parallel
-// sweep engine, and folds the outcomes deterministically (bit-identical for
-// any thread count). RunReport serializes to JSON via util/json_writer for
-// machine consumers (--json in every driver, CI checks, notebooks).
+// builds the shared topology, runs `runs` paired days (traffic-free
+// no-sleep baseline + the named scheme's trace), shards them over the
+// parallel sweep engine, and folds the outcomes deterministically
+// (bit-identical for any thread count). RunReport serializes to JSON via
+// util/json_writer for machine consumers (--json, CI checks, notebooks).
 #pragma once
 
 #include <cstdint>
@@ -98,7 +98,8 @@ class Engine {
  public:
   /// Uses the process-wide scheme registry.
   Engine();
-  /// Resolves schemes in a caller-supplied registry (tests, embeddings).
+  /// Resolves schemes in a caller-supplied registry (tests, embeddings);
+  /// the baseline is always run_no_sleep_baseline, never a registry entry.
   explicit Engine(const SchemeRegistry& registry);
 
   /// Runs the spec. Seeding matches core/experiments' conventions — the

@@ -93,6 +93,7 @@ RunOutput simulate_run(const MainExperimentConfig& config,
   sim::Random trace_rng(sim::Random::substream_seed(config.seed, run, 1));
   const trace::FlowTrace flows = generator.generate(trace_rng);
 
+  // Simulated, not run_no_sleep_baseline: Fig. 9a needs its completion times.
   const RunMetrics baseline =
       run_scheme(config.scenario, topology, flows, baseline_scheme,
                  sim::Random::substream_seed(config.seed, run, 2));

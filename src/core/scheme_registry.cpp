@@ -141,6 +141,17 @@ RunMetrics run_scheme(const ScenarioConfig& scenario, const topo::AccessTopology
   return run_scheme(scenario, topology, flows, find_scheme(scheme), seed);
 }
 
+RunMetrics run_no_sleep_baseline(const ScenarioConfig& scenario,
+                                 const topo::AccessTopology& topology, std::uint64_t seed,
+                                 double duration) {
+  ScenarioConfig configured = scenario;
+  configured.dslam.mode = dslam::SwitchMode::kFixed;
+  configured.duration = duration;
+  const trace::FlowTrace no_traffic;
+  NoSleepPolicy policy;
+  return AccessRuntime(configured, topology, no_traffic, policy, sim::Random(seed)).run();
+}
+
 RunMetrics run_scheme_with_fabric(const ScenarioConfig& scenario,
                                   const topo::AccessTopology& topology,
                                   const trace::FlowTrace& flows, const SchemeSpec& spec,

@@ -95,6 +95,18 @@ RunMetrics run_scheme(const ScenarioConfig& scenario, const topo::AccessTopology
                       const trace::FlowTrace& flows, const std::string& scheme,
                       std::uint64_t seed);
 
+/// The no-sleep day (NoSleepPolicy, fixed DSLAM wiring) over an empty trace.
+/// Devices draw by power state, not load, and no-sleep fixes every state at
+/// t=0, so its energy, online series and online times equal
+/// run_scheme(..., "no-sleep", seed) over any trace, bit for bit
+/// (tests/test_core_baseline.cpp). `duration` is the span covered (less than
+/// scenario.duration for an interrupted live run). completion_time is empty,
+/// so Fig. 9a still simulates its baseline. Not a simulated day: records no
+/// "day.events" and opens no "day.run" scope.
+RunMetrics run_no_sleep_baseline(const ScenarioConfig& scenario,
+                                 const topo::AccessTopology& topology, std::uint64_t seed,
+                                 double duration);
+
 /// Runs a scheme's policy over an explicit HDF fabric — the switch-size
 /// ablation's entry point. `switch_size` is only read in kKSwitch mode and
 /// must divide the card count.

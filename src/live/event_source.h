@@ -3,8 +3,8 @@
 // demos, the replay-equivalence gate), a tailed trace file, or a socket fed
 // by an external producer (live/tail_source.h, live/socket_source.h). The
 // LiveController polls the active source once per tick, moves the records
-// through a bounded IngestQueue, and feeds them to the paired baseline +
-// scheme AccessRuntime twins.
+// through a bounded IngestQueue, and feeds them to the scheme's
+// AccessRuntime.
 #pragma once
 
 #include <cstddef>

@@ -1,4 +1,4 @@
-// Bounded ingest buffer between an EventSource and the simulation twins.
+// Bounded ingest buffer between an EventSource and the scheme's runtime.
 // The bound is the controller's memory/latency contract: when the fleet
 // cannot keep up, either the source stops being polled (kBackpressure — the
 // kernel's socket buffer or the file itself absorbs the burst) or the

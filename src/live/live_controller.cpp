@@ -41,7 +41,8 @@ core::ScenarioConfig configure(core::ScenarioConfig scenario,
 }
 
 // Mirrors the per-day histogram run_scheme records, so a live day folds into
-// "day.events" exactly like its offline twin (baseline first, then scheme).
+// "day.events" exactly like its offline twin: one sample, the scheme day
+// (the traffic-free baseline is not a simulated day and records none).
 void record_day_events(const core::RunMetrics& metrics) {
 #ifndef INSOMNIA_OBS_DISABLED
   obs::histogram("day.events").record(static_cast<double>(metrics.executed_events));
@@ -82,43 +83,25 @@ double LatencyTrack::quantile_ns(double q) const {
   return static_cast<double>(max_ns_);
 }
 
-// The paired twins of one live day: the no-sleep baseline and the scheme
-// under study over the very same arrival stream (the engine's paired-run
-// methodology, fed incrementally). Constructed exactly as run_scheme does —
-// switch fabric applied to a scenario copy, then the policy, then the
-// runtime with the run-0 baseline/scheme seed substreams.
+// The live twin of the offline engine's scheme day, fed incrementally.
+// Constructed exactly as run_scheme does — switch fabric applied to a
+// scenario copy, then the policy, then the runtime with the run-0 scheme
+// seed substream. The paired baseline needs no live runtime: it is the
+// traffic-free run_no_sleep_baseline, computed once the covered span is
+// known.
 struct LiveController::Twins {
   topo::AccessTopology topology;
-  core::ScenarioConfig baseline_config;
   core::ScenarioConfig scheme_config;
-  std::unique_ptr<core::Policy> baseline_policy;
   std::unique_ptr<core::Policy> scheme_policy;
-  core::AccessRuntime baseline;
   core::AccessRuntime scheme;
 
-  Twins(const Options& options, const core::SchemeSpec& baseline_spec,
-        const core::SchemeSpec& scheme_spec, bool gated)
+  Twins(const Options& options, const core::SchemeSpec& scheme_spec, bool gated)
       : topology(make_live_topology(options)),
-        baseline_config(configure(options.scenario, baseline_spec)),
         scheme_config(configure(options.scenario, scheme_spec)),
-        baseline_policy(baseline_spec.make_policy(baseline_config)),
         scheme_policy(scheme_spec.make_policy(scheme_config)),
-        baseline(baseline_config, topology, *baseline_policy,
-                 sim::Random(sim::Random::substream_seed(options.seed, 0, 2)),
-                 core::AccessRuntime::LiveMode{gated}),
         scheme(scheme_config, topology, *scheme_policy,
                sim::Random(sim::Random::substream_seed(options.seed, 0, 100)),
                core::AccessRuntime::LiveMode{gated}) {}
-
-  void append(const trace::FlowRecord* records, std::size_t count) {
-    baseline.append_live_arrivals(records, count);
-    scheme.append_live_arrivals(records, count);
-  }
-
-  void finish_input() {
-    baseline.finish_live_input();
-    scheme.finish_live_input();
-  }
 };
 
 LiveController::LiveController(Options options, std::unique_ptr<EventSource> source)
@@ -180,7 +163,7 @@ std::size_t LiveController::drain_queue() {
   const std::size_t drained = queue_.pop(queue_.size(), scratch_, inflight_stamps_);
   util::require_state(drained == 0 || !input_done_,
                       "records queued after live input was finished");
-  if (drained > 0) twins_->append(scratch_.data(), drained);
+  if (drained > 0) twins_->scheme.append_live_arrivals(scratch_.data(), drained);
   return drained;
 }
 
@@ -196,31 +179,23 @@ void LiveController::advance_to(double until, double poll_horizon,
     drain_queue();
   }
   while (true) {
-    // The twins are independent simulations over the same already-appended
-    // records — step them concurrently. The scheme twin is the critical
-    // path, so it keeps the main thread (and its cache); the helper thread
-    // takes the shorter baseline step plus the source prefetch (poll touches
-    // no runtime; the staging buffer, queue and appends are only ever used
-    // between joins, so nothing is seen by two threads at once).
-    auto baseline_future = std::async(std::launch::async, [&] {
-      const auto step = twins_->baseline.step_live(until);
-      poll_into_queue(poll_horizon);
-      return step;
-    });
-    const auto scheme_step = twins_->scheme.step_live(until);
-    const auto baseline_step = baseline_future.get();
+    // The runtime keeps the main thread (and its cache); a helper thread
+    // prefetches the source meanwhile, keeping the generator off the
+    // critical path. Poll touches no runtime, and the staging buffer, queue
+    // and appends are only ever used between joins, so nothing is seen by
+    // two threads at once.
+    auto prefetch = std::async(std::launch::async, [&] { poll_into_queue(poll_horizon); });
+    const auto step = twins_->scheme.step_live(until);
+    prefetch.get();
     const std::size_t appended = drain_queue();
-    if (baseline_step == core::AccessRuntime::StepResult::kReachedTime &&
-        scheme_step == core::AccessRuntime::StepResult::kReachedTime) {
-      break;
-    }
+    if (step == core::AccessRuntime::StepResult::kReachedTime) break;
     // The gate starved: the last buffered arrival needs its successor (or an
     // end-of-input promise) before it may dispatch.
     if (appended > 0) continue;
     if (ingest(std::numeric_limits<double>::infinity()) > 0) continue;
     if (source_->exhausted() || (stop != nullptr && stop->load())) {
       if (!input_done_) {
-        twins_->finish_input();
+        twins_->scheme.finish_live_input();
         input_done_ = true;
       }
       continue;  // the gate is open; stepping now reaches `until`
@@ -283,11 +258,10 @@ LiveResult LiveController::run(const std::atomic<bool>* stop) {
   util::require_state(twins_ == nullptr, "LiveController::run may be called once");
 
   const core::SchemeSpec& scheme_spec = core::find_scheme(options_.scheme);
-  const core::SchemeSpec& baseline_spec = core::find_scheme("no-sleep");
   const bool gated = options_.pace == PaceMode::kVirtual;
   {
     OBS_SCOPE("live.setup");
-    twins_ = std::make_unique<Twins>(options_, baseline_spec, scheme_spec, gated);
+    twins_ = std::make_unique<Twins>(options_, scheme_spec, gated);
   }
 
   core::RunReport report;
@@ -321,7 +295,6 @@ LiveResult LiveController::run(const std::atomic<bool>* stop) {
 
   // Records already on hand land in the buffer before the warm start.
   ingest(options_.pace == PaceMode::kVirtual ? options_.tick_virtual_sec : 0.0);
-  twins_->baseline.begin_live();
   twins_->scheme.begin_live();
 
   if (options_.pace == PaceMode::kVirtual) {
@@ -394,26 +367,20 @@ LiveResult LiveController::run(const std::atomic<bool>* stop) {
   const double covered = std::max(std::min(virtual_time, day_span), 1e-9);
   if (!input_done_) {
     drain_queue();
-    twins_->finish_input();
+    twins_->scheme.finish_live_input();
     input_done_ = true;
   }
-  const double drain_end = covered + options_.scenario.drain_time;
-  auto baseline_drain = std::async(std::launch::async, [&] {
-    return twins_->baseline.step_live(drain_end);
-  });
-  const auto scheme_step = twins_->scheme.step_live(drain_end);
-  const auto baseline_step = baseline_drain.get();
-  util::require_state(
-      baseline_step == core::AccessRuntime::StepResult::kReachedTime &&
-          scheme_step == core::AccessRuntime::StepResult::kReachedTime,
-      "live drain stalled with input finished");
+  const auto drain_step = twins_->scheme.step_live(covered + options_.scenario.drain_time);
+  util::require_state(drain_step == core::AccessRuntime::StepResult::kReachedTime,
+                      "live drain stalled with input finished");
   account_latency();
   // The ingest window closes with the last decision; assembling the report
   // below is offline bookkeeping, not part of the streaming path.
   stats_.wall_seconds = static_cast<double>(obs::now_ns() - wall_start_ns_) / 1e9;
 
-  const core::RunMetrics baseline_metrics = twins_->baseline.finish_live(covered);
-  record_day_events(baseline_metrics);
+  const core::RunMetrics baseline_metrics = core::run_no_sleep_baseline(
+      options_.scenario, twins_->topology,
+      sim::Random::substream_seed(options_.seed, 0, 2), covered);
   const core::RunMetrics scheme_metrics = twins_->scheme.finish_live(covered);
   record_day_events(scheme_metrics);
 

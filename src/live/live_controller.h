@@ -1,7 +1,7 @@
 // The online fleet controller: polls an EventSource once per tick, moves
-// records through a bounded IngestQueue, feeds them to paired baseline +
-// scheme AccessRuntime twins (the engine's paired-day methodology, run
-// incrementally), and assembles the exact offline RunReport at the end.
+// records through a bounded IngestQueue, feeds them to the scheme's
+// AccessRuntime (the engine's scheme day, run incrementally), and pairs it
+// with the traffic-free baseline to assemble the exact offline RunReport.
 //
 // Two pacing modes:
 //  - kVirtual replays as fast as the machine allows with the arrival gate
@@ -130,25 +130,25 @@ class LiveController {
   LiveResult run(const std::atomic<bool>* stop = nullptr);
 
  private:
-  struct Twins;  ///< paired baseline + scheme runtimes (defined in the .cpp)
+  struct Twins;  ///< the scheme's live runtime (defined in the .cpp)
 
   /// Polls the source into the queue (honouring the overflow policy) and
-  /// drains the queue into both twins. Returns records appended.
+  /// drains the queue into the runtime. Returns records appended.
   std::size_t ingest(double horizon);
 
   /// The poll half of ingest(): source -> queue only, no runtime touched —
-  /// safe to run while the twins are stepping. Returns records accepted.
+  /// safe to run while the runtime is stepping. Returns records accepted.
   std::size_t poll_into_queue(double horizon);
 
-  /// Moves everything queued into both twins (stamps kept FIFO). The
+  /// Moves everything queued into the runtime (stamps kept FIFO). The
   /// poll-free half of ingest(); the shutdown path uses it alone so an
   /// interrupted run never appends arrivals it will not simulate.
   std::size_t drain_queue();
 
-  /// Steps both twins to `until` (concurrently — they are independent
-  /// simulations), prefetching the source up to `poll_horizon` while they
-  /// run and replenishing whenever the arrival gate starves; marks input
-  /// finished when the source is spent.
+  /// Steps the runtime to `until`, prefetching the source up to
+  /// `poll_horizon` on a helper thread while it runs and replenishing
+  /// whenever the arrival gate starves; marks input finished when the
+  /// source is spent.
   void advance_to(double until, double poll_horizon, const std::atomic<bool>* stop);
 
   /// Folds ingest stamps of newly consumed arrivals into the latency track.

@@ -56,10 +56,11 @@ struct AccessPowerParams {
   DevicePowerModel shelf = defaults::shelf();
 };
 
-/// Total draw of a fully-awake access network: `gateways` user gateways and
-/// a DSLAM with `line_cards` cards and `ports` terminating modems, plus the
-/// shelf. This is the paper's no-sleep baseline (821 W for the §5.1
-/// scenario: 40 gateways, 4 cards, 48 ports).
+/// Total draw of the paper's §5.1 device inventory: `gateways` gateways, a
+/// DSLAM with `line_cards` cards and `ports` modems, plus the shelf (821 W
+/// for 40 gateways, 4 cards, 48 ports). Not the simulated baseline
+/// (core::run_no_sleep_baseline), which powers 14 W households (gateway +
+/// router) and only connected lines' modems: 1013 W on the same scenario.
 double no_sleep_watts(const AccessPowerParams& params, int gateways, int line_cards, int ports);
 
 }  // namespace insomnia::power

@@ -1,6 +1,7 @@
 // The observability layer must never change results: RunReport JSON is bit
 // identical with obs enabled and disabled, and the metrics the layer folds
 // out of a run are themselves invariant to the worker thread count.
+#include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -63,7 +64,11 @@ TEST(ObsDeterminism, FoldedMetricsAreThreadCountInvariant) {
   }
   EXPECT_GT(events[0], 0u);
   EXPECT_EQ(events[0], events[1]);
-  EXPECT_EQ(days[0].count, days[1].count);
+  // "day.events" counts simulated days only: one scheme day per run, none
+  // for the traffic-free baseline.
+  const auto runs = static_cast<std::uint64_t>(small_spec(1).runs);
+  EXPECT_EQ(days[0].count, runs);
+  EXPECT_EQ(days[1].count, runs);
   EXPECT_EQ(days[0].min, days[1].min);
   EXPECT_EQ(days[0].max, days[1].max);
   EXPECT_EQ(days[0].sum, days[1].sum);
