@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
       sim::Random trace_rng(100 + run);
       const auto flows =
           trace::SyntheticCrawdadGenerator(shaped.traffic).generate(trace_rng);
-      const RunMetrics base =
-          run_scheme(shaped, topology, flows, SchemeKind::kNoSleep, 1);
+      const RunMetrics base = run_scheme(shaped, topology, flows, "no-sleep", 1);
       const RunMetrics m = run_scheme_with_fabric(shaped, topology, flows, scheme,
                                                   config.mode, config.switch_size, 500 + run);
       return RunRow{savings_fraction(m, base, 0.0, m.duration),

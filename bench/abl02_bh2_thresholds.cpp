@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
       sim::Random trace_rng(100 + run);
       const auto flows =
           trace::SyntheticCrawdadGenerator(scenario.traffic).generate(trace_rng);
-      const RunMetrics nosleep =
-          run_scheme(scenario, topology, flows, SchemeKind::kNoSleep, 1);
+      const RunMetrics nosleep = run_scheme(scenario, topology, flows, "no-sleep", 1);
       const RunMetrics m = run_scheme(scenario, topology, flows, scheme, 900 + run);
       return RunRow{savings_fraction(m, nosleep, 0.0, m.duration),
                     m.online_gateways.mean(11 * 3600.0, 19 * 3600.0),

@@ -42,10 +42,8 @@ int main(int argc, char** argv) {
       sim::Random trace_rng(100 + run);
       const auto flows =
           trace::SyntheticCrawdadGenerator(scenario.traffic).generate(trace_rng);
-      const RunMetrics nosleep =
-          run_scheme(scenario, topology, flows, SchemeKind::kNoSleep, 1);
-      const RunMetrics soi = run_scheme(scenario, topology, flows, SchemeKind::kSoi,
-                                        70 + run);
+      const RunMetrics nosleep = run_scheme(scenario, topology, flows, "no-sleep", 1);
+      const RunMetrics soi = run_scheme(scenario, topology, flows, "soi", 70 + run);
       const RunMetrics bh2 = run_scheme(scenario, topology, flows, scheme, 80 + run);
       auto stalled = [&](const RunMetrics& m) {
         long count = 0;

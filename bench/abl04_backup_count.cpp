@@ -43,10 +43,8 @@ int main(int argc, char** argv) {
       sim::Random trace_rng(100 + run);
       const auto flows =
           trace::SyntheticCrawdadGenerator(scenario.traffic).generate(trace_rng);
-      const RunMetrics nosleep =
-          run_scheme(scenario, topology, flows, SchemeKind::kNoSleep, 1);
-      const RunMetrics soi = run_scheme(scenario, topology, flows, SchemeKind::kSoi,
-                                        50 + run);
+      const RunMetrics nosleep = run_scheme(scenario, topology, flows, "no-sleep", 1);
+      const RunMetrics soi = run_scheme(scenario, topology, flows, "soi", 50 + run);
       const RunMetrics bh2 = run_scheme(scenario, topology, flows, scheme, 60 + run);
       return RunRow{savings_fraction(bh2, nosleep, 0.0, bh2.duration),
                     bh2.online_gateways.mean(11 * 3600.0, 19 * 3600.0),

@@ -1,9 +1,10 @@
-// Perf harness (not a paper artefact): measures how fast one paired day
-// runs. For every scenario preset it runs paired days as Engine::run does —
-// the traffic-free no-sleep baseline plus the headline BH2 scheme, the unit
-// every figure and the city fleet is built from — and reports wall clock,
-// scheme-day events/sec and flows/sec, then writes the machine readable
-// BENCH_day_throughput.json consumed by scripts/perfbench.sh.
+// Perf harness (not a paper artefact): measures how fast paired days run.
+// For every scenario preset it makes one core::Engine::run call — topology,
+// per-run trace generation, the traffic-free no-sleep baseline and the
+// headline BH2 scheme day, the unit every figure and the city fleet is
+// built from — and reports wall clock, scheme-day events/sec and flows/sec,
+// then writes the machine readable BENCH_day_throughput.json consumed by
+// scripts/perfbench.sh.
 //
 // Usage: day_throughput [--runs N] [--smoke] [--out PATH]
 //                       [--threads N] [--list-presets]
@@ -11,8 +12,8 @@
 //   --smoke    CI mode: one paired day per preset
 //   --out PATH where to write the JSON (default: BENCH_day_throughput.json)
 //
-// The harness is deliberately single-threaded: it measures the inner event
-// loop, not the sharding engine (scripts/speedup.sh covers that half).
+// The harness is deliberately single-threaded: it measures the paired-day
+// kernel, not the sharding engine (scripts/speedup.sh covers that half).
 #include <unistd.h>
 
 #include <cstdint>
@@ -23,13 +24,9 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/engine.h"
 #include "core/scenario_presets.h"
-#include "flow/fluid_network.h"
-#include "core/schemes.h"
-#include "sim/random.h"
 #include "util/json_writer.h"
-#include "topology/access_topology.h"
-#include "trace/synthetic_crawdad.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -71,36 +68,24 @@ void write_result(util::JsonWriter& json, const PresetResult& r) {
 
 PresetResult run_preset(const core::ScenarioPreset& preset, const core::SchemeSpec& scheme,
                         int runs, std::uint64_t seed) {
+  core::RunSpec spec;
+  spec.preset = preset.name;
+  spec.scheme = scheme.name;
+  spec.seed = seed;
+  spec.runs = runs;
+  spec.threads = 1;
+
+  // force=true: the harness must keep timing even under INSOMNIA_OBS=off
+  // (the CI overhead gate compares exactly those two modes).
+  obs::ScopeTimer timer("bench.preset_days", /*force=*/true);
+  const core::RunReport report = core::Engine().run(spec);
+
   PresetResult result;
   result.name = preset.name;
-  const core::ScenarioConfig& scenario = preset.scenario;
-
-  // Same derivations as core::run_main_experiment: one fixed topology per
-  // preset, per-run trace substreams, per-scheme seeds.
-  sim::Random topo_rng(sim::Random::substream_seed(seed, 0, 7));
-  const topo::AccessTopology topology =
-      topo::make_overlap_topology(scenario.client_count, scenario.degrees, topo_rng);
-  const trace::SyntheticCrawdadGenerator generator(scenario.traffic);
-
-  for (int run = 0; run < runs; ++run) {
-    sim::Random trace_rng(sim::Random::substream_seed(seed, run, 1));
-    const trace::FlowTrace flows = generator.generate(trace_rng);
-
-    // force=true: the harness must keep timing even under INSOMNIA_OBS=off
-    // (the CI overhead gate compares exactly those two modes).
-    obs::ScopeTimer timer("bench.paired_day", /*force=*/true);
-    // The baseline is timed, not read: it is the paired day's fixed cost.
-    (void)core::run_no_sleep_baseline(
-        scenario, topology, sim::Random::substream_seed(seed, run, 2), scenario.duration);
-    const core::RunMetrics bh2 =
-        run_scheme(scenario, topology, flows, scheme,
-                   sim::Random::substream_seed(seed, run, 100));
-
-    result.days += 1;
-    result.events += bh2.executed_events;
-    result.flows += static_cast<std::uint64_t>(flows.size());
-    result.wall_ms += timer.stop_ms();
-  }
+  result.wall_ms = timer.stop_ms();
+  result.days = runs;
+  result.events = report.executed_events;
+  for (const core::EngineDay& day : report.days) result.flows += day.flows;
   return result;
 }
 
@@ -138,12 +123,8 @@ int main(int argc, char** argv) {
   bench::banner("BENCH day_throughput",
                 "paired no-sleep + BH2 day wall-clock across presets");
   const core::SchemeSpec& scheme = bench::scheme_or("bh2-kswitch");
-  // Honour INSOMNIA_FLOW_ENGINE (scripts/perfbench.sh --engine) and record
-  // which fluid engine produced the numbers — reference/incremental
-  // snapshots are not comparable to each other.
-  const char* engine = flow::engine_kind_name(flow::engine_from_env());
   std::cout << runs << " paired day(s) per preset (no-sleep + " << scheme.display
-            << "), single worker, " << engine << " fluid engine\n\n";
+            << "), single worker, trace and topology generation included\n\n";
 
   const std::uint64_t seed = 42;
   std::vector<PresetResult> results;
@@ -185,7 +166,6 @@ int main(int argc, char** argv) {
   util::JsonWriter json;
   json.begin_object();
   json.field("benchmark", "day_throughput");
-  json.field("engine", engine);
   // The harness is single-threaded by design (see header comment); recorded
   // so snapshot consumers never have to guess.
   json.field("threads", 1);

@@ -24,7 +24,7 @@
 #include "dsl/bitloading.h"
 #include "dsl/crosstalk.h"
 #include "dslam/dslam.h"
-#include "flow/fluid_network.h"
+#include "flow/incremental_network.h"
 #include "flow/max_min.h"
 #include "opt/gateway_cover.h"
 #include "sim/event_queue.h"
@@ -106,12 +106,9 @@ void BM_EventQueueReschedule(benchmark::State& state) {
 BENCHMARK(BM_EventQueueReschedule)->Arg(64)->Arg(1024);
 
 void BM_FluidNetworkChurn(benchmark::State& state) {
-  const auto kind =
-      state.range(1) == 0 ? flow::EngineKind::kReference : flow::EngineKind::kIncremental;
   for (auto _ : state) {
     sim::Simulator sim;
-    const auto net_owned = flow::make_fluid_network(sim, {6e6}, kind);
-    flow::FluidNetwork& net = *net_owned;
+    flow::IncrementalFluidNetwork net(sim, {6e6});
     net.set_gateway_serving(0, true);
     const int flows = static_cast<int>(state.range(0));
     for (int i = 0; i < flows; ++i) {
@@ -122,23 +119,15 @@ void BM_FluidNetworkChurn(benchmark::State& state) {
     sim.run_until(flows * 0.05 + 10.0);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel(flow::engine_kind_name(kind));
 }
-BENCHMARK(BM_FluidNetworkChurn)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1});
+BENCHMARK(BM_FluidNetworkChurn)->Arg(1000)->Arg(10000);
 
 void BM_FluidNetworkSteadyState(benchmark::State& state) {
   // The full inner loop in steady state — arrival, water-fill, completion
   // reschedule, completion pop — after the warm-up has grown every buffer.
   // allocs_per_op must stay ~0 (only the monitoring series' doubling tail).
-  const auto kind =
-      state.range(0) == 0 ? flow::EngineKind::kReference : flow::EngineKind::kIncremental;
   sim::Simulator sim;
-  const auto net_owned = flow::make_fluid_network(sim, {6e6}, kind);
-  flow::FluidNetwork& net = *net_owned;
+  flow::IncrementalFluidNetwork net(sim, {6e6});
   net.set_gateway_serving(0, true);
   net.reserve_flows(1u << 22);
   flow::FlowId id = 0;
@@ -157,9 +146,8 @@ void BM_FluidNetworkSteadyState(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.counters["allocs_per_op"] = benchmark::Counter(
       static_cast<double>(g_allocations.load() - before), benchmark::Counter::kAvgIterations);
-  state.SetLabel(flow::engine_kind_name(kind));
 }
-BENCHMARK(BM_FluidNetworkSteadyState)->Arg(0)->Arg(1);
+BENCHMARK(BM_FluidNetworkSteadyState);
 
 void BM_StepSeriesIntegral(benchmark::State& state) {
   stats::StepSeries series(0.0, 0.0);

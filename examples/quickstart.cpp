@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "core/metrics.h"
-#include "core/schemes.h"
+#include "core/scheme_registry.h"
 #include "stats/cdf.h"
 #include "topology/access_topology.h"
 #include "trace/synthetic_crawdad.h"

@@ -18,7 +18,8 @@ jobs=$(nproc 2>/dev/null || echo 4)
 cmake -B "$build_dir" -S "$repo_root"
 cmake --build "$build_dir" -j "$jobs"
 # Reduced differential fuzz for the routine check (the suite's default is
-# 1000 scenarios; nightly/local full runs can unset this or raise it).
+# 1000 scenarios; nightly/local full runs can unset this or raise it). The
+# day-scale fluid-engine twin gate is a ctest too (test_flow_day_twin).
 INSOMNIA_DIFF_SCENARIOS=${INSOMNIA_DIFF_SCENARIOS:-250} \
   ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 
@@ -89,28 +90,6 @@ python3 -m json.tool "$build_dir/engine01_report.json" > /dev/null
 # Perf-harness smoke: one paired day per preset, then validate the shape of
 # BENCH_day_throughput.json (events/sec > 0 — no wall-clock gate here).
 "$repo_root/scripts/perfbench.sh" --smoke "$build_dir" > /dev/null
-
-# Fluid-engine twin check: the reference and incremental engines must drive
-# byte-identical simulations — same events dispatched, same flows replayed,
-# per preset. (The differential fuzz suite asserts bit-identical rates and
-# completions; this closes the loop on the full day-scale workload.)
-INSOMNIA_FLOW_ENGINE=reference \
-  "$build_dir/day_throughput" --smoke --out "$build_dir/BENCH_engine_ref.json" > /dev/null
-INSOMNIA_FLOW_ENGINE=incremental \
-  "$build_dir/day_throughput" --smoke --out "$build_dir/BENCH_engine_inc.json" > /dev/null
-python3 - "$build_dir/BENCH_engine_ref.json" "$build_dir/BENCH_engine_inc.json" <<'EOF'
-import json, sys
-ref = json.load(open(sys.argv[1]))
-inc = json.load(open(sys.argv[2]))
-assert ref["engine"] == "reference" and inc["engine"] == "incremental"
-assert ref["presets"].keys() == inc["presets"].keys()
-for name in ref["presets"]:
-    r, i = ref["presets"][name], inc["presets"][name]
-    for key in ("days", "events", "flows"):
-        assert r[key] == i[key], (
-            f"engine divergence on {name}.{key}: reference={r[key]} incremental={i[key]}")
-print("fluid engines agree on", ", ".join(sorted(ref["presets"])))
-EOF
 
 # Online-mode replay equivalence: the live controller in virtual time over
 # the same records and seed must produce a report BYTE-identical to the

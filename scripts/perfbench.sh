@@ -1,51 +1,31 @@
 #!/usr/bin/env sh
 # Repeatable single-machine perf baseline: builds Release and runs the
-# bench/day_throughput harness (paired no-sleep + BH2 days across the four
-# scenario presets), leaving BENCH_day_throughput.json at the repo root.
-# The JSON is this repo's tracked perf trajectory — compare events_per_sec
-# across commits measured on the same machine.
+# bench/day_throughput harness (paired no-sleep + BH2 days across the
+# scenario presets, one Engine run each, trace and topology generation
+# included), leaving BENCH_day_throughput.json at the repo root. The JSON is
+# this repo's tracked perf trajectory — compare wall_ms_per_day across
+# commits measured on the same machine.
 #
-# Usage: scripts/perfbench.sh [--smoke] [--engine ENGINE] [build-dir]
+# Usage: scripts/perfbench.sh [--smoke] [build-dir]
 #   --smoke    CI mode: one paired day per preset, then validate the JSON
 #              shape (events/sec > 0) instead of gating on wall clock —
 #              hosted runners are too noisy for absolute thresholds. Smoke
 #              output goes to <build-dir>/BENCH_day_throughput.json so a
 #              routine check.sh run never clobbers the committed repo-root
 #              snapshot (which only a full run refreshes, deliberately).
-#   --engine ENGINE
-#              fluid engine to measure: incremental (default) or reference.
-#              Exported as INSOMNIA_FLOW_ENGINE; the harness records the
-#              engine name in the JSON so snapshots are self-describing.
 #   build-dir  default: build
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 smoke=0
-engine=""
 build_dir="$repo_root/build"
-expect_engine=0
 for arg in "$@"; do
-  if [ "$expect_engine" -eq 1 ]; then
-    engine="$arg"
-    expect_engine=0
-    continue
-  fi
   case "$arg" in
     --smoke) smoke=1 ;;
-    --engine) expect_engine=1 ;;
-    --engine=*) engine="${arg#--engine=}" ;;
+    -*) echo "error: unknown option $arg (usage: $0 [--smoke] [build-dir])" >&2; exit 1 ;;
     *) build_dir="$arg" ;;
   esac
 done
-[ "$expect_engine" -eq 0 ] || { echo "error: --engine needs a value" >&2; exit 1; }
-if [ -n "$engine" ]; then
-  case "$engine" in
-    reference|incremental) ;;
-    *) echo "error: --engine must be 'reference' or 'incremental'" >&2; exit 1 ;;
-  esac
-  INSOMNIA_FLOW_ENGINE="$engine"
-  export INSOMNIA_FLOW_ENGINE
-fi
 jobs=$(nproc 2>/dev/null || echo 4)
 
 cmake -B "$build_dir" -S "$repo_root" > /dev/null
@@ -66,9 +46,8 @@ events=$(python3 -c '
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["benchmark"] == "day_throughput", "missing benchmark tag"
-assert doc["engine"] in ("reference", "incremental"), "missing engine tag"
 print(doc["total"]["events_per_sec"])
 ' "$out") || { echo "error: $out is not a valid day_throughput artefact" >&2; exit 1; }
 awk "BEGIN { exit !($events > 0) }" || {
   echo "error: total events_per_sec is $events (expected > 0)" >&2; exit 1; }
-echo "BENCH_day_throughput.json: engine = ${engine:-incremental}, total events/sec = $events"
+echo "BENCH_day_throughput.json: total events/sec = $events"

@@ -150,10 +150,6 @@ const SchemeOutcome& MainExperimentResult::outcome(const std::string& scheme) co
   throw util::InvalidArgument("scheme not part of this experiment: " + scheme);
 }
 
-const SchemeOutcome& MainExperimentResult::outcome(SchemeKind kind) const {
-  return outcome(scheme_token(kind));
-}
-
 MainExperimentResult run_main_experiment(const MainExperimentConfig& config) {
   util::require(config.runs >= 1, "experiment needs at least one run");
   util::require(config.bins >= 1, "experiment needs at least one bin");

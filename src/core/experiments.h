@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/scenario.h"
-#include "core/schemes.h"
+#include "core/scheme_registry.h"
 
 namespace insomnia::core {
 
@@ -65,8 +65,6 @@ struct MainExperimentResult {
   std::vector<SchemeOutcome> schemes;
 
   const SchemeOutcome& outcome(const std::string& scheme) const;
-  /// Paper-enum shim: outcome(scheme_token(kind)).
-  const SchemeOutcome& outcome(SchemeKind kind) const;
 };
 
 /// Runs every requested scheme over `runs` paired days (same trace and

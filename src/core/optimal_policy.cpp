@@ -6,6 +6,47 @@
 
 namespace insomnia::core {
 
+namespace {
+
+/// Completes a cover the capacity-constrained greedy gave up on: aggregate
+/// demand exceeds what the reachable gateways carry at q (a slow plant,
+/// e.g. the 1 Mbps developing-world preset). Users the greedy placed keep
+/// their gateways; each user it could not place joins the feasible gateway
+/// with the most spare capacity, preferring one already open, and that
+/// gateway stays on beyond its q budget. Demands are elastic, so its flows
+/// just share a fuller backhaul.
+void place_overflow(const opt::GatewayCoverProblem& problem,
+                    opt::GatewayCoverSolution& solution) {
+  std::vector<double> residual = problem.capacity;
+  std::vector<bool> open(problem.capacity.size(), false);
+  for (std::size_t u = 0; u < problem.users.size(); ++u) {
+    const int g = solution.assignment[u];
+    if (g < 0) continue;
+    open[static_cast<std::size_t>(g)] = true;
+    residual[static_cast<std::size_t>(g)] -= problem.users[u].demand;
+  }
+  for (std::size_t u = 0; u < problem.users.size(); ++u) {
+    if (solution.assignment[u] >= 0 || problem.users[u].demand <= 0.0) continue;
+    std::size_t best = problem.capacity.size();
+    for (int g : problem.users[u].feasible) {
+      const auto j = static_cast<std::size_t>(g);
+      if (best == problem.capacity.size() || (open[j] && !open[best]) ||
+          (open[j] == open[best] && residual[j] > residual[best])) {
+        best = j;
+      }
+    }
+    solution.assignment[u] = static_cast<int>(best);
+    open[best] = true;
+    residual[best] -= problem.users[u].demand;
+  }
+  solution.open.clear();
+  for (std::size_t j = 0; j < open.size(); ++j) {
+    if (open[j]) solution.open.push_back(static_cast<int>(j));
+  }
+}
+
+}  // namespace
+
 void OptimalPolicy::start(AccessRuntime& runtime) {
   const int clients = runtime.scenario().client_count;
   bytes_this_period_.assign(static_cast<std::size_t>(clients), 0.0);
@@ -51,8 +92,8 @@ void OptimalPolicy::solve(AccessRuntime& runtime) {
                         "active user with no feasible gateway");
   }
 
-  const opt::GatewayCoverSolution solution = opt::solve_greedy(problem);
-  util::require_state(solution.feasible, "optimal cover must be feasible");
+  opt::GatewayCoverSolution solution = opt::solve_greedy(problem);
+  if (!solution.feasible) place_overflow(problem, solution);
 
   // Open first so migrations always target active gateways.
   for (int g : solution.open) runtime.force_active(g);

@@ -2,7 +2,9 @@
 // minimises the number of online gateways (Eq. 1) over the users' measured
 // demands, migrates all flows with zero downtime, switches gateway states
 // instantaneously, and repacks the DSLAM with a full switch. Infeasible in
-// practice — it upper-bounds the attainable savings.
+// practice — it upper-bounds the attainable savings. When aggregate demand
+// outgrows what the reachable gateways carry at q, the cover degrades: users
+// the solver cannot place stay on a gateway they can reach, over its budget.
 #pragma once
 
 #include <vector>

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "flow/incremental_network.h"
 #include "util/error.h"
 
 namespace insomnia::core {
@@ -19,7 +20,8 @@ power::DevicePowerModel household_model(const ScenarioConfig& scenario) {
 
 AccessRuntime::AccessRuntime(const ScenarioConfig& scenario,
                              const topo::AccessTopology& topology,
-                             const trace::FlowTrace& flows, Policy& policy, sim::Random rng)
+                             const trace::FlowTrace& flows, Policy& policy, sim::Random rng,
+                             NetworkFactory make_network)
     : scenario_(&scenario),
       topology_(&topology),
       flows_(&flows),
@@ -44,7 +46,9 @@ AccessRuntime::AccessRuntime(const ScenarioConfig& scenario,
 
   std::vector<double> backhaul(static_cast<std::size_t>(scenario.gateway_count),
                                scenario.backhaul_bps);
-  network_ = flow::make_fluid_network(simulator_, std::move(backhaul));
+  network_ = make_network != nullptr
+                 ? make_network(simulator_, std::move(backhaul))
+                 : std::make_unique<flow::IncrementalFluidNetwork>(simulator_, std::move(backhaul));
   network_->reserve_flows(flows.size());
   network_->set_completion_handler([this](const flow::CompletedFlow& done) {
     if (done.id < metrics_.completion_time.size()) {

@@ -60,8 +60,17 @@ class Policy {
 /// begin_live / append_live_arrivals / step_live / finish_live sequence.
 class AccessRuntime {
  public:
+  /// Builds the day's fluid data plane; `backhaul_rates[g]` is gateway g's
+  /// broadband speed in bits/s.
+  using NetworkFactory = std::unique_ptr<flow::FluidNetwork> (*)(
+      sim::Simulator& simulator, std::vector<double> backhaul_rates);
+
+  /// `make_network` is a test seam: null (the default) builds the production
+  /// engine, flow::IncrementalFluidNetwork; the day-level engine twin suite
+  /// substitutes the reference engine through it.
   AccessRuntime(const ScenarioConfig& scenario, const topo::AccessTopology& topology,
-                const trace::FlowTrace& flows, Policy& policy, sim::Random rng);
+                const trace::FlowTrace& flows, Policy& policy, sim::Random rng,
+                NetworkFactory make_network = nullptr);
 
   /// Incremental-replay mode (src/live/): the runtime owns a growing arrival
   /// buffer instead of borrowing a complete trace.

@@ -1,5 +1,5 @@
-// String-keyed scheme registry: the extensible successor of the closed
-// SchemeKind enum. A SchemeSpec bundles everything one sleep scheme needs —
+// String-keyed scheme registry: every scheme, paper or beyond, is selected
+// by name. A SchemeSpec bundles everything one sleep scheme needs —
 // a Policy factory, the DSLAM switch fabric it assumes, and display
 // metadata — so adding a scheme is a registration, not a refactor of every
 // driver. The paper's eight §5.1 combinations are pre-registered built-ins;
@@ -84,8 +84,6 @@ const SchemeSpec& find_scheme(const std::string& name);
 /// fabric to the scenario, builds the policy, replays the trace. The same
 /// `topology` and `flows` must be passed to every scheme being compared
 /// (paired-run methodology); `seed` feeds only the scheme's own randomness.
-/// Bit-identical to the historical SchemeKind switch for the paper's eight
-/// schemes (pinned by tests/test_core_schemes.cpp golden shims).
 RunMetrics run_scheme(const ScenarioConfig& scenario, const topo::AccessTopology& topology,
                       const trace::FlowTrace& flows, const SchemeSpec& spec,
                       std::uint64_t seed);

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "core/metrics.h"
-#include "core/schemes.h"
+#include "core/scheme_registry.h"
 #include "sim/random.h"
 #include "stats/timeseries.h"
 #include "topology/access_topology.h"
@@ -98,7 +98,7 @@ TestbedResult run_testbed_emulation(const TestbedConfig& config) {
     const topo::AccessTopology topology =
         topo::limit_gateways_per_client(dense, config.max_gateways_in_range, rng);
 
-    const RunMetrics soi = run_scheme(scenario, topology, window, scheme_spec(SchemeKind::kSoi),
+    const RunMetrics soi = run_scheme(scenario, topology, window, find_scheme("soi"),
                                       config.seed + static_cast<std::uint64_t>(run) * 31 + 1);
     const RunMetrics bh2 =
         run_scheme(scenario, topology, window, under_test,

@@ -9,20 +9,17 @@
 // paper's <10 % utilization the client radio, shared across gateways by the
 // FatVAP/THEMIS TDMA layer, is never the binding constraint).
 //
-// Two engines implement this interface:
-//  - ReferenceFluidNetwork (flow/reference_network.h): the exact, eager
-//    implementation. Every mutation re-waterfills its gateway and each
-//    gateway keeps its own completion event in the simulator heap.
-//  - IncrementalFluidNetwork (flow/incremental_network.h): the optimized
-//    default. Same observable behavior bit for bit (enforced by
-//    tests/test_flow_differential.cpp), but water-fills lazily once per
-//    gateway per instant, keeps per-flow state as structure-of-arrays, and
-//    multiplexes all completion events through one simulator event.
+// Production builds one engine, IncrementalFluidNetwork
+// (flow/incremental_network.h): it water-fills lazily once per gateway per
+// instant, keeps per-flow state as structure-of-arrays, and multiplexes all
+// completion events through one simulator event. The interface stays
+// abstract so tests can substitute the exact, eager reference engine
+// (tests/support/reference_network.h) and hold the two bit-identical
+// (tests/test_flow_differential.cpp, tests/test_flow_day_twin.cpp).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -56,9 +53,6 @@ class FluidNetwork {
 
   FluidNetwork(const FluidNetwork&) = delete;
   FluidNetwork& operator=(const FluidNetwork&) = delete;
-
-  /// Which engine this is: "reference" or "incremental".
-  virtual const char* engine_name() const = 0;
 
   /// Invoked whenever a flow finishes.
   virtual void set_completion_handler(std::function<void(const CompletedFlow&)> handler) = 0;
@@ -128,31 +122,5 @@ class FluidNetwork {
   /// double ulp at t ~ 1e5 s), so zero-progress event loops cannot form.
   static constexpr double kMinEventDelay = 1e-6;
 };
-
-/// Which FluidNetwork implementation to build.
-enum class EngineKind {
-  kReference,    ///< exact eager engine (the golden twin)
-  kIncremental,  ///< optimized lazy engine (the default)
-};
-
-/// Printable name of an engine kind ("reference" / "incremental").
-const char* engine_kind_name(EngineKind kind);
-
-/// Engine selected by the INSOMNIA_FLOW_ENGINE environment variable
-/// ("reference" or "incremental"); unset or empty picks the incremental
-/// engine. Any other value aborts — a typo must not silently change which
-/// engine produced a result.
-EngineKind engine_from_env();
-
-/// Builds a fluid network of the given kind. `backhaul_rates[g]` is gateway
-/// g's broadband speed in bits/s.
-std::unique_ptr<FluidNetwork> make_fluid_network(sim::Simulator& simulator,
-                                                 std::vector<double> backhaul_rates,
-                                                 EngineKind kind);
-
-/// As above with the kind taken from INSOMNIA_FLOW_ENGINE (see
-/// engine_from_env). This is what every production entry point uses.
-std::unique_ptr<FluidNetwork> make_fluid_network(sim::Simulator& simulator,
-                                                 std::vector<double> backhaul_rates);
 
 }  // namespace insomnia::flow

@@ -1,6 +1,9 @@
-// The optimized fluid-network engine: observably bit-identical to
-// ReferenceFluidNetwork (enforced by tests/test_flow_differential.cpp) but
-// built to do less work per simulated event.
+// The production fluid-network engine, the only one the simulator builds.
+// It is observably bit-identical to the exact, eager reference engine that
+// the test suites keep as an oracle (tests/support/reference_network.h;
+// enforced flow by flow by tests/test_flow_differential.cpp and day by day
+// by tests/test_flow_day_twin.cpp), but built to do less work per simulated
+// event.
 //
 // Three structural changes over the reference engine:
 //
@@ -50,8 +53,6 @@ class IncrementalFluidNetwork final : public FluidNetwork, private sim::FlushHoo
   /// carries at most one incremental network at a time.
   IncrementalFluidNetwork(sim::Simulator& simulator, std::vector<double> backhaul_rates);
   ~IncrementalFluidNetwork() override;
-
-  const char* engine_name() const override { return "incremental"; }
 
   void set_completion_handler(std::function<void(const CompletedFlow&)> handler) override;
   void reserve_flows(std::size_t flow_count) override;

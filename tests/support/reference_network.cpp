@@ -1,4 +1,4 @@
-#include "flow/reference_network.h"
+#include "support/reference_network.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,9 +1,10 @@
-// The exact, eager fluid-network engine — the golden twin that the
-// incremental engine is differentially tested against (see
-// tests/test_flow_differential.cpp). Every mutating call re-waterfills its
+// The exact, eager fluid-network engine: the test oracle that production's
+// IncrementalFluidNetwork is checked against, flow by flow in
+// tests/test_flow_differential.cpp and day by day in
+// tests/test_flow_day_twin.cpp. Every mutating call re-waterfills its
 // gateway immediately and each gateway owns its own completion event in the
-// simulator heap. Correct and simple; superseded as the default by
-// IncrementalFluidNetwork, selectable via INSOMNIA_FLOW_ENGINE=reference.
+// simulator heap. Correct and simple, and slower; it lives in the test
+// support library, so no production target links it.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +23,6 @@ class ReferenceFluidNetwork final : public FluidNetwork {
   /// `backhaul_rates[g]` is gateway g's broadband speed in bits/s.
   ReferenceFluidNetwork(sim::Simulator& simulator, std::vector<double> backhaul_rates);
   ~ReferenceFluidNetwork() override;  ///< folds the local waterfill tally into obs
-
-  const char* engine_name() const override { return "reference"; }
 
   void set_completion_handler(std::function<void(const CompletedFlow&)> handler) override;
   void reserve_flows(std::size_t flow_count) override;

@@ -3,6 +3,7 @@
 // thread-count invariance, and the RunReport JSON golden (stable key order,
 // locale-independent formatting).
 #include <clocale>
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -11,7 +12,7 @@
 #include "core/engine.h"
 #include "core/home_policy.h"
 #include "core/metrics.h"
-#include "core/schemes.h"
+#include "core/scheme_registry.h"
 #include "sim/random.h"
 #include "topology/access_topology.h"
 #include "trace/synthetic_crawdad.h"
@@ -98,30 +99,29 @@ TEST(EngineRun, BitIdenticalToRunSchemeForAllPaperSchemes) {
       topo::make_overlap_topology(scenario.client_count, scenario.degrees, topo_rng);
   const trace::SyntheticCrawdadGenerator generator(scenario.traffic);
 
-  for (const SchemeKind kind :
-       {SchemeKind::kNoSleep, SchemeKind::kSoi, SchemeKind::kSoiKSwitch,
-        SchemeKind::kSoiFullSwitch, SchemeKind::kBh2KSwitch, SchemeKind::kBh2NoBackupKSwitch,
-        SchemeKind::kBh2FullSwitch, SchemeKind::kOptimal}) {
-    const RunReport report = Engine().run(small_spec(scheme_token(kind)));
-    ASSERT_EQ(report.days.size(), 2u) << scheme_token(kind);
+  for (const std::string scheme :
+       {"no-sleep", "soi", "soi-kswitch", "soi-fullswitch", "bh2-kswitch",
+        "bh2-nobackup-kswitch", "bh2-fullswitch", "optimal"}) {
+    const RunReport report = Engine().run(small_spec(scheme));
+    ASSERT_EQ(report.days.size(), 2u) << scheme;
 
     for (int run = 0; run < 2; ++run) {
       sim::Random trace_rng(sim::Random::substream_seed(seed, run, 1));
       const trace::FlowTrace flows = generator.generate(trace_rng);
-      const RunMetrics baseline = run_scheme(scenario, topology, flows, SchemeKind::kNoSleep,
+      const RunMetrics baseline = run_scheme(scenario, topology, flows, "no-sleep",
                                              sim::Random::substream_seed(seed, run, 2));
-      const RunMetrics metrics = run_scheme(scenario, topology, flows, kind,
+      const RunMetrics metrics = run_scheme(scenario, topology, flows, scheme,
                                             sim::Random::substream_seed(seed, run, 100));
       const EngineDay& day = report.days[static_cast<std::size_t>(run)];
-      EXPECT_EQ(day.baseline_user_energy, baseline.user_energy()) << scheme_token(kind);
-      EXPECT_EQ(day.baseline_isp_energy, baseline.isp_energy()) << scheme_token(kind);
-      EXPECT_EQ(day.user_energy, metrics.user_energy()) << scheme_token(kind);
-      EXPECT_EQ(day.isp_energy, metrics.isp_energy()) << scheme_token(kind);
-      EXPECT_EQ(day.wake_events, metrics.gateway_wake_events) << scheme_token(kind);
-      EXPECT_EQ(day.bh2_moves, metrics.bh2_moves) << scheme_token(kind);
-      EXPECT_EQ(day.bh2_home_returns, metrics.bh2_home_returns) << scheme_token(kind);
-      EXPECT_EQ(day.executed_events, metrics.executed_events) << scheme_token(kind);
-      EXPECT_EQ(day.flows, flows.size()) << scheme_token(kind);
+      EXPECT_EQ(day.baseline_user_energy, baseline.user_energy()) << scheme;
+      EXPECT_EQ(day.baseline_isp_energy, baseline.isp_energy()) << scheme;
+      EXPECT_EQ(day.user_energy, metrics.user_energy()) << scheme;
+      EXPECT_EQ(day.isp_energy, metrics.isp_energy()) << scheme;
+      EXPECT_EQ(day.wake_events, metrics.gateway_wake_events) << scheme;
+      EXPECT_EQ(day.bh2_moves, metrics.bh2_moves) << scheme;
+      EXPECT_EQ(day.bh2_home_returns, metrics.bh2_home_returns) << scheme;
+      EXPECT_EQ(day.executed_events, metrics.executed_events) << scheme;
+      EXPECT_EQ(day.flows, flows.size()) << scheme;
     }
   }
 }
@@ -153,6 +153,27 @@ TEST(EngineRun, PresetResolutionAndAggregates) {
   // One-run aggregates equal the single day's numbers.
   EXPECT_DOUBLE_EQ(report.day_savings, report.days[0].savings);
   EXPECT_DOUBLE_EQ(report.peak_online_gateways, report.days[0].peak_online_gateways);
+}
+
+TEST(EngineRun, OptimalCompletesWhenDemandOutgrowsTheBackhaul) {
+  // On the 1 Mbps developing-world plant the users' demand exceeds what the
+  // reachable gateways carry at optimal_q, so the capacity-constrained cover
+  // is infeasible. Optimal must degrade (unplaced users keep a gateway on)
+  // instead of aborting the day.
+  RunSpec spec;
+  spec.preset = "developing-world";
+  spec.scheme = "optimal";
+  spec.runs = 1;
+  spec.threads = 1;
+  const RunReport report = Engine().run(spec);
+  ASSERT_EQ(report.days.size(), 1u);
+  const EngineDay& day = report.days[0];
+  const double energy = day.user_energy + day.isp_energy;
+  const double baseline = day.baseline_user_energy + day.baseline_isp_energy;
+  EXPECT_TRUE(std::isfinite(energy));
+  EXPECT_GT(energy, 0.0);
+  EXPECT_LE(energy, baseline);
+  EXPECT_GT(day.executed_events, 0u);
 }
 
 TEST(EngineRun, ResolvesSchemesInACallerSuppliedRegistry) {

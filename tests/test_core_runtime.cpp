@@ -8,7 +8,7 @@
 #include "core/home_policy.h"
 #include "util/error.h"
 #include "core/runtime.h"
-#include "core/schemes.h"
+#include "core/scheme_registry.h"
 #include "topology/access_topology.h"
 
 namespace insomnia::core {
@@ -42,8 +42,7 @@ topo::AccessTopology tiny_topology() {
 TEST(Runtime, NoSleepBaselinePowerIsConstant) {
   const ScenarioConfig scenario = tiny_scenario();
   const trace::FlowTrace flows{};
-  const RunMetrics m =
-      run_scheme(scenario, tiny_topology(), flows, SchemeKind::kNoSleep, 1);
+  const RunMetrics m = run_scheme(scenario, tiny_topology(), flows, "no-sleep", 1);
   // 2 households at 14 W each + shelf 21 + 2 cards * 98 + 2 modems * 1.
   const double watts = 2 * 14.0 + 21.0 + 2 * 98.0 + 2 * 1.0;
   EXPECT_NEAR(m.total_energy(), watts * scenario.duration, 1e-6);
@@ -53,7 +52,7 @@ TEST(Runtime, NoSleepBaselinePowerIsConstant) {
 TEST(Runtime, SoiWithNoTrafficSleepsEverything) {
   const ScenarioConfig scenario = tiny_scenario();
   const trace::FlowTrace flows{};
-  const RunMetrics m = run_scheme(scenario, tiny_topology(), flows, SchemeKind::kSoi, 1);
+  const RunMetrics m = run_scheme(scenario, tiny_topology(), flows, "soi", 1);
   // Gateways start asleep and never wake: only the shelf burns energy.
   EXPECT_NEAR(m.total_energy(), 21.0 * scenario.duration, 1e-6);
   EXPECT_EQ(m.gateway_wake_events, 0);
@@ -64,7 +63,7 @@ TEST(Runtime, SoiWakePenaltyStallsTheFirstFlow) {
   // 750 kB at 6 Mbps = 1 s of service, arriving at t=100 on a sleeping
   // gateway: FCT = 60 s wake + 1 s service.
   const trace::FlowTrace flows{{100.0, 0, 750000.0}};
-  const RunMetrics m = run_scheme(scenario, tiny_topology(), flows, SchemeKind::kSoi, 1);
+  const RunMetrics m = run_scheme(scenario, tiny_topology(), flows, "soi", 1);
   ASSERT_EQ(m.completion_time.size(), 1u);
   EXPECT_NEAR(m.completion_time[0], 61.0, 1e-6);
   EXPECT_EQ(m.gateway_wake_events, 1);
@@ -73,7 +72,7 @@ TEST(Runtime, SoiWakePenaltyStallsTheFirstFlow) {
 TEST(Runtime, SoiGatewaySleepsAfterIdleTimeout) {
   const ScenarioConfig scenario = tiny_scenario();
   const trace::FlowTrace flows{{100.0, 0, 750000.0}};
-  const RunMetrics m = run_scheme(scenario, tiny_topology(), flows, SchemeKind::kSoi, 1);
+  const RunMetrics m = run_scheme(scenario, tiny_topology(), flows, "soi", 1);
   // Wake at 100, active at 160, flow done at 161, idle timeout at ~221.
   EXPECT_DOUBLE_EQ(m.online_gateways.value_at(200.0), 1.0);
   EXPECT_DOUBLE_EQ(m.online_gateways.value_at(222.0), 0.0);
@@ -88,7 +87,7 @@ TEST(Runtime, BackToBackFlowsKeepGatewayUp) {
   // first wake to the last flow + timeout.
   trace::FlowTrace flows;
   for (int i = 0; i < 20; ++i) flows.push_back({100.0 + 30.0 * i, 0, 300.0});
-  const RunMetrics m = run_scheme(scenario, tiny_topology(), flows, SchemeKind::kSoi, 1);
+  const RunMetrics m = run_scheme(scenario, tiny_topology(), flows, "soi", 1);
   EXPECT_EQ(m.gateway_wake_events, 1);  // exactly one wake despite 20 flows
   for (const double fct : m.completion_time) EXPECT_FALSE(std::isnan(fct));
 }
@@ -96,15 +95,14 @@ TEST(Runtime, BackToBackFlowsKeepGatewayUp) {
 TEST(Runtime, NoSleepFlowUnaffected) {
   const ScenarioConfig scenario = tiny_scenario();
   const trace::FlowTrace flows{{100.0, 0, 750000.0}};
-  const RunMetrics m =
-      run_scheme(scenario, tiny_topology(), flows, SchemeKind::kNoSleep, 1);
+  const RunMetrics m = run_scheme(scenario, tiny_topology(), flows, "no-sleep", 1);
   EXPECT_NEAR(m.completion_time[0], 1.0, 1e-6);
 }
 
 TEST(Runtime, WakingGatewayDrawsPower) {
   const ScenarioConfig scenario = tiny_scenario();
   const trace::FlowTrace flows{{100.0, 0, 750000.0}};
-  const RunMetrics m = run_scheme(scenario, tiny_topology(), flows, SchemeKind::kSoi, 1);
+  const RunMetrics m = run_scheme(scenario, tiny_topology(), flows, "soi", 1);
   // During [100, 160) the household draws full power while serving nothing.
   EXPECT_NEAR(m.user_power.value_at(130.0), 14.0, 1e-9);
   // Its DSLAM modem and card wake with it.
@@ -114,15 +112,13 @@ TEST(Runtime, WakingGatewayDrawsPower) {
 TEST(Runtime, OptimalServesWithInstantTransitions) {
   const ScenarioConfig scenario = tiny_scenario();
   const trace::FlowTrace flows{{100.0, 0, 750000.0}, {500.0, 1, 750000.0}};
-  const RunMetrics m =
-      run_scheme(scenario, tiny_topology(), flows, SchemeKind::kOptimal, 1);
+  const RunMetrics m = run_scheme(scenario, tiny_topology(), flows, "optimal", 1);
   // No wake penalty: the fallback powers a gateway instantly.
   EXPECT_NEAR(m.completion_time[0], 1.0, 1e-6);
   EXPECT_NEAR(m.completion_time[1], 1.0, 1e-6);
   EXPECT_EQ(m.gateway_wake_events, 0);
   // Optimal must save energy vs no-sleep here (long idle day).
-  const RunMetrics baseline =
-      run_scheme(scenario, tiny_topology(), flows, SchemeKind::kNoSleep, 1);
+  const RunMetrics baseline = run_scheme(scenario, tiny_topology(), flows, "no-sleep", 1);
   EXPECT_GT(savings_fraction(m, baseline, 0.0, scenario.duration), 0.5);
 }
 
@@ -131,7 +127,7 @@ TEST(Runtime, FlowArrivingDuringWakeWaitsOnlyTheRemainder) {
   // First flow wakes the gateway at t=100 (active at 160); second arrives
   // at t=130 and waits 30 s, then both are served at 3 Mbps each.
   const trace::FlowTrace flows{{100.0, 0, 750000.0}, {130.0, 0, 750000.0}};
-  const RunMetrics m = run_scheme(scenario, tiny_topology(), flows, SchemeKind::kSoi, 1);
+  const RunMetrics m = run_scheme(scenario, tiny_topology(), flows, "soi", 1);
   EXPECT_EQ(m.gateway_wake_events, 1);
   // Both share 6 Mbps from 160: each needs 2 s at half rate.
   EXPECT_NEAR(m.completion_time[0], 62.0, 1e-6);

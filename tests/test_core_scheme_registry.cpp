@@ -1,27 +1,23 @@
 // Scheme-registry tests: built-in catalogue, registration round-trip,
-// duplicate/unknown-name handling, and bit-identity of the SchemeKind shims
-// against the name-keyed path for all eight paper schemes.
+// duplicate/unknown-name handling, and end-to-end runs of registered
+// schemes.
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/home_policy.h"
 #include "core/metrics.h"
 #include "core/scheme_registry.h"
-#include "core/schemes.h"
 #include "topology/access_topology.h"
 #include "trace/synthetic_crawdad.h"
 #include "util/error.h"
 
 namespace insomnia::core {
 namespace {
-
-const std::vector<SchemeKind> kPaperKinds{
-    SchemeKind::kNoSleep,        SchemeKind::kSoi,
-    SchemeKind::kSoiKSwitch,     SchemeKind::kSoiFullSwitch,
-    SchemeKind::kBh2KSwitch,     SchemeKind::kBh2NoBackupKSwitch,
-    SchemeKind::kBh2FullSwitch,  SchemeKind::kOptimal};
 
 ScenarioConfig small_scenario() {
   ScenarioConfig scenario;
@@ -54,11 +50,20 @@ TEST(SchemeRegistryBuiltins, BeyondPaperSchemesRegistered) {
 }
 
 TEST(SchemeRegistryBuiltins, TokensRoundTripThroughTheRegistry) {
-  for (const SchemeKind kind : kPaperKinds) {
-    const SchemeSpec& spec = scheme_spec(kind);
-    EXPECT_EQ(spec.name, scheme_token(kind));
-    EXPECT_EQ(spec.display, scheme_name(kind));
-    EXPECT_EQ(spec.switch_mode, switch_mode_for(kind));
+  // Each paper scheme resolves under its own token, with the §5.1 fabric.
+  const std::vector<std::pair<std::string, dslam::SwitchMode>> paper{
+      {"no-sleep", dslam::SwitchMode::kFixed},
+      {"soi", dslam::SwitchMode::kFixed},
+      {"soi-kswitch", dslam::SwitchMode::kKSwitch},
+      {"soi-fullswitch", dslam::SwitchMode::kFullSwitch},
+      {"bh2-kswitch", dslam::SwitchMode::kKSwitch},
+      {"bh2-nobackup-kswitch", dslam::SwitchMode::kKSwitch},
+      {"bh2-fullswitch", dslam::SwitchMode::kFullSwitch},
+      {"optimal", dslam::SwitchMode::kFullSwitch}};
+  for (const auto& [name, mode] : paper) {
+    const SchemeSpec& spec = find_scheme(name);
+    EXPECT_EQ(spec.name, name);
+    EXPECT_EQ(spec.switch_mode, mode) << name;
   }
 }
 
@@ -133,41 +138,6 @@ TEST(SchemeRegistryApi, UnknownNameListsTheValidSchemes) {
       EXPECT_NE(message.find(name), std::string::npos) << "missing " << name;
     }
   }
-}
-
-TEST(SchemeRegistryRuns, ShimBitIdenticalToNameKeyedPathForAllPaperSchemes) {
-  const ScenarioConfig scenario = small_scenario();
-  sim::Random rng(11);
-  const auto topology =
-      topo::make_overlap_topology(scenario.client_count, scenario.degrees, rng);
-  const auto flows = trace::SyntheticCrawdadGenerator(scenario.traffic).generate(rng);
-
-  for (const SchemeKind kind : kPaperKinds) {
-    const RunMetrics via_enum = run_scheme(scenario, topology, flows, kind, 5);
-    const RunMetrics via_name = run_scheme(scenario, topology, flows, scheme_token(kind), 5);
-    EXPECT_EQ(via_enum.user_energy(), via_name.user_energy()) << scheme_token(kind);
-    EXPECT_EQ(via_enum.isp_energy(), via_name.isp_energy()) << scheme_token(kind);
-    EXPECT_EQ(via_enum.gateway_wake_events, via_name.gateway_wake_events)
-        << scheme_token(kind);
-    EXPECT_EQ(via_enum.bh2_moves, via_name.bh2_moves) << scheme_token(kind);
-    EXPECT_EQ(via_enum.executed_events, via_name.executed_events) << scheme_token(kind);
-  }
-}
-
-TEST(SchemeRegistryRuns, FabricRunnerMatchesTheLegacyBh2EntryPoint) {
-  const ScenarioConfig scenario = small_scenario();
-  sim::Random rng(3);
-  const auto topology =
-      topo::make_overlap_topology(scenario.client_count, scenario.degrees, rng);
-  const auto flows = trace::SyntheticCrawdadGenerator(scenario.traffic).generate(rng);
-  const RunMetrics legacy =
-      run_bh2_with_fabric(scenario, topology, flows, dslam::SwitchMode::kKSwitch, 2, 17);
-  const RunMetrics named =
-      run_scheme_with_fabric(scenario, topology, flows, find_scheme("bh2-kswitch"),
-                             dslam::SwitchMode::kKSwitch, 2, 17);
-  EXPECT_EQ(legacy.user_energy(), named.user_energy());
-  EXPECT_EQ(legacy.isp_energy(), named.isp_energy());
-  EXPECT_EQ(legacy.executed_events, named.executed_events);
 }
 
 TEST(SchemeRegistryRuns, BeyondPaperSchemesRunEndToEnd) {

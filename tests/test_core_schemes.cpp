@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/metrics.h"
-#include "core/schemes.h"
+#include "core/scheme_registry.h"
 #include "topology/access_topology.h"
 #include "trace/synthetic_crawdad.h"
 
@@ -34,13 +34,10 @@ class SchemeComparison : public ::testing::Test {
         topo::make_overlap_topology(scenario_->client_count, scenario_->degrees, rng));
     flows_ = new trace::FlowTrace(
         trace::SyntheticCrawdadGenerator(scenario_->traffic).generate(rng));
-    baseline_ = new RunMetrics(
-        run_scheme(*scenario_, *topology_, *flows_, SchemeKind::kNoSleep, 5));
-    soi_ = new RunMetrics(run_scheme(*scenario_, *topology_, *flows_, SchemeKind::kSoi, 5));
-    bh2_ = new RunMetrics(
-        run_scheme(*scenario_, *topology_, *flows_, SchemeKind::kBh2KSwitch, 5));
-    optimal_ = new RunMetrics(
-        run_scheme(*scenario_, *topology_, *flows_, SchemeKind::kOptimal, 5));
+    baseline_ = new RunMetrics(run_scheme(*scenario_, *topology_, *flows_, "no-sleep", 5));
+    soi_ = new RunMetrics(run_scheme(*scenario_, *topology_, *flows_, "soi", 5));
+    bh2_ = new RunMetrics(run_scheme(*scenario_, *topology_, *flows_, "bh2-kswitch", 5));
+    optimal_ = new RunMetrics(run_scheme(*scenario_, *topology_, *flows_, "optimal", 5));
   }
   static void TearDownTestSuite() {
     delete scenario_;
@@ -164,12 +161,11 @@ TEST_F(SchemeComparison, OptimalPacksCardsToTheMinimum) {
 }
 
 TEST_F(SchemeComparison, SchemeNamesAreUnique) {
-  std::vector<SchemeKind> kinds{SchemeKind::kNoSleep,        SchemeKind::kSoi,
-                                SchemeKind::kSoiKSwitch,     SchemeKind::kSoiFullSwitch,
-                                SchemeKind::kBh2KSwitch,     SchemeKind::kBh2NoBackupKSwitch,
-                                SchemeKind::kBh2FullSwitch,  SchemeKind::kOptimal};
   std::vector<std::string> names;
-  for (SchemeKind kind : kinds) names.push_back(scheme_name(kind));
+  for (const char* scheme : {"no-sleep", "soi", "soi-kswitch", "soi-fullswitch", "bh2-kswitch",
+                             "bh2-nobackup-kswitch", "bh2-fullswitch", "optimal"}) {
+    names.push_back(find_scheme(scheme).display);
+  }
   std::sort(names.begin(), names.end());
   EXPECT_TRUE(std::adjacent_find(names.begin(), names.end()) == names.end());
 }
@@ -180,8 +176,8 @@ TEST(SchemeRuns, DeterministicGivenSeed) {
   const auto topology =
       topo::make_overlap_topology(scenario.client_count, scenario.degrees, rng);
   const auto flows = trace::SyntheticCrawdadGenerator(scenario.traffic).generate(rng);
-  const RunMetrics a = run_scheme(scenario, topology, flows, SchemeKind::kBh2KSwitch, 9);
-  const RunMetrics b = run_scheme(scenario, topology, flows, SchemeKind::kBh2KSwitch, 9);
+  const RunMetrics a = run_scheme(scenario, topology, flows, "bh2-kswitch", 9);
+  const RunMetrics b = run_scheme(scenario, topology, flows, "bh2-kswitch", 9);
   EXPECT_DOUBLE_EQ(a.total_energy(), b.total_energy());
   EXPECT_EQ(a.gateway_wake_events, b.gateway_wake_events);
   EXPECT_EQ(a.bh2_moves, b.bh2_moves);

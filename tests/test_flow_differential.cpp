@@ -3,8 +3,8 @@
 // lockstep, and every observable — completion records in callback order,
 // rates, counts, load()/served_bits() series probes, last-activity times —
 // must match BIT FOR BIT. This is the contract that lets the incremental
-// engine be the default everywhere: it is not "close to" the reference, it
-// is observationally indistinguishable from it.
+// engine be the only one production builds: it is not "close to" the
+// reference, it is observationally indistinguishable from it.
 //
 // Scenario generation notes:
 //  * All times, sizes and caps are drawn from continuous distributions, so
@@ -30,6 +30,7 @@
 #include "flow/fluid_network.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "support/fluid_engines.h"
 
 namespace insomnia::flow {
 namespace {
@@ -132,10 +133,10 @@ Scenario generate(std::uint64_t seed) {
 /// a flat log, in execution order. Two engines are equivalent iff their
 /// logs are element-wise identical (== on doubles: bit-identity for the
 /// non-zero values the scenario produces).
-std::vector<double> run_one(EngineKind kind, const Scenario& s) {
+std::vector<double> run_one(TestEngine engine, const Scenario& s) {
   std::vector<double> log;
   sim::Simulator sim;
-  const auto net = make_fluid_network(sim, s.backhaul, kind);
+  const auto net = make_test_engine(engine, sim, s.backhaul);
   const int gw_count = s.gateway_count;
 
   net->set_completion_handler([&](const CompletedFlow& f) {
@@ -232,8 +233,8 @@ TEST(FlowDifferential, EnginesBitIdenticalOnRandomScenarios) {
   std::uint64_t completions_seen = 0;
   for (int index = 0; index < scenarios; ++index) {
     const Scenario scenario = generate(1234567ull + static_cast<std::uint64_t>(index));
-    const std::vector<double> ref = run_one(EngineKind::kReference, scenario);
-    const std::vector<double> inc = run_one(EngineKind::kIncremental, scenario);
+    const std::vector<double> ref = run_one(TestEngine::kReference, scenario);
+    const std::vector<double> inc = run_one(TestEngine::kIncremental, scenario);
     completions_seen += static_cast<std::uint64_t>(
         std::count(ref.begin(), ref.end(), -1.0));
     if (ref == inc) continue;

@@ -6,16 +6,17 @@
 
 #include "flow/fluid_network.h"
 #include "sim/simulator.h"
+#include "support/fluid_engines.h"
 #include "util/error.h"
 
 namespace insomnia::flow {
 namespace {
 
-// Every behavioural test runs against both engines: the reference twin and
-// the incremental default must be observationally interchangeable (the
+// Every behavioural test runs against both engines: the reference oracle and
+// the production incremental engine must be observationally interchangeable (the
 // differential harness in test_flow_differential.cpp additionally checks
 // bit-identity between them on randomized scenarios).
-class FluidNetworkTest : public ::testing::TestWithParam<EngineKind> {};
+class FluidNetworkTest : public ::testing::TestWithParam<TestEngine> {};
 
 struct Harness {
   sim::Simulator sim;
@@ -23,8 +24,8 @@ struct Harness {
   FluidNetwork& net;
   std::map<FlowId, CompletedFlow> done;
 
-  Harness(EngineKind kind, std::vector<double> backhaul)
-      : owned(make_fluid_network(sim, std::move(backhaul), kind)), net(*owned) {
+  Harness(TestEngine engine, std::vector<double> backhaul)
+      : owned(make_test_engine(engine, sim, std::move(backhaul))), net(*owned) {
     net.set_completion_handler([this](const CompletedFlow& f) { done[f.id] = f; });
   }
 };
@@ -171,8 +172,8 @@ TEST_P(FluidNetworkTest, DuplicateFlowIdRejected) {
 
 TEST_P(FluidNetworkTest, ValidatesConstruction) {
   sim::Simulator sim;
-  EXPECT_THROW(make_fluid_network(sim, {}, GetParam()), util::InvalidArgument);
-  EXPECT_THROW(make_fluid_network(sim, {0.0}, GetParam()), util::InvalidArgument);
+  EXPECT_THROW(make_test_engine(GetParam(), sim, {}), util::InvalidArgument);
+  EXPECT_THROW(make_test_engine(GetParam(), sim, {0.0}), util::InvalidArgument);
 }
 
 TEST_P(FluidNetworkTest, SparseLargeFlowIdDoesNotBlowUpTheIdMap) {
@@ -266,15 +267,10 @@ TEST_P(FluidNetworkTest, SameInstantArrivalBurstSettlesOnce) {
   }
 }
 
-TEST_P(FluidNetworkTest, EngineNameMatchesKind) {
-  Harness h(GetParam(), {1e6});
-  EXPECT_STREQ(h.net.engine_name(), engine_kind_name(GetParam()));
-}
-
 INSTANTIATE_TEST_SUITE_P(BothEngines, FluidNetworkTest,
-                         ::testing::Values(EngineKind::kReference, EngineKind::kIncremental),
-                         [](const ::testing::TestParamInfo<EngineKind>& info) {
-                           return std::string(engine_kind_name(info.param));
+                         ::testing::Values(TestEngine::kReference, TestEngine::kIncremental),
+                         [](const ::testing::TestParamInfo<TestEngine>& info) {
+                           return std::string(test_engine_name(info.param));
                          });
 
 }  // namespace

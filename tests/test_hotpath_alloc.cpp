@@ -18,6 +18,7 @@
 #include "flow/fluid_network.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "support/fluid_engines.h"
 
 namespace {
 
@@ -85,11 +86,11 @@ TEST(HotPathAllocations, EventQueueScheduleRunCancelRescheduleIsAllocationFree) 
 // Both engines must hold the allocation-freedom contract: the reference one
 // because it always did, the incremental one because its dirty list, gateway
 // heap and SoA compaction scratch are all warm-buffer reuse by design.
-class FluidNetworkAlloc : public ::testing::TestWithParam<flow::EngineKind> {};
+class FluidNetworkAlloc : public ::testing::TestWithParam<flow::TestEngine> {};
 
 TEST_P(FluidNetworkAlloc, SteadyStateStaysAllocationFree) {
   sim::Simulator sim;
-  const auto owned = flow::make_fluid_network(sim, {6e6, 6e6}, GetParam());
+  const auto owned = flow::make_test_engine(GetParam(), sim, {6e6, 6e6});
   flow::FluidNetwork& net = *owned;
   net.set_gateway_serving(0, true);
   net.set_gateway_serving(1, true);
@@ -132,10 +133,10 @@ TEST_P(FluidNetworkAlloc, SteadyStateStaysAllocationFree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, FluidNetworkAlloc,
-                         ::testing::Values(flow::EngineKind::kReference,
-                                           flow::EngineKind::kIncremental),
-                         [](const ::testing::TestParamInfo<flow::EngineKind>& info) {
-                           return std::string(flow::engine_kind_name(info.param));
+                         ::testing::Values(flow::TestEngine::kReference,
+                                           flow::TestEngine::kIncremental),
+                         [](const ::testing::TestParamInfo<flow::TestEngine>& info) {
+                           return std::string(flow::test_engine_name(info.param));
                          });
 
 }  // namespace

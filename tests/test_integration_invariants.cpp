@@ -9,12 +9,13 @@
 #include <gtest/gtest.h>
 
 #include "core/metrics.h"
-#include "core/schemes.h"
+#include "core/scheme_registry.h"
 #include "dslam/dslam.h"
 #include "dslam/sleep_model.h"
 #include "flow/fluid_network.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "support/fluid_engines.h"
 #include "topology/access_topology.h"
 #include "trace/synthetic_crawdad.h"
 
@@ -22,20 +23,20 @@ namespace insomnia {
 namespace {
 
 // Conservation must hold on both fluid engines.
-class Conservation : public ::testing::TestWithParam<flow::EngineKind> {};
+class Conservation : public ::testing::TestWithParam<flow::TestEngine> {};
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, Conservation,
-                         ::testing::Values(flow::EngineKind::kReference,
-                                           flow::EngineKind::kIncremental),
-                         [](const ::testing::TestParamInfo<flow::EngineKind>& info) {
-                           return std::string(flow::engine_kind_name(info.param));
+                         ::testing::Values(flow::TestEngine::kReference,
+                                           flow::TestEngine::kIncremental),
+                         [](const ::testing::TestParamInfo<flow::TestEngine>& info) {
+                           return std::string(flow::test_engine_name(info.param));
                          });
 
 TEST_P(Conservation, ServedBitsEqualOfferedBits) {
   // Under no-sleep every byte of the trace is eventually served; the
   // gateway service-rate integrals must account for all of it exactly.
   sim::Simulator sim;
-  const auto owned = flow::make_fluid_network(sim, {6e6, 6e6, 6e6}, GetParam());
+  const auto owned = flow::make_test_engine(GetParam(), sim, {6e6, 6e6, 6e6});
   flow::FluidNetwork& net = *owned;
   for (int g = 0; g < 3; ++g) net.set_gateway_serving(g, true);
   sim::Random rng(5);
@@ -57,7 +58,7 @@ TEST_P(Conservation, ServedBitsEqualOfferedBits) {
 
 TEST_P(Conservation, StallingDoesNotLoseBits) {
   sim::Simulator sim;
-  const auto owned = flow::make_fluid_network(sim, {1e6}, GetParam());
+  const auto owned = flow::make_test_engine(GetParam(), sim, {1e6});
   flow::FluidNetwork& net = *owned;
   net.set_gateway_serving(0, true);
   net.add_flow(1, 0, 0, 1e6, 1e9);  // 8 Mbit -> 8 s of service
@@ -139,9 +140,8 @@ topo::AccessTopology tiny_topology() {
 }
 
 void check_run_invariants(const core::ScenarioConfig& scenario,
-                          const trace::FlowTrace& flows, core::SchemeKind kind) {
-  const core::RunMetrics m =
-      core::run_scheme(scenario, tiny_topology(), flows, kind, 3);
+                          const trace::FlowTrace& flows, const std::string& scheme) {
+  const core::RunMetrics m = core::run_scheme(scenario, tiny_topology(), flows, scheme, 3);
   // Power series are non-negative and bounded by the all-on draw.
   const double max_user = scenario.household_watts() * scenario.gateway_count;
   const double max_isp = 21.0 + 98.0 * scenario.dslam.line_cards + scenario.dslam_ports();
@@ -174,9 +174,8 @@ void check_run_invariants(const core::ScenarioConfig& scenario,
 TEST(FailureInjection, SimultaneousBurstAtOneInstant) {
   trace::FlowTrace flows;
   for (int i = 0; i < 200; ++i) flows.push_back({1000.0, i % 12, 5000.0});
-  for (auto kind : {core::SchemeKind::kSoi, core::SchemeKind::kBh2KSwitch,
-                    core::SchemeKind::kOptimal}) {
-    check_run_invariants(tiny_scenario(), flows, kind);
+  for (const char* scheme : {"soi", "bh2-kswitch", "optimal"}) {
+    check_run_invariants(tiny_scenario(), flows, scheme);
   }
 }
 
@@ -186,9 +185,8 @@ TEST(FailureInjection, HotSpotSingleClient) {
   for (int i = 0; i < 500; ++i) {
     flows.push_back({static_cast<double>(i), 0, 3e6});  // 3 MB every second
   }
-  for (auto kind : {core::SchemeKind::kSoi, core::SchemeKind::kBh2KSwitch,
-                    core::SchemeKind::kOptimal}) {
-    check_run_invariants(tiny_scenario(), flows, kind);
+  for (const char* scheme : {"soi", "bh2-kswitch", "optimal"}) {
+    check_run_invariants(tiny_scenario(), flows, scheme);
   }
 }
 
@@ -197,9 +195,8 @@ TEST(FailureInjection, BoundaryTimestamps) {
   trace::FlowTrace flows;
   flows.push_back({0.0, 0, 1000.0});                       // first instant
   flows.push_back({scenario.duration - 1e-6, 11, 5e6});    // last instant
-  for (auto kind : {core::SchemeKind::kSoi, core::SchemeKind::kBh2KSwitch,
-                    core::SchemeKind::kOptimal}) {
-    check_run_invariants(scenario, flows, kind);
+  for (const char* scheme : {"soi", "bh2-kswitch", "optimal"}) {
+    check_run_invariants(scenario, flows, scheme);
   }
 }
 
@@ -214,14 +211,13 @@ TEST(FailureInjection, KeepAliveDrizzleOnly) {
     flows.push_back({t, rng.uniform_int(0, 11), 300.0});
     t += rng.exponential(55.0);  // hovers around the 60 s timeout
   }
-  check_run_invariants(scenario, flows, core::SchemeKind::kSoi);
-  check_run_invariants(scenario, flows, core::SchemeKind::kBh2KSwitch);
+  check_run_invariants(scenario, flows, "soi");
+  check_run_invariants(scenario, flows, "bh2-kswitch");
 }
 
 TEST(FailureInjection, EmptyTraceAllSchemes) {
-  for (auto kind : {core::SchemeKind::kNoSleep, core::SchemeKind::kSoi,
-                    core::SchemeKind::kBh2KSwitch, core::SchemeKind::kOptimal}) {
-    check_run_invariants(tiny_scenario(), {}, kind);
+  for (const char* scheme : {"no-sleep", "soi", "bh2-kswitch", "optimal"}) {
+    check_run_invariants(tiny_scenario(), {}, scheme);
   }
 }
 
