@@ -1,9 +1,8 @@
 // City-scale fleet study (§5.4 grounded in simulation): a whole ISP city of
 // heterogeneous neighbourhoods — a weighted mix of scenario presets with
-// per-neighbourhood jitter — simulated in parallel, then extrapolated to the
-// world subscriber base. Prints the per-preset breakdown, the fleet
-// aggregates, and the simulation-grounded world numbers next to the paper's
-// constant-based ~33 TWh/yr back-of-the-envelope.
+// per-neighbourhood jitter — simulated in parallel. Prints the per-preset
+// breakdown and the fleet aggregates. The world TWh/yr figure comes from the
+// country fleet (bench/country01_fleet.cpp).
 //
 // Knobs: --size N (neighbourhoods), --mix name=w[,name=w...], --seed S,
 // --scheme NAME (any registered scheme), --json PATH, --threads N,
@@ -16,8 +15,6 @@
 #include "bench_common.h"
 #include "city/city_runner.h"
 #include "city/neighbourhood_sampler.h"
-#include "city/world_extrapolation.h"
-#include "core/extrapolation.h"
 #include "obs/heartbeat.h"
 #include "util/table.h"
 
@@ -138,37 +135,11 @@ int main(int argc, char** argv) {
             << metrics.total_gateways() << "\n"
             << "  gateway wake events (fleet day): " << metrics.wake_events() << "\n";
 
-  // §5.4, twice: grounded in the simulated fleet, then the paper's four
-  // constants — same subscriber base, so the rows are comparable.
-  const core::WorldExtrapolationConfig simulated = city::world_config_from_city(result);
-  const core::SavingsSplitTwh split = city::annual_savings_from_city(result);
-  const core::WorldExtrapolationConfig paper{};
-
-  std::cout << "\nWorld extrapolation ("
-            << bench::num(paper.dsl_subscribers / 1e6, 0) << "M DSL subscribers):\n";
-  bench::compare("annual savings",
-                 bench::num(core::annual_savings_twh(paper), 1) + " TWh (paper constants)",
-                 bench::num(core::annual_savings_twh(simulated), 1) +
-                     " TWh (simulated fleet)");
-  bench::compare("user / ISP split",
-                 "~2/3 / ~1/3",
-                 bench::num(split.user_twh, 1) + " / " + bench::num(split.isp_twh, 1) +
-                     " TWh");
-  bench::compare("equivalent nuclear plants",
-                 bench::num(core::equivalent_nuclear_plants(paper), 1) + " (paper constants)",
-                 bench::num(core::equivalent_nuclear_plants(simulated), 1) +
-                     " (simulated fleet)");
-  std::cout << "  simulated per-subscriber draw: household "
-            << bench::num(simulated.household_watts) << " W, ISP "
-            << bench::num(simulated.isp_watts_per_subscriber) << " W\n";
-
   bench::report().set_field("neighbourhoods", static_cast<long long>(config.neighbourhoods));
   bench::report().set_field("seed", static_cast<unsigned long long>(config.seed));
   bench::report().set_field("fleet_savings", metrics.savings_fraction());
   bench::report().set_field("fleet_savings_ci95", metrics.savings_ci95_halfwidth());
   bench::report().set_field("isp_share", metrics.isp_share_of_savings());
   bench::report().set_field("peak_online_gateways", metrics.peak_online_gateways());
-  bench::report().set_field("annual_savings_twh_simulated",
-                            core::annual_savings_twh(simulated));
   return bench::finish();
 }

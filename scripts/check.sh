@@ -24,9 +24,9 @@ INSOMNIA_DIFF_SCENARIOS=${INSOMNIA_DIFF_SCENARIOS:-250} \
   ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 
 # Small-N city fleet smoke: exercises the whole src/city stack (sampler ->
-# sharded paired days -> streamed aggregates -> simulation-grounded §5.4
-# extrapolation) end to end through the real CLI, including the Chrome trace
-# export, validated by an independent JSON parser.
+# sharded paired days -> streamed aggregates) end to end through the real
+# CLI, including the Chrome trace export, validated by an independent JSON
+# parser.
 "$build_dir/city01_fleet" --size 4 --seed 7 \
   --trace "$build_dir/city01_smoke.trace" > /dev/null
 python3 -m json.tool "$build_dir/city01_smoke.trace" > /dev/null
@@ -86,10 +86,6 @@ cmp "$build_dir/country01_chaos.json" "$build_dir/country01_fresh.json"
 "$build_dir/engine01_run" --scheme multilevel-doze --runs 1 --bins 6 \
   --json "$build_dir/engine01_report.json" > /dev/null
 python3 -m json.tool "$build_dir/engine01_report.json" > /dev/null
-
-# Perf-harness smoke: one paired day per preset, then validate the shape of
-# BENCH_day_throughput.json (events/sec > 0 — no wall-clock gate here).
-"$repo_root/scripts/perfbench.sh" --smoke "$build_dir" > /dev/null
 
 # Online-mode replay equivalence: the live controller in virtual time over
 # the same records and seed must produce a report BYTE-identical to the

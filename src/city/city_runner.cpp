@@ -5,24 +5,17 @@
 #include <utility>
 
 #include "city/neighbourhood_sampler.h"
-#include "core/metrics.h"
+#include "core/day_summary.h"
 #include "core/scheme_registry.h"
 #include "exec/sweep_runner.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "sim/random.h"
 #include "topology/access_topology.h"
-#include "trace/synthetic_crawdad.h"
 
 namespace insomnia::city {
 
 namespace {
-
-// Substream salts claimed by the runner; the sampler owns salt 11.
-constexpr std::uint64_t kTopologySalt = 12;
-constexpr std::uint64_t kTraceSalt = 13;
-constexpr std::uint64_t kBaselineSalt = 14;
-constexpr std::uint64_t kSchemeSalt = 15;
 
 // Feeds the fleet heartbeat and the telemetry block: neighbourhoods done,
 // live baseline/scheme watt aggregates, and per-shard wall time. All values
@@ -56,21 +49,19 @@ NeighbourhoodOutcome simulate_neighbourhood(const CityConfig& config,
   const NeighbourhoodSample sample = sample_neighbourhood(config, presets, index);
   const core::ScenarioConfig& scenario = sample.scenario;
 
-  sim::Random topo_rng(sim::Random::substream_seed(config.seed, index, kTopologySalt));
+  // Neighbourhood `index` is the paired day of stream `index` under the city
+  // seed (core::kNeighbourhoodDayKeys; the sampler owns salt 11): the
+  // traffic-free baseline and the scheme, same topology.
+  const core::DayKeys& keys = core::kNeighbourhoodDayKeys;
+  sim::Random topo_rng(sim::Random::substream_seed(config.seed, index, keys.topology));
   const topo::AccessTopology topology =
       topo::make_overlap_topology(scenario.client_count, scenario.degrees, topo_rng);
-
-  sim::Random trace_rng(sim::Random::substream_seed(config.seed, index, kTraceSalt));
-  const trace::FlowTrace flows =
-      trace::SyntheticCrawdadGenerator(scenario.traffic).generate(trace_rng);
-
-  // Paired days: the traffic-free baseline and the scheme, same topology.
-  const core::RunMetrics baseline = core::run_no_sleep_baseline(
-      scenario, topology, sim::Random::substream_seed(config.seed, index, kBaselineSalt),
-      scenario.duration);
-  const core::RunMetrics scheme =
-      core::run_scheme(scenario, topology, flows, core::find_scheme(config.scheme),
-                       sim::Random::substream_seed(config.seed, index, kSchemeSalt));
+  const core::PairedDay day =
+      core::simulate_paired_day(scenario, topology, config.seed, index, keys,
+                                {&core::find_scheme(config.scheme)},
+                                core::Baseline::kTrafficFree);
+  const core::RunMetrics& baseline = day.baseline;
+  const core::RunMetrics& scheme = day.schemes[0];
 
   NeighbourhoodOutcome outcome;
   outcome.mix_index = sample.mix_index;

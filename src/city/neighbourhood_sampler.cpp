@@ -10,8 +10,8 @@ namespace insomnia::city {
 
 namespace {
 
-/// Substream salt for the sampling draws; the runner claims its own salts
-/// for topology, trace, and scheme randomness.
+/// Substream salt for the sampling draws; the neighbourhood's paired day
+/// draws from core::kNeighbourhoodDayKeys.
 constexpr std::uint64_t kSamplerSalt = 11;
 
 }  // namespace

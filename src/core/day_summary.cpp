@@ -1,24 +1,60 @@
 #include "core/day_summary.h"
 
+#include "sim/random.h"
 #include "stats/timeseries.h"
+#include "trace/synthetic_crawdad.h"
 
 namespace insomnia::core {
 
 namespace {
 
-/// Exact per-bin total (user + ISP) energy integrals of one run.
-std::vector<double> bin_total_energy(const RunMetrics& metrics, std::size_t bins) {
-  std::vector<double> out(bins);
+EnergyBins bin_energy(const RunMetrics& metrics, std::size_t bins) {
+  EnergyBins out;
+  out.user.resize(bins);
+  out.isp.resize(bins);
   const double width = metrics.duration / static_cast<double>(bins);
   for (std::size_t i = 0; i < bins; ++i) {
     const double lo = width * static_cast<double>(i);
     const double hi = (i + 1 == bins) ? metrics.duration : lo + width;
-    out[i] = metrics.user_power.integral(lo, hi) + metrics.isp_power.integral(lo, hi);
+    out.user[i] = metrics.user_power.integral(lo, hi);
+    out.isp[i] = metrics.isp_power.integral(lo, hi);
   }
   return out;
 }
 
 }  // namespace
+
+PairedDay simulate_paired_day(const ScenarioConfig& scenario,
+                              const topo::AccessTopology& topology, std::uint64_t seed,
+                              std::uint64_t stream, const DayKeys& keys,
+                              const std::vector<const SchemeSpec*>& schemes,
+                              Baseline baseline, const trace::FlowTrace* recorded) {
+  const auto salted = [&](std::uint64_t salt) {
+    return sim::Random::substream_seed(seed, stream, salt);
+  };
+  trace::FlowTrace generated;
+  if (recorded == nullptr) {
+    sim::Random trace_rng(salted(keys.trace));
+    generated = trace::SyntheticCrawdadGenerator(scenario.traffic).generate(trace_rng);
+  }
+  const trace::FlowTrace& flows = recorded != nullptr ? *recorded : generated;
+
+  PairedDay day;
+  day.flows = static_cast<std::uint64_t>(flows.size());
+  if (baseline == Baseline::kTrafficFree) {
+    day.baseline =
+        run_no_sleep_baseline(scenario, topology, salted(keys.baseline), scenario.duration);
+  } else if (baseline == Baseline::kSimulated) {
+    day.baseline = run_scheme(scenario, topology, flows, find_scheme("no-sleep"),
+                              salted(keys.baseline));
+  }
+  day.schemes.reserve(schemes.size());
+  for (std::size_t s = 0; s < schemes.size(); ++s) {
+    day.schemes.push_back(
+        run_scheme(scenario, topology, flows, *schemes[s], salted(keys.scheme + s)));
+  }
+  return day;
+}
 
 PairedDaySummary summarize_paired_day(const RunMetrics& baseline,
                                       const RunMetrics& metrics, std::uint64_t flows,
@@ -44,10 +80,11 @@ PairedDaySummary summarize_paired_day(const RunMetrics& baseline,
   out.day.executed_events = metrics.executed_events;
   out.day.flows = flows;
 
-  out.baseline_energy_bins = bin_total_energy(baseline, bins);
-  out.scheme_energy_bins = bin_total_energy(metrics, bins);
+  out.baseline_energy = bin_energy(baseline, bins);
+  out.scheme_energy = bin_energy(metrics, bins);
   out.online_gateways =
       metrics.online_gateways.binned_means(0.0, metrics.duration, bins);
+  out.online_cards = metrics.online_cards.binned_means(0.0, metrics.duration, bins);
   return out;
 }
 
@@ -65,8 +102,8 @@ void fold_paired_days(const std::vector<PairedDaySummary>& days, RunReport& repo
   for (const PairedDaySummary& out : days) {
     report.days.push_back(out.day);
     for (std::size_t i = 0; i < bins; ++i) {
-      baseline_bins[i] += out.baseline_energy_bins[i];
-      scheme_bins[i] += out.scheme_energy_bins[i];
+      baseline_bins[i] += out.baseline_energy.user[i] + out.baseline_energy.isp[i];
+      scheme_bins[i] += out.scheme_energy.user[i] + out.scheme_energy.isp[i];
     }
     gateway_rows.push_back(out.online_gateways);
     baseline_energy += out.day.baseline_user_energy + out.day.baseline_isp_energy;

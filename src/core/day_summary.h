@@ -1,9 +1,11 @@
-// The per-day summarization and run-order fold behind Engine::run, factored
-// out so the online LiveController (src/live/) can assemble the exact same
-// RunReport from days it simulated incrementally. Keeping one copy is what
-// makes the live replay-equivalence gate a byte-compare: both paths derive
-// savings, ISP share, peak windows, and the binned series from identical
-// arithmetic in identical order.
+// The paired day — one day of traffic replayed under a set of schemes and
+// the no-sleep baseline on the same trace and topology — and its per-day
+// summary: the one kernel every driver simulates its days through (Engine,
+// the figure experiments, the city fleet), the substream salts those days
+// draw from, and the summarization and run-order fold behind Engine::run.
+// The online LiveController (src/live/) steps its day incrementally, so it
+// takes only the salts and the summary; one copy of the arithmetic is what
+// makes the live replay-equivalence gate a byte-compare.
 #pragma once
 
 #include <cstdint>
@@ -11,16 +13,73 @@
 
 #include "core/engine.h"
 #include "core/metrics.h"
+#include "core/scheme_registry.h"
 
 namespace insomnia::core {
 
-/// Everything one paired day (no-sleep baseline + scheme on the same trace)
-/// contributes to a RunReport.
+/// Substream salts of a paired day, keyed sim::Random::substream_seed(seed,
+/// stream, salt). Scheme `s` of a multi-scheme day draws from `scheme + s`.
+/// Callers build the topology themselves (shared or per day, overlap or
+/// binomial) but take its salt from here.
+struct DayKeys {
+  std::uint64_t topology;
+  std::uint64_t trace;
+  std::uint64_t baseline;
+  std::uint64_t scheme;
+};
+
+/// Engine, the figure experiments and livectl: one topology from stream 0,
+/// run r's day from stream r.
+inline constexpr DayKeys kRunDayKeys{7, 1, 2, 100};
+
+/// Fleet neighbourhoods, streamed by neighbourhood index under the city
+/// seed. The neighbourhood sampler keeps salt 11.
+inline constexpr DayKeys kNeighbourhoodDayKeys{12, 13, 14, 15};
+
+/// The Fig. 10 density sweep at `level`: a fresh binomial topology and a
+/// scheme day per (level, run), over run r's trace. No baseline is drawn.
+constexpr DayKeys density_day_keys(std::uint64_t level) {
+  return {300 + level, kRunDayKeys.trace, kRunDayKeys.baseline, 400 + level};
+}
+
+/// Which no-sleep baseline a paired day carries.
+enum class Baseline {
+  kTrafficFree,  ///< run_no_sleep_baseline: energy and online series only
+  kSimulated,    ///< the no-sleep scheme over the trace (Fig. 9a needs its FCTs)
+  kNone,         ///< scheme days only
+};
+
+/// The simulated products of one paired day.
+struct PairedDay {
+  RunMetrics baseline;              ///< default-constructed under Baseline::kNone
+  std::vector<RunMetrics> schemes;  ///< one per requested scheme, in order
+  std::uint64_t flows = 0;          ///< trace records replayed
+};
+
+/// Simulates one paired day on `topology`: the trace from (seed, stream,
+/// keys.trace) unless `recorded` is given, the baseline from keys.baseline,
+/// and scheme s from keys.scheme + s. Pure function of its arguments.
+PairedDay simulate_paired_day(const ScenarioConfig& scenario,
+                              const topo::AccessTopology& topology, std::uint64_t seed,
+                              std::uint64_t stream, const DayKeys& keys,
+                              const std::vector<const SchemeSpec*>& schemes,
+                              Baseline baseline,
+                              const trace::FlowTrace* recorded = nullptr);
+
+/// Exact per-bin energy integrals of one run (J), per side.
+struct EnergyBins {
+  std::vector<double> user;
+  std::vector<double> isp;
+};
+
+/// Everything one scheme's paired day contributes to a RunReport or to the
+/// figure experiments.
 struct PairedDaySummary {
   EngineDay day;
-  std::vector<double> baseline_energy_bins;  ///< total (user+ISP) J per bin
-  std::vector<double> scheme_energy_bins;
+  EnergyBins baseline_energy;
+  EnergyBins scheme_energy;
   std::vector<double> online_gateways;  ///< binned means
+  std::vector<double> online_cards;     ///< binned means
 };
 
 /// Summarizes one paired day. `flows` is the number of trace records

@@ -1,17 +1,12 @@
 #include "core/engine.h"
 
-#include <utility>
-
 #include "core/day_summary.h"
-#include "core/metrics.h"
 #include "core/scenario_presets.h"
 #include "exec/sweep_runner.h"
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
 #include "sim/random.h"
-#include "stats/timeseries.h"
 #include "topology/access_topology.h"
-#include "trace/synthetic_crawdad.h"
 #include "trace/trace_io.h"
 #include "util/error.h"
 #include "util/json_writer.h"
@@ -55,13 +50,12 @@ RunReport Engine::run(const RunSpec& spec) const {
   report.clients = scenario.client_count;
   report.gateways = scenario.gateway_count;
 
-  // Same derivations as core/experiments: one fixed topology, per-run trace
-  // substreams, fixed baseline/scheme salts.
-  sim::Random topo_rng(sim::Random::substream_seed(spec.seed, 0, 7));
+  // One fixed topology; run r is the paired day of stream r (kRunDayKeys,
+  // shared with core/experiments).
+  sim::Random topo_rng(sim::Random::substream_seed(spec.seed, 0, kRunDayKeys.topology));
   const topo::AccessTopology topology =
       topo::make_overlap_topology(scenario.client_count, scenario.degrees, topo_rng);
 
-  const trace::SyntheticCrawdadGenerator generator(scenario.traffic);
   trace::FlowTrace recorded;
   if (!spec.trace_file.empty()) recorded = trace::load_flow_trace(spec.trace_file);
 
@@ -69,22 +63,10 @@ RunReport Engine::run(const RunSpec& spec) const {
   const std::vector<PairedDaySummary> outputs =
       runner.run(static_cast<std::size_t>(spec.runs), [&](std::size_t run) {
         OBS_SCOPE("engine.day");
-        trace::FlowTrace generated;
-        if (spec.trace_file.empty()) {
-          sim::Random trace_rng(sim::Random::substream_seed(spec.seed, run, 1));
-          generated = generator.generate(trace_rng);
-        }
-        const trace::FlowTrace& flows = spec.trace_file.empty() ? generated : recorded;
-
-        const RunMetrics baseline = run_no_sleep_baseline(
-            scenario, topology, sim::Random::substream_seed(spec.seed, run, 2),
-            scenario.duration);
-        const RunMetrics metrics =
-            run_scheme(scenario, topology, flows, scheme,
-                       sim::Random::substream_seed(spec.seed, run, 100));
-
-        return summarize_paired_day(baseline, metrics,
-                                    static_cast<std::uint64_t>(flows.size()), spec.bins,
+        const PairedDay day = simulate_paired_day(
+            scenario, topology, spec.seed, run, kRunDayKeys, {&scheme},
+            Baseline::kTrafficFree, spec.trace_file.empty() ? nullptr : &recorded);
+        return summarize_paired_day(day.baseline, day.schemes[0], day.flows, spec.bins,
                                     spec.peak_start, spec.peak_end);
       });
 

@@ -2,11 +2,12 @@
 // structured RunReport out. One Engine call replaces the scenario-resolve /
 // topology / trace / paired-day / aggregate boilerplate every driver used
 // to hand-roll: it resolves a scenario (preset name or inline config),
-// builds the shared topology, runs `runs` paired days (traffic-free
-// no-sleep baseline + the named scheme's trace), shards them over the
-// parallel sweep engine, and folds the outcomes deterministically
-// (bit-identical for any thread count). RunReport serializes to JSON via
-// util/json_writer for machine consumers (--json, CI checks, notebooks).
+// builds the shared topology, runs `runs` paired days through
+// core::simulate_paired_day (traffic-free no-sleep baseline + the named
+// scheme), shards them over the parallel sweep engine, and folds the
+// outcomes deterministically (bit-identical for any thread count).
+// RunReport serializes to JSON via util/json_writer for machine consumers
+// (--json, CI checks, notebooks).
 #pragma once
 
 #include <cstdint>
@@ -102,12 +103,10 @@ class Engine {
   /// the baseline is always run_no_sleep_baseline, never a registry entry.
   explicit Engine(const SchemeRegistry& registry);
 
-  /// Runs the spec. Seeding matches core/experiments' conventions — the
-  /// topology comes from substream (seed, 0, 7), run r's trace from
-  /// (seed, r, 1), its baseline from (seed, r, 2) and its scheme day from
-  /// (seed, r, 100) — so a single-scheme Engine run reproduces the main
-  /// experiment's per-run days bit for bit (pinned by
-  /// tests/test_core_engine.cpp).
+  /// Runs the spec. Run r is core::simulate_paired_day's stream r under
+  /// core::kRunDayKeys (core/day_summary.h), the keys core/experiments uses
+  /// too, so a single-scheme Engine run reproduces the main experiment's
+  /// per-run days bit for bit (pinned by tests/test_core_engine.cpp).
   RunReport run(const RunSpec& spec) const;
 
  private:

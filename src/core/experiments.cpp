@@ -5,11 +5,11 @@
 #include <string>
 #include <utility>
 
+#include "core/day_summary.h"
 #include "core/metrics.h"
 #include "exec/sweep_runner.h"
 #include "sim/random.h"
 #include "stats/timeseries.h"
-#include "trace/synthetic_crawdad.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -17,129 +17,35 @@ namespace insomnia::core {
 
 namespace {
 
-/// Exact per-bin energy integrals of one run, user and ISP side.
-struct BinnedEnergy {
-  std::vector<double> user;
-  std::vector<double> isp;
+/// One scheme's share of a paired day: its summary plus the QoS samples.
+struct SchemeDay {
+  PairedDaySummary summary;
+  std::vector<double> fct;       ///< Fig. 9a, vs the simulated baseline
+  std::vector<double> fairness;  ///< Fig. 9b, vs the same day's SoI
 };
 
-BinnedEnergy bin_energy(const RunMetrics& metrics, std::size_t bins) {
-  BinnedEnergy out;
-  out.user.resize(bins);
-  out.isp.resize(bins);
-  const double width = metrics.duration / static_cast<double>(bins);
-  for (std::size_t i = 0; i < bins; ++i) {
-    const double lo = width * static_cast<double>(i);
-    const double hi = (i + 1 == bins) ? metrics.duration : lo + width;
-    out.user[i] = metrics.user_power.integral(lo, hi);
-    out.isp[i] = metrics.isp_power.integral(lo, hi);
-  }
-  return out;
-}
+/// Run-summed energy of one side of the comparison, per bin and per day,
+/// added strictly in run order so the sums do not depend on which thread
+/// computed each run.
+struct EnergySums {
+  EnergyBins bins;
+  double user = 0.0;
+  double isp = 0.0;
 
-/// Run-summed per-bin energies; merged strictly in run-index order so the
-/// floating-point accumulation matches the historical serial loop bit for
-/// bit regardless of which thread computed each run.
-struct EnergyBins {
-  std::vector<double> user;
-  std::vector<double> isp;
+  explicit EnergySums(std::size_t n)
+      : bins{std::vector<double>(n), std::vector<double>(n)} {}
 
-  void merge(const BinnedEnergy& run) {
-    if (user.empty()) {
-      user.assign(run.user.size(), 0.0);
-      isp.assign(run.isp.size(), 0.0);
+  void add(const EnergyBins& day, double day_user, double day_isp) {
+    for (std::size_t i = 0; i < bins.user.size(); ++i) {
+      bins.user[i] += day.user[i];
+      bins.isp[i] += day.isp[i];
     }
-    for (std::size_t i = 0; i < run.user.size(); ++i) {
-      user[i] += run.user[i];
-      isp[i] += run.isp[i];
-    }
+    user += day_user;
+    isp += day_isp;
   }
 };
 
-/// Everything one scheme contributes from one paired day.
-struct SchemeRunOutput {
-  BinnedEnergy energy;
-  std::vector<double> online_gateways;  ///< binned means
-  std::vector<double> online_cards;
-  double peak_gateways = 0.0;
-  double peak_cards = 0.0;
-  double user_energy = 0.0;
-  double isp_energy = 0.0;
-  double wakes = 0.0;
-  double moves = 0.0;
-  double returns = 0.0;
-  std::vector<double> fct;
-  std::vector<double> fairness;
-};
-
-/// One paired simulated day: baseline plus every requested scheme.
-struct RunOutput {
-  BinnedEnergy baseline;
-  double baseline_user_energy = 0.0;
-  double baseline_isp_energy = 0.0;
-  std::vector<SchemeRunOutput> schemes;
-};
-
-/// Simulates paired day `run`. Pure function of (config, topology, run): all
-/// randomness is derived from substream seeds keyed by the run index, so the
-/// sweep can be sharded across threads in any order. `schemes` holds the
-/// registry specs of config.schemes, resolved once by the caller.
-RunOutput simulate_run(const MainExperimentConfig& config,
-                       const topo::AccessTopology& topology,
-                       const trace::SyntheticCrawdadGenerator& generator, int run,
-                       const std::vector<const SchemeSpec*>& schemes,
-                       const SchemeSpec& baseline_scheme, bool wants_soi) {
-  RunOutput out;
-  sim::Random trace_rng(sim::Random::substream_seed(config.seed, run, 1));
-  const trace::FlowTrace flows = generator.generate(trace_rng);
-
-  // Simulated, not run_no_sleep_baseline: Fig. 9a needs its completion times.
-  const RunMetrics baseline =
-      run_scheme(config.scenario, topology, flows, baseline_scheme,
-                 sim::Random::substream_seed(config.seed, run, 2));
-  out.baseline = bin_energy(baseline, config.bins);
-  out.baseline_user_energy = baseline.user_energy();
-  out.baseline_isp_energy = baseline.isp_energy();
-
-  RunMetrics soi_metrics;
-  bool have_soi = false;
-
-  out.schemes.resize(config.schemes.size());
-  for (std::size_t s = 0; s < config.schemes.size(); ++s) {
-    const SchemeSpec& spec = *schemes[s];
-    RunMetrics metrics =
-        run_scheme(config.scenario, topology, flows, spec,
-                   sim::Random::substream_seed(config.seed, run, 100 + s));
-
-    SchemeRunOutput& o = out.schemes[s];
-    o.energy = bin_energy(metrics, config.bins);
-    o.online_gateways = metrics.online_gateways.binned_means(0.0, metrics.duration, config.bins);
-    o.online_cards = metrics.online_cards.binned_means(0.0, metrics.duration, config.bins);
-    o.peak_gateways = metrics.online_gateways.mean(config.peak_start, config.peak_end);
-    o.peak_cards = metrics.online_cards.mean(config.peak_start, config.peak_end);
-    o.user_energy = metrics.user_energy();
-    o.isp_energy = metrics.isp_energy();
-    o.wakes = static_cast<double>(metrics.gateway_wake_events);
-    o.moves = static_cast<double>(metrics.bh2_moves);
-    o.returns = static_cast<double>(metrics.bh2_home_returns);
-
-    if (spec.name != "no-sleep") {
-      o.fct = completion_time_increase(metrics, baseline);
-    }
-    if (spec.name == "soi") {
-      soi_metrics = std::move(metrics);
-      have_soi = true;
-      continue;
-    }
-    // Fairness (Fig. 9b) needs the same-run SoI metrics; fairness-paired
-    // schemes are listed after SoI by convention (enforced below).
-    if (spec.fairness_vs_soi && wants_soi) {
-      util::require_state(have_soi, "list \"soi\" before fairness-paired schemes");
-      o.fairness = online_time_variation(metrics, soi_metrics);
-    }
-  }
-  return out;
-}
+constexpr std::size_t kNoSoi = static_cast<std::size_t>(-1);
 
 }  // namespace
 
@@ -157,112 +63,114 @@ MainExperimentResult run_main_experiment(const MainExperimentConfig& config) {
   MainExperimentResult result;
   result.config = config;
 
-  // The paper evaluates every scheme on one fixed overlap topology.
-  sim::Random topo_rng(sim::Random::substream_seed(config.seed, 0, 7));
-  const topo::AccessTopology topology = topo::make_overlap_topology(
-      config.scenario.client_count, config.scenario.degrees, topo_rng);
-
-  // Resolve every scheme name once, up front — an unknown name must fail
-  // before any simulation work starts (and the error lists what would work).
-  std::vector<const SchemeSpec*> schemes;
-  schemes.reserve(config.schemes.size());
-  for (const std::string& name : config.schemes) schemes.push_back(&find_scheme(name));
-  const SchemeSpec& baseline_scheme = find_scheme("no-sleep");
-
+  // Resolve every scheme name once, up front — an unknown name or a
+  // misordered fairness pairing must fail before any simulation work starts
+  // (and the error lists what would work). Fairness (Fig. 9b) pairs a scheme
+  // with the same day's SoI, which must be listed before it.
   const bool wants_soi =
       std::find(config.schemes.begin(), config.schemes.end(), "soi") !=
       config.schemes.end();
+  std::vector<const SchemeSpec*> schemes;
+  std::vector<std::size_t> fairness_soi(config.schemes.size(), kNoSoi);
+  std::size_t soi = kNoSoi;
+  for (std::size_t s = 0; s < config.schemes.size(); ++s) {
+    schemes.push_back(&find_scheme(config.schemes[s]));
+    if (schemes[s]->name == "soi") {
+      soi = s;
+    } else if (schemes[s]->fairness_vs_soi && wants_soi) {
+      util::require_state(soi != kNoSoi, "list \"soi\" before fairness-paired schemes");
+      fairness_soi[s] = soi;
+    }
+  }
 
-  const trace::SyntheticCrawdadGenerator generator(config.scenario.traffic);
+  // The paper evaluates every scheme on one fixed overlap topology.
+  sim::Random topo_rng(
+      sim::Random::substream_seed(config.seed, 0, kRunDayKeys.topology));
+  const topo::AccessTopology topology = topo::make_overlap_topology(
+      config.scenario.client_count, config.scenario.degrees, topo_rng);
 
   // Shard the paired days; each run is an independent task keyed by index.
+  // The baseline is simulated, not traffic-free: Fig. 9a needs its FCTs.
   exec::SweepRunner runner(config.threads);
-  const std::vector<RunOutput> runs =
+  const std::vector<std::vector<SchemeDay>> runs =
       runner.run(static_cast<std::size_t>(config.runs), [&](std::size_t run) {
-        return simulate_run(config, topology, generator, static_cast<int>(run), schemes,
-                            baseline_scheme, wants_soi);
+        const PairedDay day = simulate_paired_day(config.scenario, topology, config.seed,
+                                                  run, kRunDayKeys, schemes,
+                                                  Baseline::kSimulated);
+        std::vector<SchemeDay> out(schemes.size());
+        for (std::size_t s = 0; s < schemes.size(); ++s) {
+          const RunMetrics& metrics = day.schemes[s];
+          out[s].summary = summarize_paired_day(day.baseline, metrics, day.flows,
+                                                config.bins, config.peak_start,
+                                                config.peak_end);
+          if (schemes[s]->name != "no-sleep") {
+            out[s].fct = completion_time_increase(metrics, day.baseline);
+          }
+          if (fairness_soi[s] != kNoSoi) {
+            out[s].fairness = online_time_variation(metrics, day.schemes[fairness_soi[s]]);
+          }
+        }
+        return out;
       });
 
-  // Fold per-run outputs in run order — the exact addition sequence of the
-  // old serial loop, so results do not depend on the thread count.
-  struct Accumulator {
-    EnergyBins energy;
-    std::vector<std::vector<double>> online_gateways;
-    std::vector<std::vector<double>> online_cards;
-    double peak_gateways = 0.0;
-    double peak_cards = 0.0;
-    double day_user_energy = 0.0;
-    double day_isp_energy = 0.0;
-    double wakes = 0.0;
-    double moves = 0.0;
-    double returns = 0.0;
-    std::vector<double> fct;
-    std::vector<double> fairness;
-  };
-  std::vector<Accumulator> acc(config.schemes.size());
-  EnergyBins baseline_energy;
-  double baseline_user = 0.0;
-  double baseline_isp = 0.0;
-
-  for (const RunOutput& run : runs) {
-    baseline_energy.merge(run.baseline);
-    baseline_user += run.baseline_user_energy;
-    baseline_isp += run.baseline_isp_energy;
-    for (std::size_t s = 0; s < config.schemes.size(); ++s) {
-      const SchemeRunOutput& o = run.schemes[s];
-      Accumulator& a = acc[s];
-      a.energy.merge(o.energy);
-      a.online_gateways.push_back(o.online_gateways);
-      a.online_cards.push_back(o.online_cards);
-      a.peak_gateways += o.peak_gateways;
-      a.peak_cards += o.peak_cards;
-      a.day_user_energy += o.user_energy;
-      a.day_isp_energy += o.isp_energy;
-      a.wakes += o.wakes;
-      a.moves += o.moves;
-      a.returns += o.returns;
-      a.fct.insert(a.fct.end(), o.fct.begin(), o.fct.end());
-      a.fairness.insert(a.fairness.end(), o.fairness.begin(), o.fairness.end());
-    }
+  // Fold per-run outputs in run order, so results do not depend on the
+  // thread count. User and ISP energy stay separate: Fig. 8 needs the split.
+  EnergySums base(config.bins);
+  for (const std::vector<SchemeDay>& run : runs) {
+    if (run.empty()) break;
+    const PairedDaySummary& o = run[0].summary;  // all schemes share the baseline
+    base.add(o.baseline_energy, o.day.baseline_user_energy, o.day.baseline_isp_energy);
   }
 
   const double runs_d = static_cast<double>(config.runs);
   for (std::size_t s = 0; s < config.schemes.size(); ++s) {
-    Accumulator& a = acc[s];
     SchemeOutcome outcome;
     outcome.scheme = schemes[s]->name;
     outcome.display = schemes[s]->display;
+    EnergySums mine(config.bins);
+    std::vector<std::vector<double>> gateway_rows;
+    std::vector<std::vector<double>> card_rows;
+    for (const std::vector<SchemeDay>& run : runs) {
+      const PairedDaySummary& o = run[s].summary;
+      mine.add(o.scheme_energy, o.day.user_energy, o.day.isp_energy);
+      gateway_rows.push_back(o.online_gateways);
+      card_rows.push_back(o.online_cards);
+      outcome.peak_online_gateways += o.day.peak_online_gateways;
+      outcome.peak_online_cards += o.day.peak_online_cards;
+      outcome.wake_events += static_cast<double>(o.day.wake_events);
+      outcome.bh2_moves += static_cast<double>(o.day.bh2_moves);
+      outcome.bh2_home_returns += static_cast<double>(o.day.bh2_home_returns);
+      outcome.fct_increase.insert(outcome.fct_increase.end(), run[s].fct.begin(),
+                                  run[s].fct.end());
+      outcome.online_time_variation.insert(outcome.online_time_variation.end(),
+                                           run[s].fairness.begin(), run[s].fairness.end());
+    }
 
     outcome.savings.resize(config.bins);
     outcome.isp_share.resize(config.bins);
     for (std::size_t i = 0; i < config.bins; ++i) {
-      const double base = baseline_energy.user[i] + baseline_energy.isp[i];
-      const double mine = a.energy.user[i] + a.energy.isp[i];
-      outcome.savings[i] = base > 0.0 ? 1.0 - mine / base : 0.0;
-      const double user_saved = baseline_energy.user[i] - a.energy.user[i];
-      const double isp_saved = baseline_energy.isp[i] - a.energy.isp[i];
+      const double base_bin = base.bins.user[i] + base.bins.isp[i];
+      const double mine_bin = mine.bins.user[i] + mine.bins.isp[i];
+      outcome.savings[i] = base_bin > 0.0 ? 1.0 - mine_bin / base_bin : 0.0;
+      const double user_saved = base.bins.user[i] - mine.bins.user[i];
+      const double isp_saved = base.bins.isp[i] - mine.bins.isp[i];
       const double total_saved = user_saved + isp_saved;
-      outcome.isp_share[i] = total_saved > base * 1e-9 ? isp_saved / total_saved : 0.0;
+      outcome.isp_share[i] = total_saved > base_bin * 1e-9 ? isp_saved / total_saved : 0.0;
     }
-    outcome.online_gateways = stats::elementwise_mean(a.online_gateways);
-    outcome.online_cards = stats::elementwise_mean(a.online_cards);
+    outcome.online_gateways = stats::elementwise_mean(gateway_rows);
+    outcome.online_cards = stats::elementwise_mean(card_rows);
 
-    const double base_day = baseline_user + baseline_isp;
-    const double mine_day = a.day_user_energy + a.day_isp_energy;
-    outcome.day_savings = 1.0 - mine_day / base_day;
-    const double user_saved = baseline_user - a.day_user_energy;
-    const double isp_saved = baseline_isp - a.day_isp_energy;
+    outcome.day_savings = 1.0 - (mine.user + mine.isp) / (base.user + base.isp);
+    const double user_saved = base.user - mine.user;
+    const double isp_saved = base.isp - mine.isp;
     outcome.day_isp_share =
         (user_saved + isp_saved) > 0.0 ? isp_saved / (user_saved + isp_saved) : 0.0;
 
-    outcome.peak_online_gateways = a.peak_gateways / runs_d;
-    outcome.peak_online_cards = a.peak_cards / runs_d;
-    outcome.fct_increase = std::move(a.fct);
-    outcome.online_time_variation = std::move(a.fairness);
-    outcome.wake_events = a.wakes / runs_d;
-    outcome.bh2_moves = a.moves / runs_d;
-    outcome.bh2_home_returns = a.returns / runs_d;
-
+    outcome.peak_online_gateways /= runs_d;
+    outcome.peak_online_cards /= runs_d;
+    outcome.wake_events /= runs_d;
+    outcome.bh2_moves /= runs_d;
+    outcome.bh2_home_returns /= runs_d;
     result.schemes.push_back(std::move(outcome));
   }
   return result;
@@ -274,7 +182,6 @@ std::vector<DensityPoint> run_density_sweep(const ScenarioConfig& scenario,
                                             const std::string& scheme) {
   util::require(runs >= 1, "density sweep needs at least one run");
   const SchemeSpec& spec = find_scheme(scheme);
-  const trace::SyntheticCrawdadGenerator generator(scenario.traffic);
   const double peak_start = 11.0 * 3600.0;
   const double peak_end = 19.0 * 3600.0;
 
@@ -285,16 +192,14 @@ std::vector<DensityPoint> run_density_sweep(const ScenarioConfig& scenario,
   const std::vector<double> cells =
       runner.run(mean_gateways.size() * runs_u, [&](std::size_t cell) {
         const std::size_t level = cell / runs_u;
-        const int run = static_cast<int>(cell % runs_u);
-        sim::Random topo_rng(sim::Random::substream_seed(seed, run, 300 + level));
+        const std::size_t run = cell % runs_u;
+        const DayKeys keys = density_day_keys(level);
+        sim::Random topo_rng(sim::Random::substream_seed(seed, run, keys.topology));
         const topo::AccessTopology topology = topo::make_binomial_topology(
             scenario.client_count, scenario.gateway_count, mean_gateways[level], topo_rng);
-        sim::Random trace_rng(sim::Random::substream_seed(seed, run, 1));
-        const trace::FlowTrace flows = generator.generate(trace_rng);
-        const RunMetrics metrics =
-            run_scheme(scenario, topology, flows, spec,
-                       sim::Random::substream_seed(seed, run, 400 + level));
-        return metrics.online_gateways.mean(peak_start, peak_end);
+        const PairedDay day = simulate_paired_day(scenario, topology, seed, run, keys,
+                                                  {&spec}, Baseline::kNone);
+        return day.schemes[0].online_gateways.mean(peak_start, peak_end);
       });
 
   std::vector<DensityPoint> points;

@@ -36,8 +36,8 @@ struct RunMetrics {
   long bh2_home_returns = 0;
 
   /// Discrete events the simulator dispatched during the day (arrivals,
-  /// completions, wake-ups, idle checks, ...). Drives the events/sec figure
-  /// reported by bench/day_throughput; does not affect any paper artefact.
+  /// completions, wake-ups, idle checks, ...). Reported per day in the
+  /// RunReport; does not affect any paper artefact.
   std::uint64_t executed_events = 0;
 
   /// Total energy over the day (J): user + ISP.

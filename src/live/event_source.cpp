@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/day_summary.h"
 #include "sim/random.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -24,7 +25,8 @@ bool GeneratorSource::refill() {
     if (next_day_ >= days_) return false;
     const int day = next_day_++;
     // Engine run k's trace substream, so day 0 == the offline synthetic day.
-    sim::Random rng(sim::Random::substream_seed(seed_, static_cast<std::uint64_t>(day), 1));
+    sim::Random rng(sim::Random::substream_seed(seed_, static_cast<std::uint64_t>(day),
+                                                core::kRunDayKeys.trace));
     buffer_ = trace::SyntheticCrawdadGenerator(config_).generate(rng);
     cursor_ = 0;
     const double offset = config_.duration * static_cast<double>(day);

@@ -37,11 +37,11 @@ class EventSource {
 };
 
 /// Deterministic synthetic source: day k is the synthetic-CRAWDAD trace
-/// drawn from keyed substream (seed, k, 1) — exactly the trace Engine run k
-/// replays — with start times offset by k * day duration, so consecutive
-/// days form one continuous sorted stream. A one-day GeneratorSource fed
-/// through the virtual-time LiveController therefore reproduces the offline
-/// Engine's synthetic run 0 bit for bit.
+/// drawn from keyed substream (seed, k, core::kRunDayKeys.trace) — exactly
+/// the trace Engine run k replays — with start times offset by k * day
+/// duration, so consecutive days form one continuous sorted stream. A
+/// one-day GeneratorSource fed through the virtual-time LiveController
+/// therefore reproduces the offline Engine's synthetic run 0 bit for bit.
 class GeneratorSource : public EventSource {
  public:
   /// Generates `days` >= 1 days of `config` traffic seeded from `seed`.

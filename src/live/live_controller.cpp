@@ -28,8 +28,9 @@ namespace {
 constexpr std::size_t kPollBatch = 4096;
 
 topo::AccessTopology make_live_topology(const LiveController::Options& options) {
-  // Same derivation as Engine::run: topology from substream (seed, 0, 7).
-  sim::Random rng(sim::Random::substream_seed(options.seed, 0, 7));
+  // Same derivation as Engine::run: the run-0 day of core::kRunDayKeys.
+  sim::Random rng(
+      sim::Random::substream_seed(options.seed, 0, core::kRunDayKeys.topology));
   return topo::make_overlap_topology(options.scenario.client_count,
                                      options.scenario.degrees, rng);
 }
@@ -100,7 +101,8 @@ struct LiveController::Twins {
         scheme_config(configure(options.scenario, scheme_spec)),
         scheme_policy(scheme_spec.make_policy(scheme_config)),
         scheme(scheme_config, topology, *scheme_policy,
-               sim::Random(sim::Random::substream_seed(options.seed, 0, 100)),
+               sim::Random(sim::Random::substream_seed(options.seed, 0,
+                                                       core::kRunDayKeys.scheme)),
                core::AccessRuntime::LiveMode{gated}) {}
 };
 
@@ -380,7 +382,7 @@ LiveResult LiveController::run(const std::atomic<bool>* stop) {
 
   const core::RunMetrics baseline_metrics = core::run_no_sleep_baseline(
       options_.scenario, twins_->topology,
-      sim::Random::substream_seed(options_.seed, 0, 2), covered);
+      sim::Random::substream_seed(options_.seed, 0, core::kRunDayKeys.baseline), covered);
   const core::RunMetrics scheme_metrics = twins_->scheme.finish_live(covered);
   record_day_events(scheme_metrics);
 

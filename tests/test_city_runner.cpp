@@ -1,7 +1,7 @@
 // Fleet-runner behaviour on a shrunken two-preset population: structural
-// sanity of the aggregates, the simulation-grounded world extrapolation
-// bridge, and a pinned-seed golden that locks the city aggregates the same
-// way tests/test_regression_figures.cpp locks the figure experiments.
+// sanity of the aggregates and a pinned-seed golden that locks the city
+// aggregates the same way tests/test_regression_figures.cpp locks the figure
+// experiments.
 #include <cstddef>
 #include <vector>
 
@@ -9,8 +9,6 @@
 
 #include "city/city_runner.h"
 #include "city/neighbourhood_sampler.h"
-#include "city/world_extrapolation.h"
-#include "core/extrapolation.h"
 #include "util/error.h"
 
 namespace insomnia::city {
@@ -114,23 +112,6 @@ TEST(CityRunner, RegistryEntryPointRejectsUnknownPresets) {
   EXPECT_THROW(run_city(config), util::InvalidArgument);
   config.neighbourhoods = 0;
   EXPECT_THROW(run_city(config, tiny_presets()), util::InvalidArgument);
-}
-
-TEST(CityRunner, WorldExtrapolationIsGroundedInTheFleet) {
-  const CityResult result = run_city(tiny_city(4), tiny_presets());
-  const CityMetrics& metrics = result.metrics;
-
-  const core::WorldExtrapolationConfig world = world_config_from_city(result, 320e6);
-  EXPECT_DOUBLE_EQ(world.dsl_subscribers, 320e6);
-  EXPECT_DOUBLE_EQ(world.household_watts, metrics.baseline_household_watts_per_gateway());
-  EXPECT_DOUBLE_EQ(world.isp_watts_per_subscriber,
-                   metrics.baseline_isp_watts_per_gateway());
-  EXPECT_DOUBLE_EQ(world.savings_fraction, metrics.savings_fraction());
-
-  const core::SavingsSplitTwh split = annual_savings_from_city(result, 320e6);
-  EXPECT_NEAR(split.total_twh(), core::annual_savings_twh(world), 1e-9);
-  EXPECT_NEAR(split.isp_twh,
-              core::annual_savings_twh(world) * metrics.isp_share_of_savings(), 1e-9);
 }
 
 // Locks the pinned-seed small-city aggregates: any change to the sampler's

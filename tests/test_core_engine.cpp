@@ -1,17 +1,21 @@
 // Engine facade tests: RunSpec validation, bit-identity of Engine::run
 // against the run_scheme path for all eight paper schemes on a pinned seed,
-// thread-count invariance, and the RunReport JSON golden (stable key order,
-// locale-independent formatting).
+// day-for-day agreement with the main experiment, thread-count invariance,
+// and the RunReport JSON golden (stable key order, locale-independent
+// formatting).
 #include <clocale>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "core/experiments.h"
 #include "core/home_policy.h"
 #include "core/metrics.h"
+#include "core/scenario_presets.h"
 #include "core/scheme_registry.h"
 #include "sim/random.h"
 #include "topology/access_topology.h"
@@ -125,6 +129,54 @@ TEST(EngineRun, BitIdenticalToRunSchemeForAllPaperSchemes) {
     }
   }
 }
+
+// engine.h's claim, checked: a one-run Engine report and the main
+// experiment (core/experiments) replay the same paired day, so the per-day
+// savings and ISP share, the peak and wake counters, and both day series
+// agree bit for bit. (The aggregate ISP shares come from two different folds
+// and may differ in the last bits; the per-day ones may not.)
+class EngineSharesExperimentDays
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
+
+TEST_P(EngineSharesExperimentDays, PerDayNumbersAndSeriesAreBitIdentical) {
+  const auto& [preset, scheme] = GetParam();
+  RunSpec spec;
+  spec.preset = preset;
+  spec.scheme = scheme;
+  spec.seed = 5;
+  spec.threads = 1;
+  const RunReport report = Engine().run(spec);
+
+  MainExperimentConfig config;
+  config.scenario = find_scenario_preset(preset).scenario;
+  config.schemes = {scheme};
+  config.runs = 1;
+  config.seed = spec.seed;
+  config.bins = spec.bins;
+  config.threads = 1;
+  const SchemeOutcome outcome = run_main_experiment(config).outcome(scheme);
+
+  const EngineDay& day = report.days[0];
+  EXPECT_EQ(day.savings, outcome.day_savings);
+  EXPECT_EQ(day.isp_share, outcome.day_isp_share);
+  EXPECT_EQ(day.peak_online_gateways, outcome.peak_online_gateways);
+  EXPECT_EQ(static_cast<double>(day.wake_events), outcome.wake_events);
+  EXPECT_EQ(report.savings_series, outcome.savings);
+  EXPECT_EQ(report.online_gateways_series, outcome.online_gateways);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PresetsAndSchemes, EngineSharesExperimentDays,
+    ::testing::Combine(::testing::Values("paper-default", "sparse-rural",
+                                         "developing-world"),
+                       ::testing::Values("soi", "bh2-kswitch", "multilevel-doze")),
+    [](const auto& info) {
+      std::string name = std::get<0>(info.param) + "_" + std::get<1>(info.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 TEST(EngineRun, ReportIsIdenticalForAnyThreadCount) {
   RunSpec spec = small_spec("bh2-kswitch");

@@ -8,6 +8,8 @@
 
 #include "core/experiments.h"
 #include "core/testbed.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "util/error.h"
 
 namespace insomnia::core {
@@ -94,10 +96,15 @@ TEST_F(MainExperimentFixture, CountersAveraged) {
 }
 
 TEST(MainExperiment, RequiresSoiBeforeBh2ForFairness) {
+  // The misordered list fails while the schemes are resolved, before any day
+  // is simulated ("day.events" takes one sample per simulated day).
+  obs::set_enabled(true);
+  obs::Registry::global().reset_values();
   MainExperimentConfig config = small_config();
   config.runs = 1;
   config.schemes = {"bh2-kswitch", "soi"};
   EXPECT_THROW(run_main_experiment(config), util::InvalidState);
+  EXPECT_EQ(obs::histogram("day.events").snapshot().count, 0u);
 }
 
 TEST(MainExperiment, Validation) {
