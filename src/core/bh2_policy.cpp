@@ -1,5 +1,7 @@
 #include "core/bh2_policy.h"
 
+#include <cmath>
+
 #include "util/error.h"
 
 namespace insomnia::core {
@@ -12,6 +14,10 @@ Bh2Policy::Bh2Policy(int backup, double threshold_jitter)
 }
 
 void Bh2Policy::start(AccessRuntime& runtime) {
+  const double period = runtime.scenario().bh2.decision_period;
+  // A zero period would re-arm every epoch at the same instant forever.
+  util::require(std::isfinite(period) && period > 0.0,
+                "bh2.decision_period must be finite and positive");
   runtime_ = &runtime;
   config_ = runtime.scenario().bh2;
   config_.backup = backup_;
@@ -60,8 +66,10 @@ void Bh2Policy::decision_epoch(AccessRuntime& runtime, int client) {
   }
 
   if (runtime.simulator().now() < runtime.duration()) {
-    runtime.simulator().after(config_.decision_period,
-                              [this, client] { decision_epoch(*runtime_, client); });
+    // Every re-arm lands at now + period with now non-decreasing, so the
+    // epochs arrive in time order and ride the queue's ordered lane.
+    runtime.simulator().after_ordered(config_.decision_period,
+                                      [this, client] { decision_epoch(*runtime_, client); });
   }
 }
 

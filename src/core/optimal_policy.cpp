@@ -1,6 +1,7 @@
 #include "core/optimal_policy.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.h"
 
@@ -48,10 +49,12 @@ void place_overflow(const opt::GatewayCoverProblem& problem,
 }  // namespace
 
 void OptimalPolicy::start(AccessRuntime& runtime) {
+  const double period = runtime.scenario().optimal_period;
+  util::require(std::isfinite(period) && period > 0.0,
+                "optimal_period must be finite and positive");
   const int clients = runtime.scenario().client_count;
   bytes_this_period_.assign(static_cast<std::size_t>(clients), 0.0);
   assignment_.assign(static_cast<std::size_t>(clients), -1);
-  const double period = runtime.scenario().optimal_period;
   runtime.simulator().at(period, [this, &runtime] { solve(runtime); });
 }
 

@@ -3,8 +3,10 @@
 #pragma once
 
 #include <functional>
+#include <utility>
 
 #include "sim/event_queue.h"
+#include "util/error.h"
 
 namespace insomnia::sim {
 
@@ -73,6 +75,16 @@ class Simulator {
 
   /// Schedules `action` `delay` seconds from now (delay >= 0).
   EventId after(double delay, std::function<void()> action);
+
+  /// As after(), but through the queue's ordered lane: the event gets no
+  /// handle (it cannot be cancelled) and fires in exactly the order after()
+  /// would give it. Every call's `now() + delay` must be non-decreasing, so
+  /// use it for one fixed-period self-re-arming family; an out-of-order
+  /// time throws util::InvalidState (see EventQueue::schedule_ordered).
+  void after_ordered(double delay, std::function<void()> action) {
+    util::require(delay >= 0.0, "Simulator::after_ordered needs delay >= 0");
+    queue_.schedule_ordered(now_ + delay, std::move(action));
+  }
 
   /// Cancels a pending event; returns true if it was still pending.
   bool cancel(EventId id) { return queue_.cancel(id); }

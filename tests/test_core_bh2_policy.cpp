@@ -3,6 +3,7 @@
 // hitch-hiking onto a warm neighbour, the home gateway then sleeping,
 // reroute-on-arrival instead of pointless wakes, and the return-home path.
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "core/metrics.h"
 #include "core/runtime.h"
 #include "topology/access_topology.h"
+#include "util/error.h"
 
 namespace insomnia::core {
 namespace {
@@ -150,6 +152,24 @@ TEST(Bh2PolicyRuntime, BackupZeroStallsOnHomeWake) {
   AccessRuntime runtime(scenario, topology, flows, policy, rng);
   const RunMetrics m = runtime.run();
   EXPECT_NEAR(m.completion_time[0], scenario.wake_time + 1.0, 1e-6);
+}
+
+TEST(Bh2PolicyRuntime, RejectsNonPositiveDecisionPeriod) {
+  // A zero period would re-arm each epoch at the same instant forever, so
+  // the clock would never advance; the policy refuses it before arming any
+  // epoch.
+  const topo::AccessTopology topology = pair_topology();
+  const trace::FlowTrace flows{{100.0, 0, 400.0}};
+  for (const double period : {0.0, -150.0, std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    ScenarioConfig scenario = pair_scenario();
+    scenario.bh2.decision_period = period;
+    Bh2Policy policy(1);
+    sim::Random rng(4);
+    AccessRuntime runtime(scenario, topology, flows, policy, rng);
+    EXPECT_THROW(runtime.run(), util::InvalidArgument) << "period " << period;
+    EXPECT_EQ(runtime.simulator().pending_events(), 0u) << "period " << period;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // gateways, 68 clients, one full day): the qualitative orderings the paper
 // reports must hold on every seed.
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include "core/scheme_registry.h"
 #include "topology/access_topology.h"
 #include "trace/synthetic_crawdad.h"
+#include "util/error.h"
 
 namespace insomnia::core {
 namespace {
@@ -181,6 +183,21 @@ TEST(SchemeRuns, DeterministicGivenSeed) {
   EXPECT_DOUBLE_EQ(a.total_energy(), b.total_energy());
   EXPECT_EQ(a.gateway_wake_events, b.gateway_wake_events);
   EXPECT_EQ(a.bh2_moves, b.bh2_moves);
+}
+
+TEST(SchemeRuns, OptimalRejectsNonPositivePeriod) {
+  // A re-solve period that is not finite and positive is refused at policy
+  // start, before the day runs.
+  ScenarioConfig scenario = small_scenario();
+  sim::Random rng(3);
+  const auto topology =
+      topo::make_overlap_topology(scenario.client_count, scenario.degrees, rng);
+  const auto flows = trace::SyntheticCrawdadGenerator(scenario.traffic).generate(rng);
+  for (const double period : {0.0, -60.0, std::numeric_limits<double>::quiet_NaN()}) {
+    scenario.optimal_period = period;
+    EXPECT_THROW(run_scheme(scenario, topology, flows, "optimal", 9), util::InvalidArgument)
+        << "period " << period;
+  }
 }
 
 }  // namespace

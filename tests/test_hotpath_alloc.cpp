@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -81,6 +82,65 @@ TEST(HotPathAllocations, EventQueueScheduleRunCancelRescheduleIsAllocationFree) 
   const long allocations = window.count();
   EXPECT_EQ(allocations, 0) << "steady-state EventQueue traffic must not allocate";
   EXPECT_GT(fired, 0);
+}
+
+/// Periodic per-client timers on the ordered lane, shaped like BH2's
+/// decision epochs: each fire re-arms `period` later with a {this, int}
+/// closure, which std::function keeps in its inline buffer.
+class LaneEpochs {
+ public:
+  LaneEpochs(sim::EventQueue& queue, int clients, double period)
+      : queue_(queue), next_(static_cast<std::size_t>(clients)), period_(period) {
+    for (int c = 0; c < clients; ++c) {
+      next_[static_cast<std::size_t>(c)] = period * c / clients;
+      queue_.schedule(next_[static_cast<std::size_t>(c)], [this, c] { epoch(c); });
+    }
+  }
+  LaneEpochs(const LaneEpochs&) = delete;
+  LaneEpochs& operator=(const LaneEpochs&) = delete;
+
+  long fired() const { return fired_; }
+
+ private:
+  void epoch(int client) {
+    ++fired_;
+    double& t = next_[static_cast<std::size_t>(client)];
+    t += period_;
+    queue_.schedule_ordered(t, [this, client] { epoch(client); });
+  }
+
+  sim::EventQueue& queue_;
+  std::vector<double> next_;
+  double period_;
+  long fired_ = 0;
+};
+
+TEST(HotPathAllocations, OrderedLaneMixedWithHeapIsAllocationFree) {
+  sim::EventQueue queue;
+  LaneEpochs epochs(queue, 8, 10.0);
+  int fired = 0;
+  double t = 0.0;
+  const auto churn = [&](int rounds) {
+    for (int round = 0; round < rounds; ++round) {
+      const sim::EventId a = queue.schedule(t + 1.0, [&fired] { ++fired; });
+      const sim::EventId b = queue.schedule(t + 2.0, [&fired] { ++fired; });
+      queue.reschedule(a, t + 3.0);
+      queue.cancel(b);
+      t += 3.0;
+      // Pops the heap event and the ~2.4 lane epochs due by t, each of
+      // which appends its successor to the lane.
+      while (queue.next_time() <= t) queue.run_next();
+    }
+  };
+  churn(200);  // warm-up: the first epochs leave the heap, the ring sizes up
+
+  const long epochs_before = epochs.fired();
+  AllocationWindow window;
+  churn(2000);
+  const long allocations = window.count();
+  EXPECT_EQ(allocations, 0) << "steady-state heap + lane traffic must not allocate";
+  EXPECT_GT(epochs.fired() - epochs_before, 4000);
+  EXPECT_EQ(fired, 2200);
 }
 
 // Both engines must hold the allocation-freedom contract: the reference one

@@ -9,6 +9,10 @@
 // Retired handles (fired or cancelled) are kept and re-probed: the
 // generation stamp must keep rejecting them in O(1) even after their pool
 // slot has been recycled by later schedules.
+// Ordered-lane appends (schedule_ordered) are modelled as schedules under a
+// fresh rank: their times are non-decreasing but coarse, so they tie with
+// heap events and with each other, and the merged heap/lane head must match
+// the reference's single ordering at every step.
 #include <algorithm>
 #include <map>
 #include <tuple>
@@ -79,11 +83,15 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
   // actually ran. `dead` holds retired queue handles for staleness probes.
   std::vector<std::pair<EventId, EventId>> live;  // (queue id, reference id)
   std::vector<EventId> dead;
+  // Reference ids of pending lane events (no queue handle) and the lane's
+  // last appended time.
+  std::vector<EventId> lane;
+  double lane_time = 0.0;
   EventId last_fired = 0;
 
   const auto check_heads = [&] {
     ASSERT_EQ(queue.empty(), reference.empty());
-    ASSERT_EQ(queue.size(), live.size());
+    ASSERT_EQ(queue.size(), live.size() + lane.size());
     if (!queue.empty()) {
       const auto [ref_t, ref_seq] = reference.peek_key();
       ASSERT_EQ(queue.next_time(), ref_t);
@@ -92,7 +100,7 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
   };
 
   for (int step = 0; step < 4000; ++step) {
-    const int op = rng.uniform_int(0, 12);
+    const int op = rng.uniform_int(0, 14);
     if (op < 5) {
       // Schedule. Times are drawn coarse so ties are common.
       const double t = static_cast<double>(rng.uniform_int(0, 50));
@@ -133,6 +141,13 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
       ASSERT_FALSE(queue.is_pending(stale));
       ASSERT_FALSE(queue.cancel(stale));
       ASSERT_FALSE(queue.reschedule(stale, 10.0));
+    } else if (op >= 13) {
+      // Lane append: the time creeps up slowly from the heap's coarse
+      // range, so it often ties with heap events and earlier lane events.
+      if (rng.uniform_int(0, 7) == 0) lane_time += 1.0;
+      const EventId ref_id = reference.schedule(lane_time);
+      queue.schedule_ordered(lane_time, [&last_fired, ref_id] { last_fired = ref_id; });
+      lane.push_back(ref_id);
     } else if (!queue.empty()) {
       ASSERT_FALSE(reference.empty());
       const double t = queue.next_time();
@@ -145,9 +160,15 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
                                       [ref_id = ref_id](const std::pair<EventId, EventId>& p) {
                                         return p.second == ref_id;
                                       });
-      ASSERT_NE(fired, live.end());
-      dead.push_back(fired->first);
-      live.erase(fired);
+      if (fired != live.end()) {
+        dead.push_back(fired->first);
+        live.erase(fired);
+      } else {
+        // Not a heap event, so it must be the lane's head.
+        ASSERT_FALSE(lane.empty());
+        ASSERT_EQ(lane.front(), ref_id) << "lane fired out of FIFO order";
+        lane.erase(lane.begin());
+      }
     } else {
       ASSERT_TRUE(reference.empty());
     }
