@@ -81,7 +81,6 @@ AccessRuntime::AccessRuntime(const ScenarioConfig& scenario,
     : AccessRuntime(scenario, topology, live_flows_, policy, rng) {
   live_ = true;
   live_gated_ = mode.gated;
-  live_last_time_ = -1.0;  // the sorted-times floor read_flow_trace uses
 }
 
 GatewayState AccessRuntime::gateway_state(int gateway) const {
@@ -339,7 +338,12 @@ void AccessRuntime::append_live_arrivals(const trace::FlowRecord* records,
     trace::FlowRecord record = records[i];
     util::require(record.client >= 0 && record.client < scenario_->client_count,
                   "live arrival client out of range for the scenario");
-    util::require(record.bytes >= 0.0, "flow bytes must be non-negative");
+    // The rule recorded-trace rows follow (trace::parse_flow_row): an
+    // infinite start would never be replayed, infinite bytes never finish.
+    util::require(std::isfinite(record.start_time) && record.start_time >= 0.0,
+                  "live arrival start_time must be finite and non-negative");
+    util::require(std::isfinite(record.bytes) && record.bytes >= 0.0,
+                  "live arrival bytes must be finite and non-negative");
     if (live_gated_) {
       util::require(record.start_time >= live_last_time_,
                     "live arrivals must be sorted by time");

@@ -99,9 +99,10 @@ class AccessRuntime {
   /// Call once, after appending any records already on hand.
   void begin_live();
 
-  /// Appends `count` records to the arrival buffer. Gated mode enforces the
-  /// trace contract (sorted times, non-negative bytes, valid client range);
-  /// ungated mode additionally clamps stale times forward to the current
+  /// Appends `count` records to the arrival buffer. Both modes enforce the
+  /// row contract of trace::parse_flow_row (finite, non-negative start time
+  /// and bytes) and a valid client range. Gated mode also requires sorted
+  /// times; ungated mode instead clamps stale times forward to the current
   /// virtual time, so late events are decided now rather than rejected.
   void append_live_arrivals(const trace::FlowRecord* records, std::size_t count);
 

@@ -45,13 +45,7 @@ double Random::lognormal(double mu, double sigma) {
 }
 
 double Random::bounded_pareto(double alpha, double lo, double hi) {
-  util::require(alpha > 0.0 && lo > 0.0 && hi > lo, "bounded_pareto needs alpha>0, hi>lo>0");
-  // Inverse-transform sampling of the truncated Pareto CDF.
-  const double u = uniform(0.0, 1.0);
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  const double x = -(u * ha - u * la - ha) / (ha * la);
-  return std::pow(x, -1.0 / alpha);
+  return BoundedPareto(alpha, lo, hi)(*this);
 }
 
 int Random::binomial(int n, double p) {
@@ -106,6 +100,21 @@ Random Random::fork() {
 
 Random Random::fork(std::uint64_t stream, std::uint64_t salt) const {
   return Random(substream_seed(seed_, stream, salt));
+}
+
+BoundedPareto::BoundedPareto(double alpha, double lo, double hi)
+    : lo_alpha_(std::pow(lo, alpha)),
+      hi_alpha_(std::pow(hi, alpha)),
+      product_(hi_alpha_ * lo_alpha_),
+      neg_inv_alpha_(-1.0 / alpha) {
+  util::require(alpha > 0.0 && lo > 0.0 && hi > lo, "bounded_pareto needs alpha>0, hi>lo>0");
+}
+
+double BoundedPareto::operator()(Random& rng) const {
+  // Inverse-transform sampling of the truncated Pareto CDF.
+  const double u = rng.uniform(0.0, 1.0);
+  const double x = -(u * hi_alpha_ - u * lo_alpha_ - hi_alpha_) / product_;
+  return std::pow(x, neg_inv_alpha_);
 }
 
 }  // namespace insomnia::sim

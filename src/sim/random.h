@@ -52,7 +52,8 @@ class Random {
 
   /// Bounded Pareto on [lo, hi] with tail exponent alpha (> 0). Heavy-tailed
   /// flow sizes use this; the bound keeps single flows from exceeding what a
-  /// 6 Mbps day could carry.
+  /// 6 Mbps day could carry. Hot loops hold a BoundedPareto instead, which
+  /// draws the same values without recomputing the constants per call.
   double bounded_pareto(double alpha, double lo, double hi);
 
   /// Binomially distributed count of successes out of n trials.
@@ -92,6 +93,25 @@ class Random {
  private:
   std::mt19937_64 engine_;
   std::uint64_t seed_;
+};
+
+/// Bounded Pareto on [lo, hi] with tail exponent alpha, its per-draw
+/// constants precomputed once. The one home of the inverse-transform
+/// formula: Random::bounded_pareto delegates here, so both draw
+/// bit-identical values from the same stream.
+class BoundedPareto {
+ public:
+  /// Throws util::InvalidArgument unless alpha > 0 and hi > lo > 0.
+  BoundedPareto(double alpha, double lo, double hi);
+
+  /// One draw: consumes one uniform from `rng`.
+  double operator()(Random& rng) const;
+
+ private:
+  double lo_alpha_;       ///< lo^alpha
+  double hi_alpha_;       ///< hi^alpha
+  double product_;        ///< hi^alpha * lo^alpha
+  double neg_inv_alpha_;  ///< -1 / alpha
 };
 
 }  // namespace insomnia::sim

@@ -18,6 +18,8 @@ AdslUtilizationDay generate_adsl_utilization(const AdslUtilizationConfig& config
   day.uplink.average.resize(24);
   day.uplink.median.resize(24);
 
+  const sim::BoundedPareto active_burst(config.active_alpha, config.active_min,
+                                        config.active_max);
   std::vector<double> down(config.subscriber_count);
   std::vector<double> up(config.subscriber_count);
   for (int hour = 0; hour < 24; ++hour) {
@@ -27,7 +29,7 @@ AdslUtilizationDay generate_adsl_utilization(const AdslUtilizationConfig& config
     for (int s = 0; s < config.subscriber_count; ++s) {
       double d = rng.exponential(config.background_mean);
       if (rng.bernoulli(active_probability)) {
-        d += rng.bounded_pareto(config.active_alpha, config.active_min, config.active_max);
+        d += active_burst(rng);
       }
       d = std::min(d, 1.0);
       down[s] = d;

@@ -16,7 +16,9 @@
 // "continuous light traffic" of §2.4.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "sim/random.h"
 #include "trace/diurnal.h"
@@ -66,15 +68,56 @@ struct SyntheticTraceConfig {
   double always_on_flow_gap_factor = 12.0;
 };
 
+/// A day's records in emission order, held in fixed-capacity blocks.
+/// Appending never moves what is already stored, so emitting a day costs no
+/// regrowth copies and leaves at most one block of slack.
+struct FlowChunks {
+  static constexpr std::size_t kRecordsPerChunk = 16 * 1024;
+
+  std::vector<std::vector<FlowRecord>> chunks;  ///< full blocks, then the last one
+
+  void push_back(const FlowRecord& record) {
+    if (chunks.empty() || chunks.back().size() == kRecordsPerChunk) {
+      chunks.emplace_back().reserve(kRecordsPerChunk);
+    }
+    chunks.back().push_back(record);
+  }
+
+  /// Records held across all blocks.
+  std::size_t size() const;
+};
+
+/// One stable counting pass: returns `records` ordered by start_time, equal
+/// start times in append order. Record t goes to bucket
+/// min(floor(t * n / duration), n - 1) of n = records.size() buckets; the
+/// index is monotone in t, so bucket order is time order, and an insertion
+/// pass orders each bucket (about one record on average). Each block is
+/// freed once scattered. Throws util::InvalidArgument unless duration is
+/// finite and positive, every start_time lies in [0, duration) and n fits
+/// the pass's 32-bit offsets.
+FlowTrace order_by_start_time(FlowChunks records, double duration);
+
 /// Generates FlowTrace / PacketTrace pairs from the behaviour model.
 class SyntheticCrawdadGenerator {
  public:
+  /// Throws util::InvalidArgument on a non-positive client count, a
+  /// non-finite or non-positive duration, or bad flow-size bounds.
   explicit SyntheticCrawdadGenerator(SyntheticTraceConfig config);
 
-  /// Generates the full-day flow trace (sorted by start time). Keep-alives
+  /// Generates the full-day flow trace, sorted by start time. Keep-alives
   /// appear as small flows — they are traffic and reset idle timers, which
   /// is precisely the phenomenon under study.
+  ///
+  /// Tie rule: records with equal start times keep emission order — by
+  /// client, and within a session web transfers before keep-alives. This is
+  /// emit() followed by order_by_start_time(), so no step depends on the
+  /// standard library's unspecified std::sort order.
   FlowTrace generate(sim::Random& rng) const;
+
+  /// The day's records in emission order (client by client; per session,
+  /// web transfers then keep-alives), before ordering. Draws exactly what
+  /// generate() draws from `rng`.
+  FlowChunks emit(sim::Random& rng) const;
 
   /// Expands a flow trace into a packet trace: each flow is emitted as
   /// back-to-back 1500 B packets at `service_rate` bits/s (the backhaul
@@ -86,14 +129,15 @@ class SyntheticCrawdadGenerator {
 
  private:
   /// Appends one client's day of flows to `out`.
-  void generate_client(int client, bool always_on, sim::Random& rng, FlowTrace& out) const;
+  void generate_client(int client, bool always_on, sim::Random& rng, FlowChunks& out) const;
 
   /// Appends flows for a single online session spanning [start, end).
   /// `flow_gap` is the mean web-transfer spacing for this session.
   void generate_session(int client, double start, double end, double flow_gap,
-                        sim::Random& rng, FlowTrace& out) const;
+                        sim::Random& rng, FlowChunks& out) const;
 
   SyntheticTraceConfig config_;
+  sim::BoundedPareto flow_size_;
 };
 
 }  // namespace insomnia::trace

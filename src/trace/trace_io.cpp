@@ -56,8 +56,19 @@ FlowRecord parse_flow_row(const std::vector<std::string>& fields,
                 "flow trace client must be a non-negative integer");
   record.client = static_cast<int>(client);
   record.bytes = parse_field(fields[2]);
-  util::require(record.start_time >= last_time, "flow trace must be sorted by time");
-  util::require(record.bytes >= 0.0, "flow bytes must be non-negative");
+  // strtod accepts "inf" and "nan": an infinite start is never replayed and
+  // infinite bytes pin a gateway awake all day, so both are refused here.
+  const auto require_row = [row_index](bool ok, const char* what) {
+    if (!ok) {
+      throw util::InvalidArgument("flow trace data row " + std::to_string(row_index) + ": " +
+                                  what);
+    }
+  };
+  require_row(std::isfinite(record.start_time) && record.start_time >= 0.0,
+              "start_time must be finite and non-negative");
+  require_row(std::isfinite(record.bytes) && record.bytes >= 0.0,
+              "bytes must be finite and non-negative");
+  require_row(record.start_time >= last_time, "flow trace must be sorted by time");
   return record;
 }
 

@@ -18,7 +18,9 @@ void write_flow_trace(std::ostream& out, const FlowTrace& flows);
 /// (trace/incremental_reader.h), so a streamed byte sequence can never parse
 /// differently from the same bytes read as a file. `row_index` keys the
 /// trace-garble chaos hook; `last_time` enforces the sorted-times contract
-/// (-1.0 for the first row). Throws util::InvalidArgument on any violation.
+/// (-1.0 for the first row). start_time and bytes must be finite and
+/// non-negative. Throws util::InvalidArgument on any violation, naming the
+/// data row for the time and byte checks.
 FlowRecord parse_flow_row(const std::vector<std::string>& fields,
                           std::size_t row_index, double last_time);
 

@@ -2,6 +2,7 @@
 // accounting and wake-up penalty on small hand-built scenarios where every
 // number can be computed by hand.
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -152,6 +153,33 @@ TEST(Runtime, RunIsSingleShot) {
   AccessRuntime runtime(scenario, topology, flows, policy, rng);
   runtime.run();
   EXPECT_THROW(runtime.run(), util::InvalidState);
+}
+
+TEST(Runtime, LiveAppendRefusesNegativeAndNonFiniteRecords) {
+  const ScenarioConfig scenario = tiny_scenario();
+  const topo::AccessTopology topology = tiny_topology();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const trace::FlowRecord bad[] = {{-0.5, 0, 100.0}, {inf, 0, 100.0}, {nan, 0, 100.0},
+                                   {1.0, 0, inf},    {1.0, 0, nan},   {1.0, 0, -1.0}};
+  for (const bool gated : {true, false}) {
+    for (const trace::FlowRecord& record : bad) {
+      NoSleepPolicy policy;
+      AccessRuntime runtime(scenario, topology, policy, sim::Random(1),
+                            AccessRuntime::LiveMode{gated});
+      EXPECT_THROW(runtime.append_live_arrivals(&record, 1), util::InvalidArgument)
+          << "gated " << gated << " record (" << record.start_time << ", " << record.bytes
+          << ")";
+      EXPECT_EQ(runtime.arrivals_appended(), 0u);
+    }
+    // A zero start time and zero bytes are the smallest valid record.
+    NoSleepPolicy policy;
+    AccessRuntime runtime(scenario, topology, policy, sim::Random(1),
+                          AccessRuntime::LiveMode{gated});
+    const trace::FlowRecord edge{0.0, 1, 0.0};
+    runtime.append_live_arrivals(&edge, 1);
+    EXPECT_EQ(runtime.arrivals_appended(), 1u);
+  }
 }
 
 }  // namespace

@@ -92,6 +92,24 @@ TEST(Random, BoundedParetoWithinBounds) {
   }
 }
 
+TEST(Random, BoundedParetoMatchesThePerDrawFormulaBitForBit) {
+  // The hoisted constants must not change a single rounding: every golden
+  // trace draws its flow sizes through them.
+  const double alpha = 1.12;
+  const double lo = 1.5e5;
+  const double hi = 1.2e8;
+  const BoundedPareto sizes(alpha, lo, hi);
+  Random hoisted(23);
+  Random inline_formula(23);
+  for (int i = 0; i < 20000; ++i) {
+    const double u = inline_formula.uniform(0.0, 1.0);
+    const double la = std::pow(lo, alpha);
+    const double ha = std::pow(hi, alpha);
+    const double expected = std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
+    ASSERT_EQ(sizes(hoisted), expected) << "draw " << i;
+  }
+}
+
 TEST(Random, BoundedParetoIsHeavyTailed) {
   Random rng(19);
   int above_10x_min = 0;
@@ -239,6 +257,8 @@ TEST(Random, ArgumentValidation) {
   EXPECT_THROW(rng.normal(0.0, -1.0), util::InvalidArgument);
   EXPECT_THROW(rng.bounded_pareto(0.0, 1.0, 2.0), util::InvalidArgument);
   EXPECT_THROW(rng.bounded_pareto(1.0, 2.0, 1.0), util::InvalidArgument);
+  EXPECT_THROW(BoundedPareto(-1.0, 1.0, 2.0), util::InvalidArgument);
+  EXPECT_THROW(BoundedPareto(1.0, 0.0, 2.0), util::InvalidArgument);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "sim/random.h"
+#include "trace/incremental_reader.h"
 #include "trace/synthetic_crawdad.h"
 #include "trace/trace_io.h"
 #include "util/error.h"
@@ -97,6 +99,47 @@ TEST(TraceIo, RejectsMalformedNumbers) {
 TEST(TraceIo, RejectsNegativeBytes) {
   std::istringstream in("start_time,client,bytes\n1,0,-5\n");
   EXPECT_THROW(read_flow_trace(in), util::InvalidArgument);
+}
+
+// strtod takes "inf" and "nan", and a first row used to be checked only
+// against the -1.0 sorted-times floor. Each of these rows once got through.
+const char* const kBadRows[] = {"-0.5,0,10", "inf,0,10", "nan,0,10", "-inf,0,10",
+                                "1,0,inf",   "1,0,nan", "1,0,-inf"};
+
+TEST(TraceIo, RejectsNegativeAndNonFiniteTimesAndBytes) {
+  for (const char* row : kBadRows) {
+    std::istringstream in(std::string("start_time,client,bytes\n") + row + "\n");
+    EXPECT_THROW(read_flow_trace(in), util::InvalidArgument) << row;
+  }
+}
+
+TEST(TraceIo, BadRowErrorNamesTheRow) {
+  std::istringstream in("start_time,client,bytes\n1,0,10\n2,0,inf\n");
+  try {
+    read_flow_trace(in);
+    FAIL() << "infinite bytes accepted";
+  } catch (const util::InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find("data row 1"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(TraceIo, ZeroTimeAndZeroBytesAreValid) {
+  std::istringstream in("start_time,client,bytes\n0,0,0\n");
+  const FlowTrace flows = read_flow_trace(in);
+  ASSERT_EQ(flows.size(), 1u);
+  EXPECT_EQ(flows[0].start_time, 0.0);
+  EXPECT_EQ(flows[0].bytes, 0.0);
+}
+
+TEST(FlowLineDecoder, RejectsNegativeAndNonFiniteTimesAndBytes) {
+  for (const char* row : kBadRows) {
+    FlowLineDecoder decoder;
+    FlowTrace out;
+    decoder.feed("start_time,client,bytes\n", out);
+    EXPECT_THROW(decoder.feed(std::string(row) + "\n", out), util::InvalidArgument) << row;
+    EXPECT_TRUE(out.empty()) << row;
+  }
 }
 
 TEST(TraceIo, SaveAndLoadFile) {
