@@ -217,23 +217,18 @@ int main(int argc, char** argv) {
   util::TextTable table;
   table.set_header({"region", "cities", "nbhds", "gateways", "clients", "baseline W",
                     "scheme W", "savings", "ci95"});
+  const auto add_row = [&](const std::string& name, std::size_t cities,
+                           const city::FleetTotals& totals) {
+    table.add_row({name, std::to_string(cities), std::to_string(totals.neighbourhoods),
+                   std::to_string(totals.gateways), std::to_string(totals.clients),
+                   bench::num(totals.baseline_watts, 0), bench::num(totals.scheme_watts, 0),
+                   bench::pct(totals.savings_fraction()),
+                   bench::pct(totals.savings_ci95_halfwidth())});
+  };
   for (const country::RegionMetrics& region : metrics.per_region()) {
-    table.add_row({region.name, std::to_string(region.cities),
-                   std::to_string(region.neighbourhoods),
-                   std::to_string(region.gateways), std::to_string(region.clients),
-                   bench::num(region.baseline_watts, 0),
-                   bench::num(region.scheme_watts, 0),
-                   bench::pct(region.savings_fraction()),
-                   bench::pct(region.savings_ci95_halfwidth())});
+    add_row(region.name, region.cities, region);
   }
-  table.add_row({"country", std::to_string(metrics.cities()),
-                 std::to_string(metrics.neighbourhoods()),
-                 std::to_string(metrics.total_gateways()),
-                 std::to_string(metrics.total_clients()),
-                 bench::num(metrics.baseline_watts(), 0),
-                 bench::num(metrics.scheme_watts(), 0),
-                 bench::pct(metrics.savings_fraction()),
-                 bench::pct(metrics.savings_ci95_halfwidth())});
+  add_row("country", metrics.cities(), metrics.totals());
   table.print(std::cout);
 
   std::cout << "\n";

@@ -23,17 +23,10 @@ cmake --build "$build_dir" -j "$jobs"
 INSOMNIA_DIFF_SCENARIOS=${INSOMNIA_DIFF_SCENARIOS:-250} \
   ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 
-# Small-N city fleet smoke: exercises the whole src/city stack (sampler ->
-# sharded paired days -> streamed aggregates) end to end through the real
-# CLI, including the Chrome trace export, validated by an independent JSON
-# parser.
-"$build_dir/city01_fleet" --size 4 --seed 7 \
-  --trace "$build_dir/city01_smoke.trace" > /dev/null
-python3 -m json.tool "$build_dir/city01_smoke.trace" > /dev/null
-
-# Small-N country fleet smoke: the whole src/country stack (portfolio
-# sampling -> sharded city sims -> checkpointed streaming roll-up -> fully
-# simulated §5.4 world figure) through the real CLI, including a forced
+# Small-N country fleet smoke: the whole src/city + src/country stack
+# (portfolio sampling -> neighbourhood sampling and paired days -> streamed
+# city folds -> checkpointed roll-up -> fully simulated §5.4 world figure)
+# through the real CLI, including a forced
 # kill-and-resume cycle. The resumed run's JSON report must be BYTE-identical
 # to an uninterrupted run's (doubles serialize via shortest-round-trip
 # to_chars, so byte equality is bit equality). Telemetry is disabled for

@@ -23,21 +23,4 @@ void validate(const CityConfig& config) {
   }
 }
 
-CityConfig default_city(int neighbourhoods) {
-  NeighbourhoodJitter jitter;
-  jitter.gateway_count_spread = 0.25;
-  jitter.client_density_spread = 0.25;
-  jitter.backhaul_sigma = 0.20;
-  jitter.diurnal_phase_spread = 2.0 * 3600.0;
-
-  CityConfig config;
-  config.neighbourhoods = neighbourhoods;
-  config.mix = {
-      {"paper-default", 0.55, jitter},
-      {"dense-urban", 0.30, jitter},
-      {"sparse-rural", 0.15, jitter},
-  };
-  return config;
-}
-
 }  // namespace insomnia::city

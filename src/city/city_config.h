@@ -49,11 +49,8 @@ struct CityConfig {
   std::uint64_t seed = 42;
   /// Registered scheme name (core/scheme_registry.h) compared against the
   /// no-sleep baseline in every neighbourhood. Unknown names are rejected
-  /// by run_city with the list of valid schemes.
+  /// by simulate_neighbourhood with the list of valid schemes.
   std::string scheme = "bh2-kswitch";
-  /// Worker threads for sharding neighbourhoods; 0 = auto (INSOMNIA_THREADS
-  /// or the hardware concurrency). Results are bit-identical for any value.
-  int threads = 0;
   /// Peak window for the online-gateway aggregate (§5.2.5 default).
   double peak_start = 11.0 * 3600.0;
   double peak_end = 19.0 * 3600.0;
@@ -62,13 +59,8 @@ struct CityConfig {
 /// Structural validation: throws util::InvalidArgument on an empty mix,
 /// non-positive weights, out-of-range jitter, a non-positive neighbourhood
 /// count, or an empty/backwards peak window. Preset *names* are resolved —
-/// and unknown ones rejected — by resolve_mix / run_city against the
-/// registry; caller-supplied populations may use any labels.
+/// and unknown ones rejected — by resolve_mix; caller-supplied populations
+/// may use any labels.
 void validate(const CityConfig& config);
-
-/// The default residential city: mostly paper-default ADSL neighbourhoods,
-/// a dense-urban VDSL2 core and a sparse-rural fringe, each with moderate
-/// jitter on plant size, subscriber density, loop rate, and diurnal phase.
-CityConfig default_city(int neighbourhoods = 64);
 
 }  // namespace insomnia::city

@@ -6,23 +6,72 @@
 
 namespace insomnia::city {
 
-namespace {
-
-double fraction_or_zero(double part, double whole) {
-  return whole > 0.0 ? part / whole : 0.0;
-}
-
-}  // namespace
-
 double NeighbourhoodOutcome::savings_fraction() const {
   const double base = baseline_user_energy + baseline_isp_energy;
   const double mine = scheme_user_energy + scheme_isp_energy;
   return base > 0.0 ? 1.0 - mine / base : 0.0;
 }
 
-double PresetAggregate::savings_fraction() const {
+void FleetTotals::add(const NeighbourhoodOutcome& outcome) {
+  util::require(outcome.duration > 0.0, "neighbourhood day must have positive length");
+
+  // Convert day energies to mean draws once, here, so every aggregate below
+  // is a plain sum of watts.
+  const double baseline_user = outcome.baseline_user_energy / outcome.duration;
+  const double baseline_isp = outcome.baseline_isp_energy / outcome.duration;
+  const double scheme_user = outcome.scheme_user_energy / outcome.duration;
+  const double scheme_isp = outcome.scheme_isp_energy / outcome.duration;
+
+  ++neighbourhoods;
+  gateways += outcome.gateways;
+  clients += outcome.clients;
+  baseline_watts += baseline_user + baseline_isp;
+  scheme_watts += scheme_user + scheme_isp;
+  baseline_user_watts += baseline_user;
+  baseline_isp_watts += baseline_isp;
+  saved_user_watts += baseline_user - scheme_user;
+  saved_isp_watts += baseline_isp - scheme_isp;
+  peak_online_gateways += outcome.peak_online_gateways;
+  wake_events += outcome.wake_events;
+  savings.add(outcome.savings_fraction());
+}
+
+void FleetTotals::merge(const FleetTotals& other) {
+  neighbourhoods += other.neighbourhoods;
+  gateways += other.gateways;
+  clients += other.clients;
+  baseline_watts += other.baseline_watts;
+  scheme_watts += other.scheme_watts;
+  baseline_user_watts += other.baseline_user_watts;
+  baseline_isp_watts += other.baseline_isp_watts;
+  saved_user_watts += other.saved_user_watts;
+  saved_isp_watts += other.saved_isp_watts;
+  peak_online_gateways += other.peak_online_gateways;
+  wake_events += other.wake_events;
+  savings.merge(other.savings);
+}
+
+double FleetTotals::savings_fraction() const {
   return baseline_watts > 0.0 ? 1.0 - scheme_watts / baseline_watts : 0.0;
 }
+
+double FleetTotals::isp_share_of_savings() const {
+  const double saved = saved_user_watts + saved_isp_watts;
+  // Guard against a ~zero denominator (e.g. comparing no-sleep to itself):
+  // the share is undefined there, report 0 rather than noise.
+  if (saved <= baseline_watts * 1e-9) return 0.0;
+  return saved_isp_watts / saved;
+}
+
+double FleetTotals::baseline_household_watts_per_gateway() const {
+  return gateways > 0 ? baseline_user_watts / static_cast<double>(gateways) : 0.0;
+}
+
+double FleetTotals::baseline_isp_watts_per_gateway() const {
+  return gateways > 0 ? baseline_isp_watts / static_cast<double>(gateways) : 0.0;
+}
+
+double FleetTotals::savings_ci95_halfwidth() const { return stats::ci95_halfwidth(savings); }
 
 CityMetrics::CityMetrics(std::vector<std::string> preset_names) {
   per_preset_.reserve(preset_names.size());
@@ -36,59 +85,8 @@ CityMetrics::CityMetrics(std::vector<std::string> preset_names) {
 void CityMetrics::add(const NeighbourhoodOutcome& outcome) {
   util::require(outcome.mix_index < per_preset_.size(),
                 "outcome mix_index out of range for this city");
-  util::require(outcome.duration > 0.0, "neighbourhood day must have positive length");
-
-  // Convert day energies to mean draws once, here, so every aggregate below
-  // is a plain sum of watts.
-  const double baseline_user = outcome.baseline_user_energy / outcome.duration;
-  const double baseline_isp = outcome.baseline_isp_energy / outcome.duration;
-  const double scheme_user = outcome.scheme_user_energy / outcome.duration;
-  const double scheme_isp = outcome.scheme_isp_energy / outcome.duration;
-  const double baseline = baseline_user + baseline_isp;
-  const double scheme = scheme_user + scheme_isp;
-
-  ++neighbourhoods_;
-  total_gateways_ += outcome.gateways;
-  total_clients_ += outcome.clients;
-  baseline_watts_ += baseline;
-  scheme_watts_ += scheme;
-  baseline_user_watts_ += baseline_user;
-  baseline_isp_watts_ += baseline_isp;
-  saved_user_watts_ += baseline_user - scheme_user;
-  saved_isp_watts_ += baseline_isp - scheme_isp;
-  peak_online_gateways_ += outcome.peak_online_gateways;
-  wake_events_ += outcome.wake_events;
-  savings_.add(outcome.savings_fraction());
-
-  PresetAggregate& slice = per_preset_[outcome.mix_index];
-  ++slice.neighbourhoods;
-  slice.gateways += outcome.gateways;
-  slice.clients += outcome.clients;
-  slice.baseline_watts += baseline;
-  slice.scheme_watts += scheme;
-  slice.savings.add(outcome.savings_fraction());
+  totals_.add(outcome);
+  per_preset_[outcome.mix_index].add(outcome);
 }
-
-double CityMetrics::savings_fraction() const {
-  return baseline_watts_ > 0.0 ? 1.0 - scheme_watts_ / baseline_watts_ : 0.0;
-}
-
-double CityMetrics::isp_share_of_savings() const {
-  const double saved = saved_user_watts_ + saved_isp_watts_;
-  // Guard against a ~zero denominator (e.g. comparing no-sleep to itself):
-  // the share is undefined there, report 0 rather than noise.
-  if (saved <= baseline_watts_ * 1e-9) return 0.0;
-  return saved_isp_watts_ / saved;
-}
-
-double CityMetrics::baseline_household_watts_per_gateway() const {
-  return fraction_or_zero(baseline_user_watts_, static_cast<double>(total_gateways_));
-}
-
-double CityMetrics::baseline_isp_watts_per_gateway() const {
-  return fraction_or_zero(baseline_isp_watts_, static_cast<double>(total_gateways_));
-}
-
-double CityMetrics::savings_ci95_halfwidth() const { return stats::ci95_halfwidth(savings_); }
 
 }  // namespace insomnia::city

@@ -1,9 +1,12 @@
 // Streaming aggregates over a fleet of simulated neighbourhoods. Each
-// neighbourhood contributes a handful of scalars (no day series), so the
-// city run stays in bounded memory no matter how many tens of thousands of
-// gateways the fleet holds. Folding is plain left-to-right addition: add()
-// called in neighbourhood-index order is exactly the serial accumulation,
-// which is what keeps CityRunner bit-identical across thread counts.
+// neighbourhood contributes a handful of scalars (no day series), so a fleet
+// stays in bounded memory no matter how many tens of thousands of gateways
+// it holds. Every fleet aggregate — a city, one preset's slice of it, a
+// country's city digest, a region, the country — is a FleetTotals: the same
+// sums, the same derived readings. Folding is plain left-to-right addition:
+// add() called in neighbourhood-index order is exactly the serial
+// accumulation, which is what keeps a fold bit-identical however the
+// neighbourhoods were scheduled.
 #pragma once
 
 #include <cstddef>
@@ -34,23 +37,86 @@ struct NeighbourhoodOutcome {
   double savings_fraction() const;
 };
 
-/// Per-mix-component slice of the fleet aggregates.
-struct PresetAggregate {
-  std::string preset;           ///< mix component's preset name
+/// The one fleet aggregate. The watt fields are sums of per-neighbourhood
+/// mean draws (day energy over day length): what the ISP's meter over the
+/// fleet would read. The user/ISP components are the exact accumulators, so
+/// a roll-up merges them without re-deriving (and re-rounding) a split.
+struct FleetTotals {
   std::size_t neighbourhoods = 0;
   long gateways = 0;
   long clients = 0;
-  double baseline_watts = 0.0;  ///< summed mean draw of the slice
-  double scheme_watts = 0.0;
-  stats::RunningStats savings;  ///< per-neighbourhood savings fractions
 
-  /// Energy-weighted savings of the slice.
+  double baseline_watts = 0.0;
+  double scheme_watts = 0.0;
+  double baseline_user_watts = 0.0;
+  double baseline_isp_watts = 0.0;
+  double saved_user_watts = 0.0;
+  double saved_isp_watts = 0.0;
+
+  double peak_online_gateways = 0.0;  ///< summed peak-window means
+  long wake_events = 0;
+
+  /// Unweighted across-neighbourhood savings distribution.
+  stats::RunningStats savings;
+
+  /// Folds one neighbourhood (its duration must be positive).
+  void add(const NeighbourhoodOutcome& outcome);
+  /// Folds a whole aggregate: every sum adds, the distributions merge.
+  void merge(const FleetTotals& other);
+
+  /// Energy-weighted fractional savings (0 when empty).
   double savings_fraction() const;
+  /// Share of the saved energy on the ISP side, in [0,1]; 0 when the fleet
+  /// saved (essentially) nothing.
+  double isp_share_of_savings() const;
+  /// Baseline per-subscriber draws (W per gateway household), for grounding
+  /// the §5.4 world extrapolation in the simulated fleet.
+  double baseline_household_watts_per_gateway() const;
+  double baseline_isp_watts_per_gateway() const;
+  /// Student-t 95 % confidence half-width of the savings distribution (0
+  /// with < 2 neighbourhoods). The t critical value matters here: a slice
+  /// can hold only a handful of neighbourhoods, where z = 1.96 understates.
+  double savings_ci95_halfwidth() const;
 };
 
-/// The city-wide fold. Construct with the mix's preset names, then add()
-/// every NeighbourhoodOutcome in index order.
-class CityMetrics {
+/// Per-mix-component slice of a city.
+struct PresetAggregate : FleetTotals {
+  std::string preset;  ///< mix component's preset name
+};
+
+/// Read-only view of a fold's running totals, under the accessor names the
+/// drivers and reports read. CityMetrics and the country fold build on it.
+class FleetFold {
+ public:
+  const FleetTotals& totals() const { return totals_; }
+
+  std::size_t neighbourhoods() const { return totals_.neighbourhoods; }
+  long total_gateways() const { return totals_.gateways; }
+  long total_clients() const { return totals_.clients; }
+  double baseline_watts() const { return totals_.baseline_watts; }
+  double scheme_watts() const { return totals_.scheme_watts; }
+  double peak_online_gateways() const { return totals_.peak_online_gateways; }
+  long wake_events() const { return totals_.wake_events; }
+  const stats::RunningStats& neighbourhood_savings() const { return totals_.savings; }
+
+  double savings_fraction() const { return totals_.savings_fraction(); }
+  double isp_share_of_savings() const { return totals_.isp_share_of_savings(); }
+  double baseline_household_watts_per_gateway() const {
+    return totals_.baseline_household_watts_per_gateway();
+  }
+  double baseline_isp_watts_per_gateway() const {
+    return totals_.baseline_isp_watts_per_gateway();
+  }
+  double savings_ci95_halfwidth() const { return totals_.savings_ci95_halfwidth(); }
+
+ protected:
+  FleetTotals totals_;
+};
+
+/// The city-wide fold: the totals plus one slice per mix component.
+/// Construct with the mix's preset names, then add() every
+/// NeighbourhoodOutcome in index order.
+class CityMetrics : public FleetFold {
  public:
   explicit CityMetrics(std::vector<std::string> preset_names);
 
@@ -58,62 +124,10 @@ class CityMetrics {
   /// address one of the constructor's preset names.
   void add(const NeighbourhoodOutcome& outcome);
 
-  std::size_t neighbourhoods() const { return neighbourhoods_; }
-  long total_gateways() const { return total_gateways_; }
-  long total_clients() const { return total_clients_; }
-
-  /// Fleet-wide mean power draw (W): every neighbourhood's day energy over
-  /// its day length, summed. This is what the ISP's city meter would read.
-  double baseline_watts() const { return baseline_watts_; }
-  double scheme_watts() const { return scheme_watts_; }
-
-  /// Energy-weighted fractional savings of the whole fleet (0 when empty).
-  double savings_fraction() const;
-
-  /// Share of the saved energy on the ISP side, in [0,1]; 0 when the fleet
-  /// saved (essentially) nothing.
-  double isp_share_of_savings() const;
-
-  /// Baseline per-subscriber draws (W per gateway household), for grounding
-  /// the §5.4 world extrapolation in the simulated fleet.
-  double baseline_household_watts_per_gateway() const;
-  double baseline_isp_watts_per_gateway() const;
-
-  /// User/ISP components of the fleet draw and of the saved power — the
-  /// exact accumulators, so a country-level roll-up can fold cities without
-  /// re-deriving (and re-rounding) the splits.
-  double baseline_user_watts() const { return baseline_user_watts_; }
-  double baseline_isp_watts() const { return baseline_isp_watts_; }
-  double saved_user_watts() const { return saved_user_watts_; }
-  double saved_isp_watts() const { return saved_isp_watts_; }
-
-  /// Unweighted across-neighbourhood savings distribution and its 95 %
-  /// Student-t confidence half-width (0 with < 2 neighbourhoods). The t
-  /// critical value matters here: per-region slices of a country run can
-  /// hold only a handful of neighbourhoods, where z = 1.96 understates.
-  const stats::RunningStats& neighbourhood_savings() const { return savings_; }
-  double savings_ci95_halfwidth() const;
-
-  /// Fleet totals of the behaviour aggregates.
-  double peak_online_gateways() const { return peak_online_gateways_; }
-  long wake_events() const { return wake_events_; }
-
   /// One slice per mix component, in mix order.
   const std::vector<PresetAggregate>& per_preset() const { return per_preset_; }
 
  private:
-  std::size_t neighbourhoods_ = 0;
-  long total_gateways_ = 0;
-  long total_clients_ = 0;
-  double baseline_watts_ = 0.0;
-  double scheme_watts_ = 0.0;
-  double baseline_user_watts_ = 0.0;
-  double baseline_isp_watts_ = 0.0;
-  double saved_user_watts_ = 0.0;
-  double saved_isp_watts_ = 0.0;
-  double peak_online_gateways_ = 0.0;
-  long wake_events_ = 0;
-  stats::RunningStats savings_;
   std::vector<PresetAggregate> per_preset_;
 };
 

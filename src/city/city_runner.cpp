@@ -1,13 +1,11 @@
 #include "city/city_runner.h"
 
-#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "city/neighbourhood_sampler.h"
 #include "core/day_summary.h"
 #include "core/scheme_registry.h"
-#include "exec/sweep_runner.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "sim/random.h"
@@ -88,37 +86,6 @@ CityMetrics fold_city(const CityConfig& config,
   CityMetrics metrics(std::move(names));
   for (const NeighbourhoodOutcome& outcome : outcomes) metrics.add(outcome);
   return metrics;
-}
-
-CityResult run_city(const CityConfig& config) {
-  return run_city(config, resolve_mix(config));
-}
-
-CityResult run_city(const CityConfig& config,
-                    const std::vector<core::ScenarioPreset>& presets) {
-  validate(config);
-  core::find_scheme(config.scheme);  // unknown names fail before any sharding
-
-  // Shard the fleet: each neighbourhood is an independent task keyed by its
-  // index, returning only the small outcome struct — no day series — so N
-  // can reach tens of thousands of gateways in bounded memory.
-  exec::SweepRunner runner(config.threads);
-  const std::vector<NeighbourhoodOutcome> outcomes =
-      runner.run(static_cast<std::size_t>(config.neighbourhoods),
-                 [&](std::size_t index) {
-                   try {
-                     return simulate_neighbourhood(config, presets, index);
-                   } catch (const util::InvalidArgument&) {
-                     throw;  // precondition contracts stay typed
-                   } catch (const std::exception& error) {
-                     throw std::runtime_error("neighbourhood " +
-                                              std::to_string(index) + " of city " +
-                                              std::to_string(config.seed) +
-                                              " failed: " + error.what());
-                   }
-                 });
-
-  return {config, fold_city(config, outcomes)};
 }
 
 }  // namespace insomnia::city

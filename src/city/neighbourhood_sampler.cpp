@@ -16,12 +16,17 @@ constexpr std::uint64_t kSamplerSalt = 11;
 
 }  // namespace
 
-std::vector<core::ScenarioPreset> resolve_mix(const CityConfig& config) {
+std::vector<core::ScenarioPreset> resolve_mix(
+    const CityConfig& config, const std::vector<core::ScenarioPreset>& population) {
   validate(config);
   std::vector<core::ScenarioPreset> presets;
   presets.reserve(config.mix.size());
   for (const CityMixComponent& component : config.mix) {
-    presets.push_back(core::find_scenario_preset(component.preset));
+    const auto found = std::find_if(
+        population.begin(), population.end(),
+        [&](const core::ScenarioPreset& preset) { return preset.name == component.preset; });
+    presets.push_back(found != population.end() ? *found
+                                                : core::find_scenario_preset(component.preset));
   }
   return presets;
 }

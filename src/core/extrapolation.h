@@ -37,7 +37,7 @@ struct SavingsSplitTwh {
 
 /// Splits annual_savings_twh by `isp_share` — the fraction of the saved
 /// energy on the ISP side, as measured (the paper's ~1/3) or as simulated
-/// (city::CityMetrics::isp_share_of_savings). Must be in [0,1].
+/// (city::FleetTotals::isp_share_of_savings). Must be in [0,1].
 SavingsSplitTwh annual_savings_split_twh(const WorldExtrapolationConfig& config,
                                          double isp_share);
 

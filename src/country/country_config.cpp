@@ -1,8 +1,11 @@
 #include "country/country_config.h"
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace insomnia::country {
 
@@ -41,8 +44,14 @@ std::size_t total_city_shards(const CountryConfig& config) {
 
 namespace {
 
+// Rounds value * scale to a count of at least 1. A count above INT_MAX is
+// refused rather than wrapped.
 int scaled(int value, double scale) {
-  return std::max(1, static_cast<int>(std::lround(value * scale)));
+  const double count = std::round(value * scale);
+  util::require(count <= static_cast<double>(std::numeric_limits<int>::max()),
+                "country scale turns a count of " + std::to_string(value) + " into " +
+                    util::format_fixed(count, 0) + ", above INT_MAX");
+  return std::max(1, static_cast<int>(count));
 }
 
 CityTemplate make_template(const std::string& name, double weight,
@@ -61,10 +70,11 @@ CityTemplate make_template(const std::string& name, double weight,
 }  // namespace
 
 CountryConfig default_country(double city_scale, double neighbourhood_scale) {
-  util::require(city_scale > 0.0 && neighbourhood_scale > 0.0,
-                "country scale factors must be positive");
+  util::require(city_scale > 0.0 && neighbourhood_scale > 0.0 &&
+                    std::isfinite(city_scale) && std::isfinite(neighbourhood_scale),
+                "country scale factors must be positive and finite");
 
-  // Moderate per-neighbourhood variation, as in city::default_city.
+  // Moderate per-neighbourhood variation.
   city::NeighbourhoodJitter jitter;
   jitter.gateway_count_spread = 0.25;
   jitter.client_density_spread = 0.25;

@@ -82,7 +82,9 @@ std::size_t total_city_shards(const CountryConfig& config);
 /// the per-template neighbourhood ranges (both floored at 1), so smokes and
 /// tests can run the identical portfolio shape at a tiny fraction of the
 /// cost: default_country(0.01, 0.1) is a minutes-long run, default_country()
-/// is the multi-hour ≥1M-gateway world run.
+/// is the multi-hour ≥1M-gateway world run. Throws util::InvalidArgument on
+/// a factor that is not positive and finite, or on a scaled count above
+/// INT_MAX.
 CountryConfig default_country(double city_scale = 1.0, double neighbourhood_scale = 1.0);
 
 }  // namespace insomnia::country

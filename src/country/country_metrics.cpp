@@ -2,16 +2,11 @@
 
 #include <utility>
 
-#include "city/city_metrics.h"
 #include "util/error.h"
 
 namespace insomnia::country {
 
 namespace {
-
-double fraction_or_zero(double part, double whole) {
-  return whole > 0.0 ? part / whole : 0.0;
-}
 
 std::uint64_t shard_key(std::uint32_t region, std::uint32_t city) {
   return (static_cast<std::uint64_t>(region) << 32) | city;
@@ -19,41 +14,18 @@ std::uint64_t shard_key(std::uint32_t region, std::uint32_t city) {
 
 }  // namespace
 
-double CityDigest::savings_fraction() const {
-  return baseline_watts > 0.0 ? 1.0 - scheme_watts / baseline_watts : 0.0;
-}
-
 CityDigest digest_from_city(const city::CityMetrics& metrics, std::uint32_t region,
                             std::uint32_t city, std::size_t template_index) {
   CityDigest digest;
+  static_cast<city::FleetTotals&>(digest) = metrics.totals();
   digest.region = region;
   digest.city = city;
   digest.template_index = template_index;
-  digest.neighbourhoods = metrics.neighbourhoods();
-  digest.gateways = metrics.total_gateways();
-  digest.clients = metrics.total_clients();
-  digest.baseline_watts = metrics.baseline_watts();
-  digest.scheme_watts = metrics.scheme_watts();
-  digest.baseline_user_watts = metrics.baseline_user_watts();
-  digest.baseline_isp_watts = metrics.baseline_isp_watts();
-  digest.saved_user_watts = metrics.saved_user_watts();
-  digest.saved_isp_watts = metrics.saved_isp_watts();
-  digest.peak_online_gateways = metrics.peak_online_gateways();
-  digest.wake_events = metrics.wake_events();
-  digest.savings = metrics.neighbourhood_savings();
   return digest;
 }
 
 bool digest_order(const CityDigest& a, const CityDigest& b) {
   return shard_key(a.region, a.city) < shard_key(b.region, b.city);
-}
-
-double RegionMetrics::savings_fraction() const {
-  return baseline_watts > 0.0 ? 1.0 - scheme_watts / baseline_watts : 0.0;
-}
-
-double RegionMetrics::savings_ci95_halfwidth() const {
-  return stats::ci95_halfwidth(savings);
 }
 
 CountryMetrics::CountryMetrics(std::vector<std::string> region_names) {
@@ -76,53 +48,10 @@ void CountryMetrics::add(const CityDigest& digest) {
   last_key_ = key;
 
   ++cities_;
-  neighbourhoods_ += digest.neighbourhoods;
-  total_gateways_ += digest.gateways;
-  total_clients_ += digest.clients;
-  baseline_watts_ += digest.baseline_watts;
-  scheme_watts_ += digest.scheme_watts;
-  baseline_user_watts_ += digest.baseline_user_watts;
-  baseline_isp_watts_ += digest.baseline_isp_watts;
-  saved_user_watts_ += digest.saved_user_watts;
-  saved_isp_watts_ += digest.saved_isp_watts;
-  peak_online_gateways_ += digest.peak_online_gateways;
-  wake_events_ += digest.wake_events;
-  savings_.merge(digest.savings);
-
+  totals_.merge(digest);
   RegionMetrics& region = per_region_[digest.region];
   ++region.cities;
-  region.neighbourhoods += digest.neighbourhoods;
-  region.gateways += digest.gateways;
-  region.clients += digest.clients;
-  region.baseline_watts += digest.baseline_watts;
-  region.scheme_watts += digest.scheme_watts;
-  region.peak_online_gateways += digest.peak_online_gateways;
-  region.wake_events += digest.wake_events;
-  region.savings.merge(digest.savings);
-}
-
-double CountryMetrics::savings_fraction() const {
-  return baseline_watts_ > 0.0 ? 1.0 - scheme_watts_ / baseline_watts_ : 0.0;
-}
-
-double CountryMetrics::isp_share_of_savings() const {
-  const double saved = saved_user_watts_ + saved_isp_watts_;
-  // Same guard as the city layer: comparing no-sleep to itself must report
-  // 0, not numerical noise.
-  if (saved <= baseline_watts_ * 1e-9) return 0.0;
-  return saved_isp_watts_ / saved;
-}
-
-double CountryMetrics::baseline_household_watts_per_gateway() const {
-  return fraction_or_zero(baseline_user_watts_, static_cast<double>(total_gateways_));
-}
-
-double CountryMetrics::baseline_isp_watts_per_gateway() const {
-  return fraction_or_zero(baseline_isp_watts_, static_cast<double>(total_gateways_));
-}
-
-double CountryMetrics::savings_ci95_halfwidth() const {
-  return stats::ci95_halfwidth(savings_);
+  region.merge(digest);
 }
 
 }  // namespace insomnia::country

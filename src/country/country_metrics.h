@@ -1,11 +1,11 @@
 // Streaming bounded-memory roll-ups for a country-scale federated fleet.
-// Each simulated city collapses into a CityDigest — a couple dozen scalars
-// plus a RunningStats of its per-neighbourhood savings — so a 620-city,
-// ≥1M-gateway run carries kilobytes of state, not day series. Digests fold
-// into RegionMetrics and CountryMetrics in canonical (region, city) order;
-// because each digest is a pure function of (config, region, city) and the
-// fold order is fixed, the final aggregates are bit-identical at any thread
-// or process count and across checkpoint/resume splits.
+// Each simulated city collapses into a CityDigest — its city::FleetTotals
+// plus its shard identity — so a 620-city, ≥1M-gateway run carries
+// kilobytes of state, not day series. Digests fold into RegionMetrics and
+// CountryMetrics in canonical (region, city) order; because each digest is a
+// pure function of (config, region, city) and the fold order is fixed, the
+// final aggregates are bit-identical at any thread or process count and
+// across checkpoint/resume splits.
 #pragma once
 
 #include <cstddef>
@@ -13,43 +13,16 @@
 #include <string>
 #include <vector>
 
-#include "stats/summary.h"
-
-namespace insomnia::city {
-class CityMetrics;
-}
+#include "city/city_metrics.h"
 
 namespace insomnia::country {
 
-/// Everything one simulated city contributes to the country aggregates.
-/// The watt fields are the city layer's exact accumulators (sums of
-/// per-neighbourhood mean draws), carried verbatim so the roll-up never
-/// re-derives — and re-rounds — a split the city already computed.
-struct CityDigest {
+/// Everything one simulated city contributes to the country aggregates: the
+/// city's totals, carried verbatim, and which shard it was.
+struct CityDigest : city::FleetTotals {
   std::uint32_t region = 0;  ///< region index in CountryConfig::regions
   std::uint32_t city = 0;    ///< city index within the region
   std::size_t template_index = 0;  ///< which portfolio archetype was drawn
-
-  std::size_t neighbourhoods = 0;
-  long gateways = 0;
-  long clients = 0;
-
-  double baseline_watts = 0.0;
-  double scheme_watts = 0.0;
-  double baseline_user_watts = 0.0;
-  double baseline_isp_watts = 0.0;
-  double saved_user_watts = 0.0;
-  double saved_isp_watts = 0.0;
-
-  double peak_online_gateways = 0.0;
-  long wake_events = 0;
-
-  /// Across-neighbourhood savings distribution of this city; merged upward
-  /// via stats::RunningStats::merge.
-  stats::RunningStats savings;
-
-  /// Energy-weighted savings of this city.
-  double savings_fraction() const;
 };
 
 /// Builds the digest of one simulated city from its folded CityMetrics.
@@ -60,27 +33,15 @@ CityDigest digest_from_city(const city::CityMetrics& metrics, std::uint32_t regi
 bool digest_order(const CityDigest& a, const CityDigest& b);
 
 /// One region's slice of the country aggregates.
-struct RegionMetrics {
+struct RegionMetrics : city::FleetTotals {
   std::string name;
   std::size_t cities = 0;
-  std::size_t neighbourhoods = 0;
-  long gateways = 0;
-  long clients = 0;
-  double baseline_watts = 0.0;
-  double scheme_watts = 0.0;
-  double peak_online_gateways = 0.0;
-  long wake_events = 0;
-  stats::RunningStats savings;  ///< per-neighbourhood, merged across cities
-
-  double savings_fraction() const;
-  /// Student-t 95 % half-width — region slices can hold few neighbourhoods,
-  /// where the normal approximation understates (stats::ci95_halfwidth).
-  double savings_ci95_halfwidth() const;
 };
 
-/// The country-wide fold. Construct with the region names, then add() every
-/// CityDigest in canonical order (digest_order; the runner sorts).
-class CountryMetrics {
+/// The country-wide fold: the city count, the totals and one slice per
+/// region. Construct with the region names, then add() every CityDigest in
+/// canonical order (digest_order; the runner sorts).
+class CountryMetrics : public city::FleetFold {
  public:
   explicit CountryMetrics(std::vector<std::string> region_names);
   CountryMetrics() = default;
@@ -90,49 +51,12 @@ class CountryMetrics {
   void add(const CityDigest& digest);
 
   std::size_t cities() const { return cities_; }
-  std::size_t neighbourhoods() const { return neighbourhoods_; }
-  long total_gateways() const { return total_gateways_; }
-  long total_clients() const { return total_clients_; }
-
-  /// Country-wide mean power draws (W), summed over every neighbourhood.
-  double baseline_watts() const { return baseline_watts_; }
-  double scheme_watts() const { return scheme_watts_; }
-
-  /// Energy-weighted fractional savings of the whole country (0 when empty).
-  double savings_fraction() const;
-
-  /// Share of the saved energy on the ISP side, in [0,1].
-  double isp_share_of_savings() const;
-
-  /// Baseline per-subscriber draws (gateway = household = DSL subscriber).
-  double baseline_household_watts_per_gateway() const;
-  double baseline_isp_watts_per_gateway() const;
-
-  /// Across-neighbourhood savings distribution of the whole country and its
-  /// Student-t 95 % confidence half-width.
-  const stats::RunningStats& neighbourhood_savings() const { return savings_; }
-  double savings_ci95_halfwidth() const;
-
-  double peak_online_gateways() const { return peak_online_gateways_; }
-  long wake_events() const { return wake_events_; }
 
   /// One slice per region, in CountryConfig::regions order.
   const std::vector<RegionMetrics>& per_region() const { return per_region_; }
 
  private:
   std::size_t cities_ = 0;
-  std::size_t neighbourhoods_ = 0;
-  long total_gateways_ = 0;
-  long total_clients_ = 0;
-  double baseline_watts_ = 0.0;
-  double scheme_watts_ = 0.0;
-  double baseline_user_watts_ = 0.0;
-  double baseline_isp_watts_ = 0.0;
-  double saved_user_watts_ = 0.0;
-  double saved_isp_watts_ = 0.0;
-  double peak_online_gateways_ = 0.0;
-  long wake_events_ = 0;
-  stats::RunningStats savings_;
   std::vector<RegionMetrics> per_region_;
   bool any_added_ = false;
   std::uint64_t last_key_ = 0;

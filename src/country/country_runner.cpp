@@ -65,26 +65,6 @@ void count_event(const char* name) {
 #endif
 }
 
-// Positional mix resolution, population-first with registry fallback —
-// the same contract city::run_city's population overload exposes.
-std::vector<core::ScenarioPreset> resolve_presets(
-    const std::vector<city::CityMixComponent>& mix,
-    const std::vector<core::ScenarioPreset>& population) {
-  std::vector<core::ScenarioPreset> resolved;
-  resolved.reserve(mix.size());
-  for (const city::CityMixComponent& component : mix) {
-    const core::ScenarioPreset* found = nullptr;
-    for (const core::ScenarioPreset& preset : population) {
-      if (preset.name == component.preset) {
-        found = &preset;
-        break;
-      }
-    }
-    resolved.push_back(found ? *found : core::find_scenario_preset(component.preset));
-  }
-  return resolved;
-}
-
 /// Owns one process's checkpoint file; lazily picks a name no other writer
 /// (live or left over from an earlier attempt) owns, then rewrites it
 /// atomically with every fresh digest of this invocation on each flush.
@@ -278,7 +258,7 @@ ShardListOutcome run_shard_list(const CountryConfig& config,
           }
           CityPlan city;
           city.sample = sample_city(config, shard.first, shard.second);
-          city.presets = resolve_presets(city.sample.city.mix, population);
+          city.presets = city::resolve_mix(city.sample.city, population);
           const auto n = static_cast<std::size_t>(city.sample.city.neighbourhoods);
           city.costs.reserve(n);
           for (std::size_t k = 0; k < n; ++k) {
@@ -428,10 +408,6 @@ CitySample sample_city(const CountryConfig& config, std::uint32_t region,
       sampler.uniform_int(tmpl.neighbourhoods_min, tmpl.neighbourhoods_max);
   sample.city.seed = sim::Random::substream_seed(config.seed, stream, kCitySeedSalt);
   sample.city.scheme = config.scheme;
-  // simulate_city runs a city's neighbourhoods serially: it is the
-  // bit-identity reference, and run_country schedules neighbourhoods across
-  // its own workers instead of nesting a pool per city.
-  sample.city.threads = 1;
   sample.city.peak_start = config.peak_start;
   sample.city.peak_end = config.peak_end;
   return sample;
@@ -442,10 +418,17 @@ CityDigest simulate_city(const CountryConfig& config,
                          std::uint32_t region, std::uint32_t city_index) {
   OBS_SCOPE("country.city");
   const CitySample sample = sample_city(config, region, city_index);
-  const city::CityResult result =
-      city::run_city(sample.city, resolve_presets(sample.city.mix, population));
+  const std::vector<core::ScenarioPreset> presets =
+      city::resolve_mix(sample.city, population);
+  const auto n = static_cast<std::size_t>(sample.city.neighbourhoods);
+  std::vector<city::NeighbourhoodOutcome> outcomes;
+  outcomes.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    outcomes.push_back(city::simulate_neighbourhood(sample.city, presets, k));
+  }
   note_city_done();
-  return digest_from_city(result.metrics, region, city_index, sample.template_index);
+  return digest_from_city(city::fold_city(sample.city, outcomes), region, city_index,
+                          sample.template_index);
 }
 
 CountryResult run_country(const CountryConfig& config, const CountryRunOptions& options,

@@ -46,9 +46,10 @@ struct CitySample {
 CitySample sample_city(const CountryConfig& config, std::uint32_t region,
                        std::uint32_t city_index);
 
-/// Simulates one city shard end to end and collapses it to a digest. Mix
-/// preset names resolve against `population` first (the test hook for
-/// shrunken scenarios, mirroring city::run_city's), then the registry.
+/// Simulates one city shard end to end and collapses it to a digest: the
+/// serial reference run_country's schedule must match bit for bit. Mix
+/// preset names resolve through city::resolve_mix against `population` (the
+/// test hook for shrunken scenarios), then the registry.
 CityDigest simulate_city(const CountryConfig& config,
                          const std::vector<core::ScenarioPreset>& population,
                          std::uint32_t region, std::uint32_t city_index);

@@ -1,7 +1,7 @@
-// The city engine's load-bearing guarantee, analogous to
-// test_exec_determinism: sharding the fleet over any number of threads
-// yields bit-identical aggregates to the serial path. Exact comparisons
-// (EXPECT_EQ on doubles) throughout.
+// The city layer's load-bearing guarantee, analogous to
+// test_exec_determinism: neighbourhood outcomes computed on any number of
+// threads fold to aggregates bit-identical to the serial path. Exact
+// comparisons (EXPECT_EQ on doubles) throughout.
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -9,26 +9,13 @@
 #include <gtest/gtest.h>
 
 #include "city/city_runner.h"
+#include "exec/sweep_runner.h"
+#include "support/tiny_population.h"
 
 namespace insomnia::city {
 namespace {
 
-core::ScenarioPreset tiny_preset(const std::string& name, int clients, int gateways) {
-  core::ScenarioPreset preset;
-  preset.name = name;
-  preset.summary = name;
-  core::ScenarioConfig& s = preset.scenario;
-  s.client_count = clients;
-  s.gateway_count = gateways;
-  s.degrees.node_count = gateways;
-  s.degrees.mean_degree = 3.0;
-  s.traffic.client_count = clients;
-  s.dslam.line_cards = 4;
-  s.dslam.ports_per_card = 2;
-  return preset;
-}
-
-CityConfig tiny_city(int threads) {
+CityConfig tiny_city() {
   NeighbourhoodJitter jitter;
   jitter.gateway_count_spread = 0.2;
   jitter.client_density_spread = 0.2;
@@ -37,13 +24,20 @@ CityConfig tiny_city(int threads) {
   CityConfig config;
   config.neighbourhoods = 5;  // more than some thread counts, fewer than others
   config.seed = 77;
-  config.threads = threads;
   config.mix = {{"tiny-a", 2.0, jitter}, {"tiny-b", 1.0, jitter}};
   return config;
 }
 
-std::vector<core::ScenarioPreset> tiny_presets() {
-  return {tiny_preset("tiny-a", 48, 8), tiny_preset("tiny-b", 24, 6)};
+/// The city's neighbourhoods simulated on `threads` workers, then folded.
+CityMetrics sharded_fold(int threads) {
+  const CityConfig config = tiny_city();
+  const std::vector<core::ScenarioPreset> presets = tiny_population();
+  exec::SweepRunner runner(threads);
+  const std::vector<NeighbourhoodOutcome> outcomes =
+      runner.run(static_cast<std::size_t>(config.neighbourhoods), [&](std::size_t index) {
+        return simulate_neighbourhood(config, presets, index);
+      });
+  return fold_city(config, outcomes);
 }
 
 void expect_identical(const CityMetrics& a, const CityMetrics& b) {
@@ -80,17 +74,12 @@ void expect_identical(const CityMetrics& a, const CityMetrics& b) {
 }
 
 TEST(CityDeterminism, FleetIsBitIdenticalAcrossThreadCounts) {
-  const CityResult serial = run_city(tiny_city(1), tiny_presets());
-  for (int threads : {2, 3, 8}) {
-    const CityResult sharded = run_city(tiny_city(threads), tiny_presets());
-    expect_identical(serial.metrics, sharded.metrics);
-  }
+  const CityMetrics serial = fold_serially(tiny_city(), tiny_population());
+  for (int threads : {1, 2, 3, 8}) expect_identical(serial, sharded_fold(threads));
 }
 
 TEST(CityDeterminism, FleetIsStableAcrossRepeats) {
-  const CityResult a = run_city(tiny_city(4), tiny_presets());
-  const CityResult b = run_city(tiny_city(4), tiny_presets());
-  expect_identical(a.metrics, b.metrics);
+  expect_identical(sharded_fold(4), sharded_fold(4));
 }
 
 }  // namespace

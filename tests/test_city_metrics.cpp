@@ -73,11 +73,12 @@ TEST(CityMetrics, ComponentWattAccessorsMatchTheSplits) {
   CityMetrics metrics({"a"});
   metrics.add(outcome(0, 300.0, 100.0, 0.25));
   metrics.add(outcome(0, 100.0, 100.0, 0.75));
-  EXPECT_DOUBLE_EQ(metrics.baseline_user_watts(), 400.0);
-  EXPECT_DOUBLE_EQ(metrics.baseline_isp_watts(), 200.0);
-  EXPECT_DOUBLE_EQ(metrics.saved_user_watts(), 225.0 + 25.0);
-  EXPECT_DOUBLE_EQ(metrics.saved_isp_watts(), 75.0 + 25.0);
-  EXPECT_DOUBLE_EQ(metrics.baseline_user_watts() + metrics.baseline_isp_watts(),
+  const FleetTotals& totals = metrics.totals();
+  EXPECT_DOUBLE_EQ(totals.baseline_user_watts, 400.0);
+  EXPECT_DOUBLE_EQ(totals.baseline_isp_watts, 200.0);
+  EXPECT_DOUBLE_EQ(totals.saved_user_watts, 225.0 + 25.0);
+  EXPECT_DOUBLE_EQ(totals.saved_isp_watts, 75.0 + 25.0);
+  EXPECT_DOUBLE_EQ(totals.baseline_user_watts + totals.baseline_isp_watts,
                    metrics.baseline_watts());
 }
 

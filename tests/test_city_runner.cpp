@@ -1,4 +1,4 @@
-// Fleet-runner behaviour on a shrunken two-preset population: structural
+// City-layer behaviour on a shrunken two-preset population: structural
 // sanity of the aggregates and a pinned-seed golden that locks the city
 // aggregates the same way tests/test_regression_figures.cpp locks the figure
 // experiments.
@@ -9,6 +9,7 @@
 
 #include "city/city_runner.h"
 #include "city/neighbourhood_sampler.h"
+#include "support/tiny_population.h"
 #include "util/error.h"
 
 namespace insomnia::city {
@@ -21,22 +22,7 @@ namespace {
 #define INSOMNIA_SKIP_GOLDENS() (void)0
 #endif
 
-core::ScenarioPreset tiny_preset(const std::string& name, int clients, int gateways) {
-  core::ScenarioPreset preset;
-  preset.name = name;
-  preset.summary = name;
-  core::ScenarioConfig& s = preset.scenario;
-  s.client_count = clients;
-  s.gateway_count = gateways;
-  s.degrees.node_count = gateways;
-  s.degrees.mean_degree = 3.0;
-  s.traffic.client_count = clients;
-  s.dslam.line_cards = 4;
-  s.dslam.ports_per_card = 2;
-  return preset;
-}
-
-CityConfig tiny_city(int neighbourhoods, int threads = 1) {
+CityConfig tiny_city(int neighbourhoods) {
   NeighbourhoodJitter jitter;
   jitter.gateway_count_spread = 0.2;
   jitter.client_density_spread = 0.2;
@@ -45,19 +31,12 @@ CityConfig tiny_city(int neighbourhoods, int threads = 1) {
   CityConfig config;
   config.neighbourhoods = neighbourhoods;
   config.seed = 2026;
-  config.threads = threads;
   config.mix = {{"tiny-a", 2.0, jitter}, {"tiny-b", 1.0, jitter}};
   return config;
 }
 
-std::vector<core::ScenarioPreset> tiny_presets() {
-  return {tiny_preset("tiny-a", 48, 8), tiny_preset("tiny-b", 24, 6)};
-}
-
 TEST(CityRunner, FleetAggregatesAreStructurallySane) {
-  const CityConfig config = tiny_city(6);
-  const CityResult result = run_city(config, tiny_presets());
-  const CityMetrics& metrics = result.metrics;
+  const CityMetrics metrics = fold_serially(tiny_city(6), tiny_population());
 
   EXPECT_EQ(metrics.neighbourhoods(), 6u);
   EXPECT_GT(metrics.total_gateways(), 0);
@@ -94,33 +73,32 @@ TEST(CityRunner, FleetAggregatesAreStructurallySane) {
 
 TEST(CityRunner, SimulateNeighbourhoodMatchesTheFoldedMetrics) {
   const CityConfig config = tiny_city(3);
-  const auto presets = tiny_presets();
-  const CityResult result = run_city(config, presets);
+  const auto presets = tiny_population();
+  const CityMetrics folded = fold_serially(config, presets);
 
   CityMetrics refolded(std::vector<std::string>{"tiny-a", "tiny-b"});
   for (std::size_t i = 0; i < 3; ++i) {
     refolded.add(simulate_neighbourhood(config, presets, i));
   }
-  EXPECT_EQ(refolded.total_gateways(), result.metrics.total_gateways());
-  EXPECT_EQ(refolded.baseline_watts(), result.metrics.baseline_watts());
-  EXPECT_EQ(refolded.scheme_watts(), result.metrics.scheme_watts());
-  EXPECT_EQ(refolded.wake_events(), result.metrics.wake_events());
+  EXPECT_EQ(refolded.total_gateways(), folded.total_gateways());
+  EXPECT_EQ(refolded.baseline_watts(), folded.baseline_watts());
+  EXPECT_EQ(refolded.scheme_watts(), folded.scheme_watts());
+  EXPECT_EQ(refolded.wake_events(), folded.wake_events());
 }
 
 TEST(CityRunner, RegistryEntryPointRejectsUnknownPresets) {
   CityConfig config = tiny_city(2);  // names not in the registry
-  EXPECT_THROW(run_city(config), util::InvalidArgument);
+  EXPECT_THROW(resolve_mix(config), util::InvalidArgument);
   config.neighbourhoods = 0;
-  EXPECT_THROW(run_city(config, tiny_presets()), util::InvalidArgument);
+  EXPECT_THROW(resolve_mix(config, tiny_population()), util::InvalidArgument);
 }
 
 // Locks the pinned-seed small-city aggregates: any change to the sampler's
 // draw order, the runner's substream salts, scheme wiring, or the fold
 // arithmetic shifts these numbers. Regenerate by printing the fields of
-// run_city(tiny_city(4, 1), tiny_presets()) on libstdc++.
+// fold_serially(tiny_city(4), tiny_population()) on libstdc++.
 TEST(CityRunner, PinnedSeedGoldenAggregates) {
-  const CityResult result = run_city(tiny_city(4, 1), tiny_presets());
-  const CityMetrics& metrics = result.metrics;
+  const CityMetrics metrics = fold_serially(tiny_city(4), tiny_population());
 
   EXPECT_EQ(metrics.neighbourhoods(), 4u);
 

@@ -7,25 +7,11 @@
 
 #include "city/city_config.h"
 #include "city/neighbourhood_sampler.h"
+#include "support/tiny_population.h"
 #include "util/error.h"
 
 namespace insomnia::city {
 namespace {
-
-core::ScenarioPreset tiny_preset(const std::string& name, int clients, int gateways) {
-  core::ScenarioPreset preset;
-  preset.name = name;
-  preset.summary = name;
-  core::ScenarioConfig& s = preset.scenario;
-  s.client_count = clients;
-  s.gateway_count = gateways;
-  s.degrees.node_count = gateways;
-  s.degrees.mean_degree = 3.0;
-  s.traffic.client_count = clients;
-  s.dslam.line_cards = 4;
-  s.dslam.ports_per_card = 2;
-  return preset;
-}
 
 CityConfig two_component_city(double spread = 0.25) {
   NeighbourhoodJitter jitter;
@@ -40,13 +26,9 @@ CityConfig two_component_city(double spread = 0.25) {
   return config;
 }
 
-std::vector<core::ScenarioPreset> two_presets() {
-  return {tiny_preset("tiny-a", 48, 8), tiny_preset("tiny-b", 24, 6)};
-}
-
 TEST(CitySampler, IsAPureFunctionOfSeedAndIndex) {
   const CityConfig config = two_component_city();
-  const auto presets = two_presets();
+  const auto presets = tiny_population();
   for (std::size_t i : {std::size_t{0}, std::size_t{7}, std::size_t{31}}) {
     const NeighbourhoodSample a = sample_neighbourhood(config, presets, i);
     const NeighbourhoodSample b = sample_neighbourhood(config, presets, i);
@@ -60,7 +42,7 @@ TEST(CitySampler, IsAPureFunctionOfSeedAndIndex) {
 
 TEST(CitySampler, JitterStaysWithinItsBounds) {
   const CityConfig config = two_component_city(0.25);
-  const auto presets = two_presets();
+  const auto presets = tiny_population();
   bool saw_varied_gateways = false;
   for (std::size_t i = 0; i < 200; ++i) {
     const NeighbourhoodSample sample = sample_neighbourhood(config, presets, i);
@@ -110,7 +92,7 @@ TEST(CitySampler, ZeroJitterReproducesThePreset) {
 
 TEST(CitySampler, MixWeightsSteerThePopulation) {
   const CityConfig config = two_component_city();  // weights 3 : 1
-  const auto presets = two_presets();
+  const auto presets = tiny_population();
   int first = 0;
   const int n = 400;
   for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
@@ -140,7 +122,7 @@ TEST(CitySampler, GrowsTheDslamInWholeSwitchGroups) {
 }
 
 TEST(CitySampler, ValidationRejectsBrokenConfigs) {
-  const auto presets = two_presets();
+  const auto presets = tiny_population();
   CityConfig config = two_component_city();
   config.mix.clear();
   EXPECT_THROW(validate(config), util::InvalidArgument);
@@ -175,12 +157,35 @@ TEST(CitySampler, ValidationRejectsBrokenConfigs) {
 }
 
 TEST(CitySampler, ResolveMixUsesTheRegistry) {
-  CityConfig config = default_city(4);
+  CityConfig config;
+  config.mix = {{"paper-default", 0.55, {}}, {"dense-urban", 0.30, {}},
+                {"sparse-rural", 0.15, {}}};
   const std::vector<core::ScenarioPreset> presets = resolve_mix(config);
   ASSERT_EQ(presets.size(), config.mix.size());
   for (std::size_t k = 0; k < presets.size(); ++k) {
     EXPECT_EQ(presets[k].name, config.mix[k].preset);
+    EXPECT_EQ(presets[k].scenario.gateway_count,
+              core::find_scenario_preset(config.mix[k].preset).scenario.gateway_count);
   }
+}
+
+TEST(CitySampler, ResolveMixPrefersThePopulation) {
+  // A population entry named like a registry preset shadows it; names it
+  // lacks fall back to the registry, in mix order.
+  const core::ScenarioPreset shadow = tiny_preset("dense-urban", 24, 6);
+  CityConfig config;
+  config.mix = {{"paper-default", 1.0, {}}, {"dense-urban", 1.0, {}}};
+  const std::vector<core::ScenarioPreset> presets = resolve_mix(config, {shadow});
+  ASSERT_EQ(presets.size(), 2u);
+  EXPECT_EQ(presets[0].scenario.gateway_count,
+            core::find_scenario_preset("paper-default").scenario.gateway_count);
+  EXPECT_EQ(presets[1].name, "dense-urban");
+  EXPECT_EQ(presets[1].scenario.gateway_count, 6);
+  EXPECT_NE(core::find_scenario_preset("dense-urban").scenario.gateway_count, 6);
+
+  // A name found in neither the population nor the registry throws.
+  config.mix.push_back({"tiny-c", 1.0, {}});
+  EXPECT_THROW(resolve_mix(config, tiny_population()), util::InvalidArgument);
 }
 
 }  // namespace

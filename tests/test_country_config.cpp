@@ -1,5 +1,7 @@
 // Structural rules of the country portfolio description and the shape of
 // the default country (the ≥1M-gateway §5.4 world run at full scale).
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "country/country_config.h"
@@ -109,6 +111,24 @@ TEST(CountryConfig, ScalingShrinksSizeButKeepsShape) {
   }
   EXPECT_THROW(default_country(0.0), util::InvalidArgument);
   EXPECT_THROW(default_country(1.0, -1.0), util::InvalidArgument);
+}
+
+TEST(CountryConfig, HugeOrInfiniteScalesAreRefusedNotWrapped) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(default_country(inf), util::InvalidArgument);
+  EXPECT_THROW(default_country(1.0, inf), util::InvalidArgument);
+  EXPECT_THROW(default_country(std::numeric_limits<double>::quiet_NaN()),
+               util::InvalidArgument);
+  // 200 suburban cities x 3e7 is past INT_MAX; it used to wrap to a
+  // plausible-looking count.
+  EXPECT_THROW(default_country(3e7), util::InvalidArgument);
+  EXPECT_THROW(default_country(1.0, 1e9), util::InvalidArgument);
+
+  // The largest city scale whose counts all fit still builds, exactly.
+  const double fits = std::numeric_limits<int>::max() / 200.0;
+  const CountryConfig big = default_country(fits);
+  EXPECT_EQ(big.regions[1].cities, std::numeric_limits<int>::max());
+  EXPECT_GE(big.regions[0].cities, 1);
 }
 
 }  // namespace

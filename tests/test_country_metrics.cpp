@@ -7,43 +7,26 @@
 
 #include <gtest/gtest.h>
 
-#include "city/city_runner.h"
 #include "country/country_metrics.h"
+#include "support/tiny_population.h"
 #include "util/error.h"
 
 namespace insomnia::country {
 namespace {
 
-core::ScenarioPreset tiny_preset(const std::string& name, int clients, int gateways) {
-  core::ScenarioPreset preset;
-  preset.name = name;
-  preset.summary = name;
-  core::ScenarioConfig& s = preset.scenario;
-  s.client_count = clients;
-  s.gateway_count = gateways;
-  s.degrees.node_count = gateways;
-  s.degrees.mean_degree = 3.0;
-  s.traffic.client_count = clients;
-  s.dslam.line_cards = 4;
-  s.dslam.ports_per_card = 2;
-  return preset;
-}
-
-city::CityResult tiny_city_result(std::uint64_t seed, int neighbourhoods = 2) {
+city::CityMetrics tiny_city_metrics(std::uint64_t seed, int neighbourhoods = 2) {
   city::NeighbourhoodJitter jitter;
   jitter.gateway_count_spread = 0.2;
   jitter.client_density_spread = 0.2;
   city::CityConfig config;
   config.neighbourhoods = neighbourhoods;
   config.seed = seed;
-  config.threads = 1;
   config.mix = {{"tiny-a", 1.0, jitter}};
-  return city::run_city(config, {tiny_preset("tiny-a", 24, 6)});
+  return city::fold_serially(config, {city::tiny_preset("tiny-a", 24, 6)});
 }
 
 TEST(CountryMetrics, DigestCarriesTheCityAccumulatorsExactly) {
-  const city::CityResult result = tiny_city_result(11, 3);
-  const city::CityMetrics& metrics = result.metrics;
+  const city::CityMetrics metrics = tiny_city_metrics(11, 3);
   const CityDigest digest = digest_from_city(metrics, 1, 4, 0);
 
   EXPECT_EQ(digest.region, 1u);
@@ -53,10 +36,10 @@ TEST(CountryMetrics, DigestCarriesTheCityAccumulatorsExactly) {
   EXPECT_EQ(digest.clients, metrics.total_clients());
   EXPECT_EQ(digest.baseline_watts, metrics.baseline_watts());
   EXPECT_EQ(digest.scheme_watts, metrics.scheme_watts());
-  EXPECT_EQ(digest.baseline_user_watts, metrics.baseline_user_watts());
-  EXPECT_EQ(digest.baseline_isp_watts, metrics.baseline_isp_watts());
-  EXPECT_EQ(digest.saved_user_watts, metrics.saved_user_watts());
-  EXPECT_EQ(digest.saved_isp_watts, metrics.saved_isp_watts());
+  EXPECT_EQ(digest.baseline_user_watts, metrics.totals().baseline_user_watts);
+  EXPECT_EQ(digest.baseline_isp_watts, metrics.totals().baseline_isp_watts);
+  EXPECT_EQ(digest.saved_user_watts, metrics.totals().saved_user_watts);
+  EXPECT_EQ(digest.saved_isp_watts, metrics.totals().saved_isp_watts);
   EXPECT_EQ(digest.peak_online_gateways, metrics.peak_online_gateways());
   EXPECT_EQ(digest.wake_events, metrics.wake_events());
   EXPECT_EQ(digest.savings.count(), metrics.neighbourhood_savings().count());
@@ -65,9 +48,9 @@ TEST(CountryMetrics, DigestCarriesTheCityAccumulatorsExactly) {
 }
 
 TEST(CountryMetrics, FoldSumsDigestsAndRegionSlicesPartitionIt) {
-  const CityDigest a = digest_from_city(tiny_city_result(1).metrics, 0, 0, 0);
-  const CityDigest b = digest_from_city(tiny_city_result(2).metrics, 0, 1, 0);
-  const CityDigest c = digest_from_city(tiny_city_result(3).metrics, 1, 0, 0);
+  const CityDigest a = digest_from_city(tiny_city_metrics(1), 0, 0, 0);
+  const CityDigest b = digest_from_city(tiny_city_metrics(2), 0, 1, 0);
+  const CityDigest c = digest_from_city(tiny_city_metrics(3), 1, 0, 0);
 
   CountryMetrics metrics({"alpha", "beta"});
   metrics.add(a);
@@ -106,10 +89,40 @@ TEST(CountryMetrics, FoldSumsDigestsAndRegionSlicesPartitionIt) {
   EXPECT_EQ(beta.savings_fraction(), c.savings_fraction());
 }
 
+TEST(CountryMetrics, RegionSlicesPartitionTheUserIspSplit) {
+  const CityDigest a = digest_from_city(tiny_city_metrics(4), 0, 0, 0);
+  const CityDigest b = digest_from_city(tiny_city_metrics(5), 0, 1, 0);
+  const CityDigest c = digest_from_city(tiny_city_metrics(6), 1, 0, 0);
+
+  CountryMetrics metrics({"alpha", "beta"});
+  metrics.add(a);
+  metrics.add(b);
+  metrics.add(c);
+
+  const RegionMetrics& alpha = metrics.per_region()[0];
+  const RegionMetrics& beta = metrics.per_region()[1];
+  EXPECT_EQ(beta.baseline_user_watts, c.baseline_user_watts);
+  EXPECT_EQ(beta.saved_isp_watts, c.saved_isp_watts);
+  EXPECT_EQ(beta.isp_share_of_savings(), c.isp_share_of_savings());
+  // Exact: alpha holds the first two cities, so each total is the same
+  // left-to-right sum as alpha's plus beta's.
+  const city::FleetTotals& totals = metrics.totals();
+  EXPECT_EQ(alpha.baseline_user_watts + beta.baseline_user_watts, totals.baseline_user_watts);
+  EXPECT_EQ(alpha.baseline_isp_watts + beta.baseline_isp_watts, totals.baseline_isp_watts);
+  EXPECT_EQ(alpha.saved_user_watts + beta.saved_user_watts, totals.saved_user_watts);
+  EXPECT_EQ(alpha.saved_isp_watts + beta.saved_isp_watts, totals.saved_isp_watts);
+  EXPECT_EQ(alpha.clients + beta.clients, metrics.total_clients());
+  EXPECT_EQ(alpha.peak_online_gateways + beta.peak_online_gateways,
+            metrics.peak_online_gateways());
+  EXPECT_GE(alpha.isp_share_of_savings(), 0.0);
+  EXPECT_LE(alpha.isp_share_of_savings(), 1.0);
+  EXPECT_GT(alpha.baseline_household_watts_per_gateway(), 0.0);
+}
+
 TEST(CountryMetrics, FoldRejectsNonCanonicalOrderAndBadDigests) {
-  const CityDigest first = digest_from_city(tiny_city_result(1).metrics, 0, 1, 0);
-  const CityDigest earlier = digest_from_city(tiny_city_result(2).metrics, 0, 0, 0);
-  const CityDigest next_region = digest_from_city(tiny_city_result(3).metrics, 1, 0, 0);
+  const CityDigest first = digest_from_city(tiny_city_metrics(1), 0, 1, 0);
+  const CityDigest earlier = digest_from_city(tiny_city_metrics(2), 0, 0, 0);
+  const CityDigest next_region = digest_from_city(tiny_city_metrics(3), 1, 0, 0);
 
   EXPECT_TRUE(digest_order(earlier, first));
   EXPECT_TRUE(digest_order(first, next_region));

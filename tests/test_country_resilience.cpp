@@ -19,6 +19,7 @@
 #include "country/checkpoint.h"
 #include "country/country_runner.h"
 #include "resilience/fault_plan.h"
+#include "support/tiny_population.h"
 #include "util/error.h"
 
 namespace insomnia::country {
@@ -26,24 +27,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-core::ScenarioPreset tiny_preset(const std::string& name, int clients, int gateways) {
-  core::ScenarioPreset preset;
-  preset.name = name;
-  preset.summary = name;
-  core::ScenarioConfig& s = preset.scenario;
-  s.client_count = clients;
-  s.gateway_count = gateways;
-  s.degrees.node_count = gateways;
-  s.degrees.mean_degree = 3.0;
-  s.traffic.client_count = clients;
-  s.dslam.line_cards = 4;
-  s.dslam.ports_per_card = 2;
-  return preset;
-}
-
-std::vector<core::ScenarioPreset> tiny_population() {
-  return {tiny_preset("tiny-a", 48, 8), tiny_preset("tiny-b", 24, 6)};
-}
+using city::tiny_population;
 
 /// Same five-shard fixture as test_country_runner.cpp: two regions, tiny
 /// cities, seconds of work, every code path of the 620-shard portfolio.

@@ -12,6 +12,7 @@
 
 #include "country/checkpoint.h"
 #include "country/country_runner.h"
+#include "support/tiny_population.h"
 #include "util/error.h"
 
 namespace insomnia::country {
@@ -19,24 +20,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-core::ScenarioPreset tiny_preset(const std::string& name, int clients, int gateways) {
-  core::ScenarioPreset preset;
-  preset.name = name;
-  preset.summary = name;
-  core::ScenarioConfig& s = preset.scenario;
-  s.client_count = clients;
-  s.gateway_count = gateways;
-  s.degrees.node_count = gateways;
-  s.degrees.mean_degree = 3.0;
-  s.traffic.client_count = clients;
-  s.dslam.line_cards = 4;
-  s.dslam.ports_per_card = 2;
-  return preset;
-}
-
-std::vector<core::ScenarioPreset> tiny_population() {
-  return {tiny_preset("tiny-a", 48, 8), tiny_preset("tiny-b", 24, 6)};
-}
+using city::tiny_population;
 
 /// Two regions x two/three cities of one-or-two-neighbourhood tiny cities:
 /// five shards, seconds of work, same code paths as the 620-shard portfolio.
@@ -152,7 +136,6 @@ TEST(CountryRunner, SampleCityIsAPureKeyedFunction) {
   EXPECT_EQ(once.city.seed, again.city.seed);
   EXPECT_EQ(once.city.neighbourhoods, again.city.neighbourhoods);
   EXPECT_EQ(once.city.scheme, config.scheme);
-  EXPECT_EQ(once.city.threads, 1);  // cities are the parallel unit
 
   // Distinct shards get distinct substreams.
   EXPECT_NE(sample_city(config, 0, 0).city.seed, once.city.seed);
