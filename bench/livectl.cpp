@@ -229,11 +229,11 @@ int main(int argc, char** argv) {
               << bench::num(stats.ingest_events_per_sec, 0) << " ev/s), dropped "
               << stats.dropped << ", peak queue " << stats.peak_queue_depth << "\n"
               << "  decided " << stats.decided << "; ingest->decision p50/p95/p99/max = "
-              << bench::num(stats.latency_p50_ns / 1e3, 1) << "/"
-              << bench::num(stats.latency_p95_ns / 1e3, 1) << "/"
-              << bench::num(stats.latency_p99_ns / 1e3, 1) << "/"
-              << bench::num(stats.latency_max_ns / 1e3, 1) << " us ("
-              << stats.latency_samples << " samples)\n"
+              << bench::num(stats.latency.p50 / 1e3, 1) << "/"
+              << bench::num(stats.latency.p95 / 1e3, 1) << "/"
+              << bench::num(stats.latency.p99 / 1e3, 1) << "/"
+              << bench::num(stats.latency.max / 1e3, 1) << " us ("
+              << stats.latency.count << " samples)\n"
               << "  " << stats.ticks << " ticks (" << stats.tick_overruns
               << " overruns), virtual span " << bench::num(stats.virtual_seconds, 0)
               << " s" << (stats.interrupted ? ", interrupted — drained cleanly" : "")

@@ -27,6 +27,19 @@ namespace {
 
 constexpr std::size_t kPollBatch = 4096;
 
+// Shape of both ingest->decision histograms: 100 ns to 10 s, 60 log bins.
+constexpr double kLatencyLoNs = 100.0;
+constexpr double kLatencyHiNs = 1e10;
+constexpr int kLatencyBins = 60;
+
+// Whole nanoseconds in `seconds`, refusing values whose count a uint64_t
+// cannot hold (the cast would be undefined).
+std::uint64_t seconds_to_ns(double seconds, const char* what) {
+  util::require(seconds >= 0.0 && seconds * 1e9 < 18446744073709551616.0,
+                std::string(what) + " must be a non-negative span under ~584 years");
+  return static_cast<std::uint64_t>(seconds * 1e9);
+}
+
 topo::AccessTopology make_live_topology(const LiveController::Options& options) {
   // Same derivation as Engine::run: the run-0 day of core::kRunDayKeys.
   sim::Random rng(
@@ -54,36 +67,6 @@ void record_day_events(const core::RunMetrics& metrics) {
 
 }  // namespace
 
-void LatencyTrack::record_n(std::uint64_t ns, std::uint64_t n) {
-  if (n == 0) return;
-  if (count_ == 0 || ns < min_ns_) min_ns_ = ns;
-  if (ns > max_ns_) max_ns_ = ns;
-  count_ += n;
-#if defined(__GNUC__)
-  const int bin = ns <= 1 ? 0 : std::min(63 - __builtin_clzll(ns), kBins - 1);
-#else
-  int bin = 0;
-  for (std::uint64_t v = ns; v > 1 && bin < kBins - 1; v >>= 1) ++bin;
-#endif
-  bins_[bin] += n;
-}
-
-double LatencyTrack::quantile_ns(double q) const {
-  if (count_ == 0) return 0.0;
-  const auto target = static_cast<std::uint64_t>(
-      std::max(1.0, std::ceil(q * static_cast<double>(count_))));
-  std::uint64_t seen = 0;
-  for (int b = 0; b < kBins; ++b) {
-    seen += bins_[b];
-    if (seen >= target) {
-      const double upper = std::ldexp(1.0, b + 1);
-      return std::clamp(upper, static_cast<double>(min_ns_),
-                        static_cast<double>(max_ns_));
-    }
-  }
-  return static_cast<double>(max_ns_);
-}
-
 // The live twin of the offline engine's scheme day, fed incrementally.
 // Constructed exactly as run_scheme does — switch fabric applied to a
 // scenario copy, then the policy, then the runtime with the run-0 scheme
@@ -109,14 +92,22 @@ struct LiveController::Twins {
 LiveController::LiveController(Options options, std::unique_ptr<EventSource> source)
     : options_(std::move(options)),
       source_(std::move(source)),
-      queue_(options_.queue_capacity, options_.overflow) {
+      queue_(options_.queue_capacity, options_.overflow),
+      latency_(kLatencyLoNs, kLatencyHiNs, kLatencyBins, obs::Histogram::Recording::kAlways) {
   util::require(source_ != nullptr, "live controller needs an event source");
   util::require(options_.scenario.duration > 0, "live run needs a positive horizon");
   util::require(options_.bins >= 1, "live run needs at least one bin");
   util::require(options_.peak_start < options_.peak_end, "peak window must not be empty");
-  util::require(options_.tick_virtual_sec > 0 && options_.tick_wall_sec > 0,
-                "tick sizes must be positive");
-  util::require(options_.speedup > 0, "speedup must be positive");
+  util::require(options_.tick_virtual_sec > 0 && options_.tick_wall_sec > 0 &&
+                    std::isfinite(options_.tick_virtual_sec) &&
+                    std::isfinite(options_.tick_wall_sec),
+                "tick sizes must be positive and finite");
+  util::require(options_.speedup > 0 && std::isfinite(options_.speedup),
+                "speedup must be positive and finite");
+  tick_wall_ns_ = seconds_to_ns(options_.tick_wall_sec, "the wall tick");
+  if (!(options_.heartbeat_sec <= 0)) {  // a NaN period is refused, not "off"
+    heartbeat_ns_ = seconds_to_ns(options_.heartbeat_sec, "the heartbeat period");
+  }
   util::require(options_.overflow == OverflowPolicy::kBackpressure ||
                     options_.pace == PaceMode::kWall,
                 "drop-newest load shedding requires wall pacing (a virtual-time "
@@ -171,12 +162,15 @@ std::size_t LiveController::drain_queue() {
 
 void LiveController::advance_to(double until, double poll_horizon,
                                 const std::atomic<bool>* stop) {
-  // Wall pace polls fresh records up to `until` so this tick decides them;
-  // virtual pace only appends what the previous tick's helper thread already
-  // prefetched — polling here would put the generator back on the critical
-  // path.
+  // Wall pace polls fresh records up to `until` so this tick decides them.
+  // Under backpressure one poll takes at most a queue's worth, so it keeps
+  // polling until a poll comes back short: nothing due is left behind for a
+  // tick that may never come. Virtual pace only appends what the previous
+  // tick's helper thread already prefetched — polling here would put the
+  // generator back on the critical path.
   if (options_.pace == PaceMode::kWall) {
-    ingest(poll_horizon);
+    while (ingest(poll_horizon) == queue_.capacity()) {
+    }
   } else {
     drain_queue();
   }
@@ -213,26 +207,17 @@ void LiveController::account_latency() {
   std::uint64_t newly = consumed - stats_.decided;
   if (newly == 0) return;
   const std::uint64_t now = obs::now_ns();
-#ifndef INSOMNIA_OBS_DISABLED
   static obs::Histogram& decision_ns =
-      obs::histogram("live.ingest_decision_ns", /*lo=*/100.0, /*hi=*/1e10);
-  const bool telemetry = obs::enabled();
-#endif
+      obs::histogram("live.ingest_decision_ns", kLatencyLoNs, kLatencyHiNs, kLatencyBins);
   while (newly > 0) {
     util::require_state(!inflight_stamps_.empty(),
                         "live latency accounting lost an ingest stamp");
     StampRun& run = inflight_stamps_.front();
     const auto slice =
         static_cast<std::uint32_t>(std::min<std::uint64_t>(newly, run.count));
-    const std::uint64_t ns = now >= run.stamp_ns ? now - run.stamp_ns : 0;
+    const auto ns = static_cast<double>(now >= run.stamp_ns ? now - run.stamp_ns : 0);
     latency_.record_n(ns, slice);
-#ifndef INSOMNIA_OBS_DISABLED
-    if (telemetry) {
-      for (std::uint32_t s = 0; s < slice; ++s) {
-        decision_ns.record(static_cast<double>(ns));
-      }
-    }
-#endif
+    decision_ns.record_n(ns, slice);  // a no-op unless telemetry is on
     run.count -= slice;
     if (run.count == 0) inflight_stamps_.pop_front();
     newly -= slice;
@@ -241,11 +226,10 @@ void LiveController::account_latency() {
 }
 
 void LiveController::heartbeat(double virtual_time) {
-  if (options_.heartbeat_sec <= 0) return;
+  if (heartbeat_ns_ == 0) return;
   const std::uint64_t now = obs::now_ns();
   if (now < next_heartbeat_ns_) return;
-  next_heartbeat_ns_ =
-      now + static_cast<std::uint64_t>(options_.heartbeat_sec * 1e9);
+  next_heartbeat_ns_ = now + heartbeat_ns_;
   const double wall = static_cast<double>(now - wall_start_ns_) / 1e9;
   std::cerr << "[live] vt " << virtual_time << "s | wall " << wall << "s | ingested "
             << queue_.accepted() << " | decided " << stats_.decided << " | queue "
@@ -288,8 +272,7 @@ LiveResult LiveController::run(const std::atomic<bool>* stop) {
   }
 
   wall_start_ns_ = obs::now_ns();
-  next_heartbeat_ns_ =
-      wall_start_ns_ + static_cast<std::uint64_t>(options_.heartbeat_sec * 1e9);
+  next_heartbeat_ns_ = wall_start_ns_ + heartbeat_ns_;
 
   const double day_span = options_.scenario.duration;
   double virtual_time = 0.0;
@@ -325,8 +308,7 @@ LiveResult LiveController::run(const std::atomic<bool>* stop) {
     }
   } else {
     const std::uint64_t start = wall_start_ns_;
-    const auto tick_ns = static_cast<std::uint64_t>(options_.tick_wall_sec * 1e9);
-    std::uint64_t next_tick = start + tick_ns;
+    std::uint64_t next_tick = start + tick_wall_ns_;
     while (true) {
       if (stop != nullptr && stop->load()) {
         interrupted = true;
@@ -342,7 +324,7 @@ LiveResult LiveController::run(const std::atomic<bool>* stop) {
       } else {
         ++stats_.tick_overruns;
       }
-      next_tick += tick_ns;
+      next_tick += tick_wall_ns_;
       now = obs::now_ns();
       const double elapsed = static_cast<double>(now - start) / 1e9;
       virtual_time = std::min(elapsed * options_.speedup, day_span);
@@ -403,11 +385,7 @@ LiveResult LiveController::run(const std::atomic<bool>* stop) {
   stats_.ingest_events_per_sec =
       stats_.wall_seconds > 0 ? static_cast<double>(stats_.ingested) / stats_.wall_seconds
                               : 0.0;
-  stats_.latency_samples = latency_.count();
-  stats_.latency_p50_ns = latency_.quantile_ns(0.50);
-  stats_.latency_p95_ns = latency_.quantile_ns(0.95);
-  stats_.latency_p99_ns = latency_.quantile_ns(0.99);
-  stats_.latency_max_ns = static_cast<double>(latency_.max_ns());
+  stats_.latency = latency_.snapshot();
 #ifndef INSOMNIA_OBS_DISABLED
   obs::counter("live.ingest.accepted").add(stats_.ingested);
   obs::counter("live.ingest.dropped").add(stats_.dropped);

@@ -14,11 +14,11 @@
 //    forward and decided immediately rather than rejected.
 //
 // Every accepted record carries an ingest wall-clock stamp; the controller
-// turns stamps into the ingest→decision latency distribution (p50/p95/p99)
-// surfaced in LiveStats and the "live.ingest_decision_ns" obs histogram.
+// turns stamps into the ingest→decision latency distribution (p50/p95/p99):
+// an always-on obs::Histogram surfaced in LiveStats, and the
+// "live.ingest_decision_ns" telemetry histogram of the same shape.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -30,6 +30,7 @@
 #include "core/scenario.h"
 #include "live/event_source.h"
 #include "live/ingest_queue.h"
+#include "obs/metrics.h"
 #include "trace/records.h"
 
 namespace insomnia::live {
@@ -37,31 +38,6 @@ namespace insomnia::live {
 enum class PaceMode {
   kVirtual,  ///< as-fast-as-possible gated replay (bit-identical to offline)
   kWall,     ///< virtual time pinned to the wall clock via `speedup`
-};
-
-/// Compact power-of-two-binned latency distribution. Always on (unlike obs
-/// histograms, which are no-ops unless telemetry is enabled) so livectl can
-/// print p99 in its summary regardless of INSOMNIA_OBS.
-class LatencyTrack {
- public:
-  void record(std::uint64_t ns) { record_n(ns, 1); }
-  /// Records `n` samples of the same value (ingest stamps are per poll
-  /// batch, so consumed runs share one latency).
-  void record_n(std::uint64_t ns, std::uint64_t n);
-
-  std::uint64_t count() const { return count_; }
-  std::uint64_t max_ns() const { return max_ns_; }
-  /// Quantile estimate: the upper edge of the bin holding the q-th sample,
-  /// clamped to the observed [min, max] (a single sample reads back exactly).
-  double quantile_ns(double q) const;
-
- private:
-  static constexpr int kBins = 48;  ///< bin b covers [2^b, 2^{b+1}) ns
-
-  std::array<std::uint64_t, kBins> bins_{};
-  std::uint64_t count_ = 0;
-  std::uint64_t min_ns_ = 0;
-  std::uint64_t max_ns_ = 0;
 };
 
 /// Operational counters for one controller run (the report covers the
@@ -76,11 +52,7 @@ struct LiveStats {
   double wall_seconds = 0.0;
   double virtual_seconds = 0.0;  ///< covered day span (excludes drain)
   double ingest_events_per_sec = 0.0;
-  std::uint64_t latency_samples = 0;
-  double latency_p50_ns = 0.0;
-  double latency_p95_ns = 0.0;
-  double latency_p99_ns = 0.0;
-  double latency_max_ns = 0.0;
+  obs::Histogram::Snapshot latency;  ///< ingest->decision, nanoseconds
   bool interrupted = false;  ///< a stop signal ended the run early
 };
 
@@ -151,7 +123,8 @@ class LiveController {
   /// source is spent.
   void advance_to(double until, double poll_horizon, const std::atomic<bool>* stop);
 
-  /// Folds ingest stamps of newly consumed arrivals into the latency track.
+  /// Folds ingest stamps of newly consumed arrivals into the latency
+  /// histograms.
   void account_latency();
 
   void heartbeat(double virtual_time);
@@ -162,10 +135,12 @@ class LiveController {
   IngestQueue queue_;
   trace::FlowTrace scratch_;  ///< poll/pop staging, reused across ticks
   std::deque<StampRun> inflight_stamps_;
-  LatencyTrack latency_;
+  obs::Histogram latency_;  ///< always on, so livectl prints it with obs off
   LiveStats stats_;
   bool input_done_ = false;
   std::ofstream record_out_;
+  std::uint64_t tick_wall_ns_ = 0;
+  std::uint64_t heartbeat_ns_ = 0;  ///< 0 = off
   std::uint64_t wall_start_ns_ = 0;
   std::uint64_t next_heartbeat_ns_ = 0;
 };

@@ -103,11 +103,12 @@ int checked_bins(double lo, double hi, int bins) {
 
 }  // namespace
 
-Histogram::Histogram(double lo, double hi, int bins)
+Histogram::Histogram(double lo, double hi, int bins, Recording recording)
     : lo_(lo),
       hi_(hi),
       bins_(checked_bins(lo, hi, bins)),
       inv_log_step_(static_cast<double>(bins) / std::log(hi / lo)),
+      recording_(recording),
       counts_(static_cast<std::size_t>(kMaxShards) * (bins + 2)),
       min_bits_(kMaxShards),
       max_bits_(kMaxShards),
@@ -127,14 +128,14 @@ double Histogram::bin_edge(int i) const {
   return lo_ * std::exp(static_cast<double>(i) / inv_log_step_);
 }
 
-void Histogram::record(double v) {
-  if (!enabled()) return;
+void Histogram::record_n(double v, std::uint64_t n) {
+  if (n == 0 || (recording_ == Recording::kWhenEnabled && !enabled())) return;
   const int shard = detail::shard_index();
   counts_[static_cast<std::size_t>(shard) * (bins_ + 2) + bin_for(v)].v.fetch_add(
-      1, std::memory_order_relaxed);
+      n, std::memory_order_relaxed);
   detail::atomic_min_double(min_bits_[shard], v);
   detail::atomic_max_double(max_bits_[shard], v);
-  detail::atomic_add_double(sum_bits_[shard], v);
+  detail::atomic_add_double(sum_bits_[shard], v * static_cast<double>(n));
 }
 
 Histogram::Snapshot Histogram::snapshot() const {

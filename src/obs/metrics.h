@@ -4,7 +4,9 @@
 // Hot-path contract: add()/record() touch one cache-line-padded per-thread
 // shard slot with a relaxed atomic op — no locks, no allocation, and nothing
 // at all when obs::enabled() is false (a single predictable branch; a
-// constant under -DINSOMNIA_OBS=OFF). Registry lookups (obs::counter("x"))
+// constant under -DINSOMNIA_OBS=OFF). The one exception is a histogram built
+// with Recording::kAlways, which a component owns to read its own latency
+// whatever the telemetry switch says. Registry lookups (obs::counter("x"))
 // take a mutex, so hot sites cache the reference once:
 //
 //   static obs::Counter& events = obs::counter("sim.events");
@@ -91,12 +93,21 @@ class Gauge {
 /// back exactly).
 class Histogram {
  public:
+  enum class Recording {
+    kWhenEnabled,  ///< telemetry: a no-op while obs::enabled() is false
+    kAlways,       ///< records regardless, also under -DINSOMNIA_OBS=OFF
+  };
+
   /// `bins` log-spaced bins covering [lo, hi); lo > 0, hi > lo, bins >= 1.
-  Histogram(double lo, double hi, int bins);
+  Histogram(double lo, double hi, int bins, Recording recording = Recording::kWhenEnabled);
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  void record(double v);
+  void record(double v) { record_n(v, 1); }
+  /// Records `n` samples of `v` in one step. The sum grows by v * n, which
+  /// equals n record(v) calls for integer-valued samples whose running sum
+  /// stays below 2^53.
+  void record_n(double v, std::uint64_t n);
 
   struct Snapshot {
     std::uint64_t count = 0;
@@ -127,6 +138,7 @@ class Histogram {
   double hi_;
   int bins_;
   double inv_log_step_;
+  Recording recording_;
   std::vector<detail::Slot> counts_;  ///< kMaxShards * (bins + 2), underflow first
   // Exact per-shard extrema/sum (CAS-maintained; folded at snapshot).
   std::vector<std::atomic<std::uint64_t>> min_bits_;

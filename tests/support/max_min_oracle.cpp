@@ -1,22 +1,21 @@
-#include "flow/max_min.h"
+#include "support/max_min_oracle.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <numeric>
 
 #include "util/error.h"
 
 namespace insomnia::flow {
 
-void max_min_allocate_into(double capacity, const std::vector<double>& caps,
-                           MaxMinScratch& scratch, std::vector<double>& rates) {
+std::vector<double> max_min_allocate(double capacity, const std::vector<double>& caps) {
   util::require(capacity >= 0.0, "max_min_allocate needs non-negative capacity");
-  rates.assign(caps.size(), 0.0);
-  if (caps.empty() || capacity == 0.0) return;
+  std::vector<double> rates(caps.size(), 0.0);
+  if (caps.empty() || capacity == 0.0) return rates;
 
   // Process flows in ascending cap order: a flow whose cap is below the
   // current equal share freezes at its cap and releases the surplus.
-  std::vector<std::size_t>& order = scratch.order;
-  order.resize(caps.size());
+  std::vector<std::size_t> order(caps.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
             [&caps](std::size_t a, std::size_t b) { return caps[a] < caps[b]; });
@@ -31,12 +30,6 @@ void max_min_allocate_into(double capacity, const std::vector<double>& caps,
     remaining -= rate;
     --left;
   }
-}
-
-std::vector<double> max_min_allocate(double capacity, const std::vector<double>& caps) {
-  std::vector<double> rates;
-  MaxMinScratch scratch;
-  max_min_allocate_into(capacity, caps, scratch, rates);
   return rates;
 }
 

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "flow/max_min.h"
 #include "sim/random.h"
+#include "support/max_min_oracle.h"
 #include "util/error.h"
 
 namespace insomnia::flow {
@@ -102,48 +102,6 @@ TEST_P(MaxMinProperties, InvariantsHold) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MaxMinProperties, ::testing::Range(1, 11));
-
-TEST(MaxMinInto, BitIdenticalToAllocatingFormUnderRandomCaps) {
-  // The scratch-based fast path must agree with max_min_allocate exactly —
-  // same sort, same accumulation order — across many random instances,
-  // with scratch and output buffers reused (and therefore dirty) between
-  // calls.
-  sim::Random rng(97);
-  MaxMinScratch scratch;
-  std::vector<double> rates;
-  for (int trial = 0; trial < 500; ++trial) {
-    const int n = rng.uniform_int(0, 40);
-    const double capacity = rng.uniform(0.0, 50.0);
-    std::vector<double> caps;
-    for (int i = 0; i < n; ++i) {
-      // Coarse values make exact cap ties common — the tie-heavy regime the
-      // simulator actually runs in (all flows at a gateway share one of two
-      // wireless rates).
-      caps.push_back(rng.bernoulli(0.5) ? 2.0 : static_cast<double>(rng.uniform_int(0, 8)));
-    }
-    const std::vector<double> reference = max_min_allocate(capacity, caps);
-    max_min_allocate_into(capacity, caps, scratch, rates);
-    ASSERT_EQ(rates.size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(rates[i], reference[i]) << "trial " << trial << " flow " << i;
-    }
-  }
-}
-
-TEST(MaxMinInto, ShrinksAndGrowsOutputAcrossCalls) {
-  MaxMinScratch scratch;
-  std::vector<double> rates;
-  max_min_allocate_into(9.0, {1.0, 10.0, 10.0}, scratch, rates);
-  ASSERT_EQ(rates.size(), 3u);
-  EXPECT_DOUBLE_EQ(rates[0], 1.0);
-  EXPECT_DOUBLE_EQ(rates[1], 4.0);
-  EXPECT_DOUBLE_EQ(rates[2], 4.0);
-  max_min_allocate_into(5.0, {100.0}, scratch, rates);
-  ASSERT_EQ(rates.size(), 1u);
-  EXPECT_DOUBLE_EQ(rates[0], 5.0);
-  max_min_allocate_into(5.0, {}, scratch, rates);
-  EXPECT_TRUE(rates.empty());
-}
 
 }  // namespace
 }  // namespace insomnia::flow

@@ -1,21 +1,26 @@
-// Property-based tests for the single-link max-min water-fill, the FP
-// kernel both fluid engines share. Randomized capacities/caps check the
-// classic max-min characterization rather than hand-picked outputs:
+// Property-based tests for the single-link max-min water-fill oracle
+// (tests/support/max_min_oracle.h), then both fluid engines held to it.
+// Randomized capacities/caps check the classic max-min characterization
+// rather than hand-picked outputs:
 //  * feasibility: 0 <= rate <= cap, sum(rates) <= capacity,
 //  * bottleneck saturation: demand >= capacity => the link is fully used;
 //    demand < capacity => every flow gets exactly its cap,
 //  * pairwise fairness: a flow strictly poorer than another is pinned at
 //    its own cap (no one can gain without a richer flow losing),
-//  * max_min_allocate and max_min_allocate_into are bit-identical,
-//    including when the _into scratch is reused warm across random shapes.
+//  * each engine's incremental water-fill, read back per client, matches
+//    the oracle: bit for bit on distinct caps, within roundoff on ties.
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "flow/max_min.h"
 #include "sim/random.h"
+#include "sim/simulator.h"
+#include "support/fluid_engines.h"
+#include "support/max_min_oracle.h"
 #include "util/error.h"
 
 namespace insomnia::flow {
@@ -102,26 +107,6 @@ TEST(MaxMinProperties, PairwiseFairness) {
   }
 }
 
-TEST(MaxMinProperties, AllocateIntoBitIdenticalWithWarmScratch) {
-  // The allocation-free form must agree bit for bit with the allocating
-  // one, with scratch and output reused across calls of varying size so
-  // stale capacity cannot leak between trials.
-  sim::Random rng(424242);
-  MaxMinScratch scratch;
-  std::vector<double> rates_into;
-  for (int trial = 0; trial < 2000; ++trial) {
-    const int count = rng.uniform_int(0, 200);
-    const double capacity = rng.bernoulli(0.05) ? 0.0 : rng.uniform(1e-3, 1e8);
-    const std::vector<double> caps = random_caps(rng, count, std::max(capacity, 1.0));
-    const std::vector<double> reference = max_min_allocate(capacity, caps);
-    max_min_allocate_into(capacity, caps, scratch, rates_into);
-    ASSERT_EQ(reference.size(), rates_into.size()) << "trial " << trial;
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(reference[i], rates_into[i]) << "trial " << trial << " flow " << i;
-    }
-  }
-}
-
 TEST(MaxMinProperties, EdgeCases) {
   // Deterministic boundary shapes the fuzz loops hit only by chance.
   EXPECT_TRUE(max_min_allocate(5.0, {}).empty());
@@ -145,6 +130,73 @@ TEST(MaxMinProperties, EdgeCases) {
   EXPECT_THROW(max_min_allocate(-1.0, {1.0}), util::InvalidArgument);
   EXPECT_THROW(max_min_allocate(1.0, {-0.5}), util::InvalidArgument);
 }
+
+/// One gateway of `capacity` with one long flow per client, client c capped
+/// at caps[c]: each client's rate at time zero, as `engine` water-fills it.
+std::vector<double> engine_rates(TestEngine engine, double capacity,
+                                 const std::vector<double>& caps) {
+  sim::Simulator sim;
+  const auto net = make_test_engine(engine, sim, {capacity});
+  net->set_gateway_serving(0, true);
+  for (std::size_t c = 0; c < caps.size(); ++c) {
+    net->add_flow(c, static_cast<int>(c), 0, 1e15, caps[c]);
+  }
+  std::vector<double> rates;
+  for (std::size_t c = 0; c < caps.size(); ++c) {
+    rates.push_back(net->client_throughput_at(static_cast<int>(c), 0));
+  }
+  return rates;
+}
+
+class EngineWaterfill : public ::testing::TestWithParam<TestEngine> {};
+
+TEST_P(EngineWaterfill, DistinctCapsMatchTheOracleBitForBit) {
+  // Caps straddle the equal share, so both the cap-limited and the
+  // share-limited branches run. With no ties the sorted order is unique,
+  // and the engines' arithmetic is the oracle's.
+  sim::Random rng(8123);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int count = rng.uniform_int(1, 30);
+    const double capacity = rng.uniform(1e6, 5e7);
+    std::vector<double> caps;
+    for (int c = 0; c < count; ++c) {
+      caps.push_back(rng.uniform(0.2, 2.0) * capacity / count);
+    }
+    const std::vector<double> expected = max_min_allocate(capacity, caps);
+    const std::vector<double> rates = engine_rates(GetParam(), capacity, caps);
+    for (std::size_t c = 0; c < caps.size(); ++c) {
+      ASSERT_EQ(rates[c], expected[c]) << "trial " << trial << " client " << c;
+    }
+  }
+}
+
+TEST_P(EngineWaterfill, TieHeavyCapsMatchTheOracleWithinRoundoff) {
+  // Two cap values, the simulator's regime (every client of a gateway sits
+  // at one of two wireless rates). Equal caps may be filled in a different
+  // order than the oracle's sort, which moves only the last bits of the
+  // share-limited rates.
+  sim::Random rng(8124);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int count = rng.uniform_int(1, 30);
+    const double capacity = rng.uniform(1e6, 5e7);
+    const double low = rng.uniform(0.2, 1.0) * capacity / count;
+    const double high = rng.uniform(1.0, 2.0) * capacity / count;
+    std::vector<double> caps;
+    for (int c = 0; c < count; ++c) caps.push_back(rng.bernoulli(0.5) ? low : high);
+    const std::vector<double> expected = max_min_allocate(capacity, caps);
+    const std::vector<double> rates = engine_rates(GetParam(), capacity, caps);
+    for (std::size_t c = 0; c < caps.size(); ++c) {
+      ASSERT_LE(std::abs(rates[c] - expected[c]), 1e-13 * expected[c])
+          << "trial " << trial << " client " << c;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothEngines, EngineWaterfill,
+                         ::testing::Values(TestEngine::kReference, TestEngine::kIncremental),
+                         [](const ::testing::TestParamInfo<TestEngine>& info) {
+                           return std::string(test_engine_name(info.param));
+                         });
 
 }  // namespace
 }  // namespace insomnia::flow

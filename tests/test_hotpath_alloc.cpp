@@ -17,7 +17,10 @@
 #include <gtest/gtest.h>
 
 #include "flow/fluid_network.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "sim/event_queue.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 #include "support/fluid_engines.h"
 
@@ -82,6 +85,49 @@ TEST(HotPathAllocations, EventQueueScheduleRunCancelRescheduleIsAllocationFree) 
   const long allocations = window.count();
   EXPECT_EQ(allocations, 0) << "steady-state EventQueue traffic must not allocate";
   EXPECT_GT(fired, 0);
+}
+
+TEST(HotPathAllocations, DeepHeapRescheduleIsAllocationFree) {
+  // The flow engine's master event and the idle checks reschedule millions
+  // of times a day against a deep heap: the closure stays in its slot and
+  // the heap node moves in place.
+  sim::EventQueue queue;
+  std::vector<sim::EventId> ids;
+  for (int i = 0; i < 1024; ++i) ids.push_back(queue.schedule(1e6 + i, [] {}));
+  sim::Random rng(9);
+  std::vector<double> times;
+  for (int i = 0; i < 4096; ++i) times.push_back(rng.uniform(1e6, 2e6));
+  const auto reschedule = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      const auto pick = static_cast<std::size_t>(rng.uniform_int(0, 1023));
+      queue.reschedule(ids[pick], times[static_cast<std::size_t>(i) % times.size()]);
+    }
+  };
+  reschedule(1000);  // warm-up
+
+  AllocationWindow window;
+  reschedule(20000);
+  const long allocations = window.count();
+  EXPECT_EQ(allocations, 0) << "rescheduling within a deep heap must not allocate";
+  EXPECT_EQ(queue.size(), 1024u);
+}
+
+TEST(HotPathAllocations, AlwaysOnHistogramRecordNIsAllocationFree) {
+  // The live controller's latency histogram records one run of samples per
+  // ingest stamp, telemetry on or off.
+  obs::Histogram latency(100.0, 1e10, 60, obs::Histogram::Recording::kAlways);
+  latency.record_n(1e3, 1);  // warm: this thread's shard slot is assigned
+  const bool telemetry = obs::enabled();
+  obs::set_enabled(false);
+
+  AllocationWindow window;
+  for (int i = 0; i < 10000; ++i) {
+    latency.record_n(100.0 + 37.0 * i, static_cast<std::uint64_t>(1 + i % 4096));
+  }
+  const long allocations = window.count();
+  obs::set_enabled(telemetry);
+  EXPECT_EQ(allocations, 0) << "an always-on record_n must not allocate";
+  EXPECT_GT(latency.snapshot().count, 10000u);
 }
 
 /// Periodic per-client timers on the ordered lane, shaped like BH2's

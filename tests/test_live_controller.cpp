@@ -1,10 +1,12 @@
 // The streaming controller's correctness anchor: a virtual-time live run
 // over the same records and seed produces a RunReport byte-identical to the
 // offline Engine (modulo the telemetry block, which to_json(false) omits) —
-// regardless of tick size or queue capacity. Plus the latency track's
-// quantile arithmetic, option validation, and the wall-pace smoke path.
+// regardless of tick size or queue capacity. Plus option validation and the
+// wall-pace path, which under backpressure must still decide the whole day.
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -67,7 +69,7 @@ TEST(LiveController, VirtualReplayIsByteIdenticalToTheOfflineEngine) {
   EXPECT_EQ(result.report.to_json(false), offline);
   EXPECT_EQ(result.stats.dropped, 0u);
   EXPECT_EQ(result.stats.ingested, result.stats.decided);
-  EXPECT_GT(result.stats.latency_samples, 0u);
+  EXPECT_EQ(result.stats.latency.count, result.stats.decided);
   EXPECT_FALSE(result.stats.interrupted);
 }
 
@@ -111,14 +113,21 @@ TEST(LiveController, RecordedLiveDayReplaysIdenticallyThroughTailAndEngine) {
 }
 
 TEST(LiveController, WallPaceDrainsTheWholeDayAtHighSpeedup) {
+  const core::RunReport offline = core::Engine().run(offline_spec());
+
   LiveController::Options options = live_options();
   options.pace = PaceMode::kWall;
   options.tick_wall_sec = 0.005;
   options.speedup = 86400.0 / 0.05;  // whole day in ~50 ms of wall time
+  // A tick's records outnumber the queue: backpressure must throttle the
+  // poll, not lose what is left in the source when the day's last tick ends.
+  options.queue_capacity = 64;
   LiveController controller(options, make_generator(options));
   const LiveResult result = controller.run();
 
   ASSERT_EQ(result.report.days.size(), 1u);
+  EXPECT_EQ(result.report.days[0].flows, offline.days.at(0).flows);
+  EXPECT_EQ(result.stats.dropped, 0u);
   EXPECT_EQ(result.stats.ingested, result.stats.decided);
   EXPECT_DOUBLE_EQ(result.stats.virtual_seconds, 86400.0);
   EXPECT_GE(result.stats.ticks, 1u);
@@ -153,31 +162,30 @@ TEST(LiveControllerValidation, DropSheddingRequiresWallPacing) {
                util::InvalidArgument);
 }
 
+TEST(LiveControllerValidation, NonFiniteOrOverflowingPacingIsRefused) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const auto refused = [](void (*tweak)(LiveController::Options&)) {
+    LiveController::Options options = live_options();
+    options.pace = PaceMode::kWall;
+    tweak(options);
+    EXPECT_THROW(LiveController(options, make_generator(options)),
+                 util::InvalidArgument);
+  };
+  refused([](LiveController::Options& o) { o.speedup = inf; });
+  refused([](LiveController::Options& o) { o.speedup = std::nan(""); });
+  refused([](LiveController::Options& o) { o.tick_virtual_sec = inf; });
+  refused([](LiveController::Options& o) { o.tick_wall_sec = inf; });
+  // Finite, but its nanosecond count does not fit a uint64_t.
+  refused([](LiveController::Options& o) { o.tick_wall_sec = 1e27; });
+  refused([](LiveController::Options& o) { o.heartbeat_sec = 1e27; });
+  refused([](LiveController::Options& o) { o.heartbeat_sec = inf; });
+}
+
 TEST(LiveControllerValidation, RunIsOnce) {
   LiveController::Options options = live_options();
   LiveController controller(options, make_generator(options));
   controller.run();
   EXPECT_THROW(controller.run(), util::InvalidState);
-}
-
-TEST(LatencyTrack, SingleSampleReadsBackExactly) {
-  LatencyTrack track;
-  track.record(5000);
-  EXPECT_EQ(track.count(), 1u);
-  EXPECT_DOUBLE_EQ(track.quantile_ns(0.5), 5000.0);
-  EXPECT_DOUBLE_EQ(track.quantile_ns(0.99), 5000.0);
-  EXPECT_EQ(track.max_ns(), 5000u);
-}
-
-TEST(LatencyTrack, QuantilesLandInTheRightBins) {
-  LatencyTrack track;
-  track.record_n(1000, 90);      // bin [512, 1024)
-  track.record_n(1000000, 10);   // bin [2^19, 2^20)
-  EXPECT_EQ(track.count(), 100u);
-  EXPECT_DOUBLE_EQ(track.quantile_ns(0.50), 1024.0);
-  EXPECT_DOUBLE_EQ(track.quantile_ns(0.90), 1024.0);
-  EXPECT_DOUBLE_EQ(track.quantile_ns(0.99), 1000000.0);  // clamped to max
-  EXPECT_EQ(track.max_ns(), 1000000u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The metrics registry contracts: relaxed shard slots fold to exact totals
 // under any thread assignment, the registry hands back the same object for
 // the same name forever, histogram quantiles respect the observed range, and
-// the whole layer is a no-op while obs::set_enabled(false).
+// the whole layer is a no-op while obs::set_enabled(false) — except an
+// always-on histogram, which records in every build and setting.
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -222,6 +223,50 @@ TEST_F(ObsMetricsTest, RssPeakBytesReportsOnLinux) {
 #else
   EXPECT_EQ(rss_peak_bytes(), 0u);
 #endif
+}
+
+// Always-on histograms record whatever the telemetry switch says, so these
+// cases run (not skip) under -DINSOMNIA_OBS=OFF too.
+TEST(AlwaysOnHistogram, SingleSampleReadsBackExactlyWithTelemetryOff) {
+  set_enabled(false);
+  Histogram h(100.0, 1e10, 60, Histogram::Recording::kAlways);
+  h.record(5000.0);
+  const Histogram::Snapshot s = h.snapshot();
+  set_enabled(true);
+  EXPECT_EQ(s.count, 1u);
+  EXPECT_EQ(s.min, 5000.0);
+  EXPECT_EQ(s.max, 5000.0);
+  EXPECT_EQ(s.sum, 5000.0);
+  EXPECT_EQ(s.p50, 5000.0);
+  EXPECT_EQ(s.p99, 5000.0);
+}
+
+TEST(AlwaysOnHistogram, RecordNEqualsNRecords) {
+  set_enabled(false);
+  Histogram batched(100.0, 1e10, 60, Histogram::Recording::kAlways);
+  Histogram single(100.0, 1e10, 60, Histogram::Recording::kAlways);
+  batched.record_n(1000.0, 90);
+  batched.record_n(1e6, 10);
+  batched.record_n(7.0, 0);  // records nothing, not even an extremum
+  for (int i = 0; i < 90; ++i) single.record(1000.0);
+  for (int i = 0; i < 10; ++i) single.record(1e6);
+  const Histogram::Snapshot a = batched.snapshot();
+  const Histogram::Snapshot b = single.snapshot();
+  set_enabled(true);
+  EXPECT_EQ(a.count, 100u);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.sum, b.sum);
+  EXPECT_EQ(a.p50, b.p50);
+  EXPECT_EQ(a.p95, b.p95);
+  EXPECT_EQ(a.p99, b.p99);
+  // Quantiles read the geometric midpoint of the holding log bin (a factor
+  // of ~1.36 wide here), clamped to the observed range.
+  EXPECT_GT(a.p50, 1000.0 / 1.4);
+  EXPECT_LT(a.p50, 1000.0 * 1.4);
+  EXPECT_GT(a.p99, 1e6 / 1.4);
+  EXPECT_LE(a.p99, 1e6);
 }
 
 }  // namespace
