@@ -16,10 +16,18 @@ bool is_valid_target(int gateway, const GatewayObserver& observer, const Bh2Conf
 
 namespace {
 
+// Decisions run once per terminal per epoch, so their scratch lists are
+// function-local thread_local buffers, cleared and refilled on every call:
+// warm after the first decisions, they never allocate again. Each buffer is
+// read only before the next call of the function that fills it.
+
 /// Collects valid aggregation targets among `reachable`, excluding `skip`.
-std::vector<int> collect_targets(const std::vector<int>& reachable, int skip,
-                                 const GatewayObserver& observer, const Bh2Config& config) {
-  std::vector<int> targets;
+/// The list lives in a buffer the next call overwrites.
+const std::vector<int>& collect_targets(const std::vector<int>& reachable, int skip,
+                                        const GatewayObserver& observer,
+                                        const Bh2Config& config) {
+  thread_local std::vector<int> targets;
+  targets.clear();
   for (int gateway : reachable) {
     if (gateway == skip) continue;
     if (is_valid_target(gateway, observer, config)) targets.push_back(gateway);
@@ -53,8 +61,8 @@ int standby_count(const std::vector<int>& reachable, int current, int home,
 int pick_proportional(const std::vector<int>& candidates, const GatewayObserver& observer,
                       const Bh2Config& config, sim::Random& rng) {
   util::require(!candidates.empty(), "cannot pick from zero candidates");
-  std::vector<double> weights;
-  weights.reserve(candidates.size());
+  thread_local std::vector<double> weights;
+  weights.clear();
   for (int gateway : candidates) {
     const double w = observer.load(gateway) + config.selection_epsilon;
     weights.push_back(w * w);
@@ -69,8 +77,8 @@ int pick_headroom(const std::vector<int>& candidates, const GatewayObserver& obs
                   const Bh2Config& config, sim::Random& rng) {
   util::require(!candidates.empty(), "cannot pick from zero candidates");
   const double ceiling = config.high_threshold * config.join_headroom;
-  std::vector<double> weights;
-  weights.reserve(candidates.size());
+  thread_local std::vector<double> weights;
+  weights.clear();
   for (int gateway : candidates) {
     weights.push_back(std::max(ceiling - observer.load(gateway), 0.0) +
                       config.selection_epsilon);
@@ -96,7 +104,7 @@ Decision decide(int home, const std::vector<int>& reachable, int current,
     // Home is idle-ish (a sleep candidate): try to vacate so SoI can fire.
     // The move needs one valid primary target, and enough standby gateways
     // (home itself counts — it can be woken back on demand).
-    const std::vector<int> targets = collect_targets(reachable, home, observer, config);
+    const std::vector<int>& targets = collect_targets(reachable, home, observer, config);
     if (!targets.empty()) {
       const int primary = pick_proportional(targets, observer, config, rng);
       if (standby_count(reachable, primary, home, observer) >= config.backup) {
@@ -117,7 +125,8 @@ Decision decide(int home, const std::vector<int>& reachable, int current,
     // §3.1). Any awake, not-yet-full gateway will do as an escape (waking a
     // home would cost more than joining a cold-but-powered neighbour);
     // only when none exists does the user retreat to its home gateway.
-    std::vector<int> escape;
+    thread_local std::vector<int> escape;
+    escape.clear();
     for (int gateway : reachable) {
       if (gateway == current || !observer.is_awake(gateway)) continue;
       if (observer.load(gateway) < config.high_threshold * config.join_headroom) {
@@ -138,7 +147,7 @@ Decision decide(int home, const std::vector<int>& reachable, int current,
     // proportional to load. The current gateway is deliberately *not* in
     // the pool — guests must evaporate off cold aggregation points or they
     // linger forever at near-zero load (the whole hub never drains).
-    const std::vector<int> others = collect_targets(reachable, current, observer, config);
+    const std::vector<int>& others = collect_targets(reachable, current, observer, config);
     if (!others.empty()) {
       const int choice = pick_proportional(others, observer, config, rng);
       if (choice != current) return {Action::kMoveTo, choice};
@@ -151,7 +160,7 @@ int reroute_on_wake_needed(int /*home*/, const std::vector<int>& reachable, int 
                            const GatewayObserver& observer, const Bh2Config& config,
                            sim::Random& rng) {
   if (config.backup <= 0) return -1;  // no standing backup associations
-  const std::vector<int> targets = collect_targets(reachable, current, observer, config);
+  const std::vector<int>& targets = collect_targets(reachable, current, observer, config);
   if (targets.empty()) return -1;
   return pick_proportional(targets, observer, config, rng);
 }

@@ -133,6 +133,10 @@ void FlowIndex::erase(std::uint64_t id) {
   }
 }
 
-void FlowIndex::reserve(std::size_t flow_count) { dense_.reserve(flow_count); }
+void FlowIndex::reserve(std::size_t flow_count) {
+  // Pre-size rather than reserve: store() then finds every id below
+  // flow_count already in range instead of growing the vector per flow.
+  if (dense_.size() < flow_count) dense_.resize(flow_count, kEmpty);
+}
 
 }  // namespace insomnia::flow

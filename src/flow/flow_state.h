@@ -78,6 +78,7 @@ class FlowIndex {
 
   void erase(std::uint64_t id);
 
+  /// Sizes the dense vector to hold ids [0, flow_count) up front.
   void reserve(std::size_t flow_count);
 
  private:

@@ -13,18 +13,19 @@ IncrementalFluidNetwork::IncrementalFluidNetwork(sim::Simulator& simulator,
                                                  std::vector<double> backhaul_rates)
     : simulator_(&simulator) {
   util::require(!backhaul_rates.empty(), "FluidNetwork needs at least one gateway");
-  util::require(simulator.flush_hook() == nullptr,
-                "one incremental network per simulator (flush hook already taken)");
+  util::require(simulator.flush_hook() == nullptr && simulator.event_stream() == nullptr,
+                "one incremental network per simulator (flush hook or event stream taken)");
   gateways_.reserve(backhaul_rates.size());
   for (double rate : backhaul_rates) {
     util::require(rate > 0.0, "backhaul rates must be positive");
     gateways_.emplace_back(rate, simulator.now());
   }
   simulator.set_flush_hook(this);
+  simulator.set_event_stream(this);
 }
 
 IncrementalFluidNetwork::~IncrementalFluidNetwork() {
-  if (master_event_ != sim::kInvalidEventId) simulator_->cancel(master_event_);
+  if (simulator_->event_stream() == this) simulator_->set_event_stream(nullptr);
   if (simulator_->flush_hook() == this) simulator_->set_flush_hook(nullptr);
   obs::counter("flow.waterfills").add(waterfills_);
 }
@@ -72,7 +73,7 @@ void IncrementalFluidNetwork::flush_gateway(int g) {
   if (!gw.dirty) return;
   gw.dirty = false;
   waterfill(g);
-  // The master event is re-armed by the barrier flush, which the
+  // The master head is re-armed by the barrier flush, which the
   // request_flush() that accompanied mark_dirty() guarantees runs before
   // the clock next moves.
 }
@@ -395,8 +396,12 @@ void IncrementalFluidNetwork::waterfill(int gateway_id) {
   }
 }
 
+void IncrementalFluidNetwork::fire() {
+  master_time_ = std::numeric_limits<double>::infinity();
+  on_master_event();
+}
+
 void IncrementalFluidNetwork::on_master_event() {
-  master_event_ = sim::kInvalidEventId;
   const double now = simulator_->now();
   while (!heap_.empty()) {
     const int g = heap_[0];
@@ -415,7 +420,7 @@ void IncrementalFluidNetwork::on_master_event() {
   // Settle immediately — the reference reallocates at exactly this point,
   // and the clock cannot move before this instant's flush anyway. Inline,
   // it saves the scheduler an extra barrier pass per completion batch and
-  // re-arms the master event at the new heap minimum.
+  // re-arms the master head at the new heap minimum.
   flush();
 }
 
@@ -423,20 +428,11 @@ void IncrementalFluidNetwork::arm_master() {
   const double t = heap_.empty()
                        ? std::numeric_limits<double>::infinity()
                        : gateways_[static_cast<std::size_t>(heap_[0])].next_completion;
-  if (!std::isfinite(t)) {
-    if (master_event_ != sim::kInvalidEventId) {
-      simulator_->cancel(master_event_);
-      master_event_ = sim::kInvalidEventId;
-    }
-    return;
-  }
-  if (master_event_ == sim::kInvalidEventId) {
-    master_event_ = simulator_->at(t, [this] { on_master_event(); });
-    master_time_ = t;
-  } else if (t != master_time_) {
-    simulator_->reschedule(master_event_, t);
-    master_time_ = t;
-  }
+  // A new time claims a fresh rank, exactly where a tracking event would
+  // have been scheduled (first arm after a fire or a clear) or rescheduled;
+  // an unchanged time keeps its rank.
+  if (std::isfinite(t) && t != master_time_) master_rank_ = simulator_->allocate_sequence();
+  master_time_ = t;
 }
 
 bool IncrementalFluidNetwork::heap_less(int a, int b) const {

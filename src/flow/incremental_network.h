@@ -18,13 +18,17 @@
 //     the rates the reference currently holds, and the barrier guarantees
 //     progress integration never spans a stale-rate interval.
 //
-//  2. One simulator event for all completions. The reference engine keeps a
+//  2. No simulator events for completions. The reference engine keeps a
 //     completion event per gateway and reschedules it on nearly every
 //     reallocation — the dominant source of event-heap traffic. Here each
 //     gateway's next completion lives in a small engine-internal min-heap
-//     keyed (time, stamp); a single simulator event tracks the heap
-//     minimum. Stamps refresh exactly when the reference would have
-//     (re)scheduled, so tie order among simultaneous completions matches.
+//     keyed (time, stamp), and the engine registers itself as the
+//     simulator's sim::EventStream: its head is the heap minimum, merged
+//     into the run loop by (time, rank) without ever entering the event
+//     queue. The head takes a fresh rank exactly where a single tracking
+//     event would have been scheduled or rescheduled, and stamps refresh
+//     exactly when the reference would have (re)scheduled, so tie order
+//     among simultaneous completions and other events matches.
 //
 //  3. Structure-of-arrays flow state (flow/flow_state.h): the integration
 //     and total/next-completion scans run over contiguous arrays.
@@ -37,6 +41,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "flow/flow_state.h"
@@ -46,11 +51,14 @@
 
 namespace insomnia::flow {
 
-class IncrementalFluidNetwork final : public FluidNetwork, private sim::FlushHook {
+class IncrementalFluidNetwork final : public FluidNetwork,
+                                      private sim::FlushHook,
+                                      private sim::EventStream {
  public:
   /// `backhaul_rates[g]` is gateway g's broadband speed in bits/s. The
-  /// engine registers itself as the simulator's flush hook; one simulator
-  /// carries at most one incremental network at a time.
+  /// engine registers itself as the simulator's flush hook and event
+  /// stream; one simulator carries at most one incremental network at a
+  /// time.
   IncrementalFluidNetwork(sim::Simulator& simulator, std::vector<double> backhaul_rates);
   ~IncrementalFluidNetwork() override;
 
@@ -115,11 +123,18 @@ class IncrementalFluidNetwork final : public FluidNetwork, private sim::FlushHoo
 
   /// sim::FlushHook: water-fills every dirty gateway (in first-marked
   /// order, matching the order the reference's eager reallocations would
-  /// have settled in) and re-arms the master completion event.
+  /// have settled in) and re-arms the master completion head.
   void flush() override;
 
+  /// sim::EventStream: the master completion head, +infinity when unarmed.
+  double next_time() const override { return master_time_; }
+  std::uint64_t next_rank() const override { return master_rank_; }
+
+  /// Clears the head and runs on_master_event().
+  void fire() override;
+
   /// Brings one gateway's rates current ahead of a rate-observing query.
-  /// Leaves the master event to the barrier flush, which is guaranteed to
+  /// Leaves the master head to the barrier flush, which is guaranteed to
   /// run before the clock moves.
   void flush_gateway(int g);
 
@@ -143,7 +158,7 @@ class IncrementalFluidNetwork final : public FluidNetwork, private sim::FlushHoo
   /// defers their re-waterfill to the flush barrier.
   void on_master_event();
 
-  /// Points the single simulator event at the completion-heap minimum.
+  /// Points the master completion head at the completion-heap minimum.
   void arm_master();
 
   // --- completion min-heap over gateways, keyed (next_completion, stamp) --
@@ -163,8 +178,10 @@ class IncrementalFluidNetwork final : public FluidNetwork, private sim::FlushHoo
   std::vector<int> dirty_list_;  ///< gateways awaiting water-fill, first-marked order
   std::vector<int> heap_;        ///< gateway ids, binary min-heap
   std::uint64_t stamp_counter_ = 0;
-  sim::EventId master_event_ = sim::kInvalidEventId;
-  double master_time_ = 0.0;
+  /// The master completion head: its time (+infinity while unarmed) and the
+  /// FIFO rank it claimed when last armed at a new time.
+  double master_time_ = std::numeric_limits<double>::infinity();
+  std::uint64_t master_rank_ = 0;
   std::vector<CompletedFlow> completed_scratch_;  ///< warm buffer for advance()
   /// Water-fills performed, accumulated locally (waterfill is hot) and
   /// folded into the "flow.waterfills" counter once, at destruction.

@@ -49,33 +49,55 @@ bool Simulator::flush_if_pending() {
 }
 
 void Simulator::run_until(double end_time, EventStream* stream) {
+  OBS_SCOPE("sim.run_until");
   run_loop(end_time, stream, /*gated=*/false);
+  now_ = end_time;
 }
 
 bool Simulator::run_until_gated(double end_time, EventStream* stream) {
   util::require(stream != nullptr, "Simulator::run_until_gated needs a stream");
-  return run_loop(end_time, stream, /*gated=*/true);
+  OBS_SCOPE("sim.run_until");
+  const bool reached = run_loop(end_time, stream, /*gated=*/true);
+  if (reached) now_ = end_time;
+  return reached;
+}
+
+void Simulator::run_to_completion() {
+  OBS_SCOPE("sim.run_to_completion");
+  run_loop(std::numeric_limits<double>::infinity(), nullptr, /*gated=*/false);
 }
 
 bool Simulator::run_loop(double end_time, EventStream* stream, bool gated) {
   util::require(end_time >= now_, "Simulator::run_until cannot rewind the clock");
-  OBS_SCOPE("sim.run_until");
   const std::uint64_t executed_before = executed_;
+  enum class Source { kNone, kQueue, kStream, kRegistered };
   while (true) {
-    const bool queued = !queue_.empty();
-    const double tq = queued ? queue_.next_time() : 0.0;
-    const double ts =
-        stream != nullptr ? stream->next_time() : std::numeric_limits<double>::infinity();
-    const bool stream_first =
-        std::isfinite(ts) &&
-        (!queued || ts < tq || (ts == tq && stream->next_rank() < queue_.next_sequence()));
-    if (!stream_first && !queued) {
-      if (flush_if_pending()) continue;  // flushed work may queue new events
-      break;
+    // The next event is the (time, rank) minimum of three heads: the queue,
+    // the run's stream and the registered stream. Every rank comes from the
+    // queue's one counter, so ties resolve exactly; ranks are read only on a
+    // time tie.
+    Source source = Source::kNone;
+    double t = std::numeric_limits<double>::infinity();
+    if (!queue_.empty()) {
+      source = Source::kQueue;
+      t = queue_.next_time();
     }
-    const double t = stream_first ? ts : tq;
-    if (t > end_time) {
-      if (flush_if_pending()) continue;
+    const auto consider = [&](EventStream* candidate, Source which) {
+      if (candidate == nullptr) return;
+      const double tc = candidate->next_time();
+      if (!std::isfinite(tc) || tc > t) return;
+      if (tc == t) {
+        const std::uint64_t best =
+            source == Source::kQueue ? queue_.next_sequence() : stream->next_rank();
+        if (candidate->next_rank() > best) return;
+      }
+      source = which;
+      t = tc;
+    };
+    consider(stream, Source::kStream);
+    consider(registered_, Source::kRegistered);
+    if (source == Source::kNone || t > end_time) {
+      if (flush_if_pending()) continue;  // flushed work may queue new events
       break;
     }
     // The flush barrier: deferred same-instant work must come current before
@@ -87,40 +109,24 @@ bool Simulator::run_loop(double end_time, EventStream* stream, bool gated) {
     // was about to fire. Pausing here leaves the clock at the last
     // dispatched instant, so a resumed loop continues exactly where an
     // ungated one would have been.
-    if (gated && stream_first && !stream->ready()) {
+    if (gated && source == Source::kStream && !stream->ready()) {
       record_executed_delta(executed_ - executed_before);
       return false;
     }
     // Advance the clock before dispatching so the callback observes now()
     // equal to its own firing time.
     now_ = t;
-    if (stream_first) {
+    if (source == Source::kQueue) {
+      queue_.run_next();
+    } else if (source == Source::kStream) {
       stream->fire();
     } else {
-      queue_.run_next();
+      registered_->fire();
     }
-    ++executed_;
-  }
-  now_ = end_time;
-  record_executed_delta(executed_ - executed_before);
-  return true;
-}
-
-void Simulator::run_to_completion() {
-  OBS_SCOPE("sim.run_to_completion");
-  const std::uint64_t executed_before = executed_;
-  while (true) {
-    if (queue_.empty()) {
-      if (flush_if_pending()) continue;
-      break;
-    }
-    const double t = queue_.next_time();
-    if (t > now_ && flush_if_pending()) continue;
-    now_ = t;
-    queue_.run_next();
     ++executed_;
   }
   record_executed_delta(executed_ - executed_before);
+  return true;
 }
 
 }  // namespace insomnia::sim

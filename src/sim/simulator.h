@@ -10,9 +10,11 @@
 
 namespace insomnia::sim {
 
-/// An external, already-ordered source of timed events that run_until can
-/// interleave with the queue — e.g. a trace replay whose arrivals are
-/// sorted by time and therefore never need to pass through the heap.
+/// An external, already-ordered source of timed events that the run loop
+/// interleaves with the queue — e.g. a trace replay whose arrivals are
+/// sorted by time and therefore never need to pass through the heap (passed
+/// to run_until), or a component that tracks one moving head event of its
+/// own (registered with set_event_stream).
 ///
 /// Ordering contract: the head's rank must come from
 /// Simulator::allocate_sequence(), taken at the moment the event would
@@ -97,12 +99,14 @@ class Simulator {
   /// True if `id` is scheduled and has not yet fired or been cancelled.
   bool is_pending(EventId id) const { return queue_.is_pending(id); }
 
-  /// Runs events in order until the queue empties or the next event lies
-  /// beyond `end_time`; the clock finishes exactly at `end_time`.
+  /// Runs events in order until the queue (and the registered stream, see
+  /// set_event_stream) empties or the next event lies beyond `end_time`; the
+  /// clock finishes exactly at `end_time`.
   void run_until(double end_time) { run_until(end_time, nullptr); }
 
   /// As run_until, additionally interleaving `stream`'s events (may be
-  /// nullptr) in exact (time, rank) order with the queued ones.
+  /// nullptr) in exact (time, rank) order with the queued and registered
+  /// ones.
   void run_until(double end_time, EventStream* stream);
 
   /// As run_until(end_time, stream), but pauses when the next event to fire
@@ -117,12 +121,31 @@ class Simulator {
   /// Consumes the next FIFO rank for an EventStream head (see EventStream).
   std::uint64_t allocate_sequence() { return queue_.allocate_sequence(); }
 
-  /// Runs all remaining events (use only when the event set is finite).
+  /// Runs all remaining events, the registered stream's included (use only
+  /// when the event set is finite); the clock finishes at the last event.
   void run_to_completion();
 
+  /// Registers (or clears, with nullptr) a stream the run loop merges into
+  /// every run — run_until, run_until_gated and run_to_completion — by
+  /// (time, rank), never gated. A component whose events form one moving
+  /// head (the incremental flow engine's next completion) keeps it here
+  /// instead of in the heap. At most one at a time, as with the flush hook.
+  void set_event_stream(EventStream* stream) {
+    util::require_state(stream == nullptr || registered_ == nullptr,
+                        "Simulator already has a registered event stream");
+    registered_ = stream;
+  }
+
+  const EventStream* event_stream() const { return registered_; }
+
   /// Registers (or clears, with nullptr) the deferred-work barrier. At most
-  /// one hook at a time; the owner must clear it before being destroyed.
-  void set_flush_hook(FlushHook* hook) { hook_ = hook; }
+  /// one hook at a time: registering a hook while another is set throws
+  /// util::InvalidState. The owner must clear it before being destroyed.
+  void set_flush_hook(FlushHook* hook) {
+    util::require_state(hook == nullptr || hook_ == nullptr,
+                        "Simulator already has a flush hook");
+    hook_ = hook;
+  }
 
   const FlushHook* flush_hook() const { return hook_; }
 
@@ -134,7 +157,8 @@ class Simulator {
   /// Number of events executed so far.
   std::uint64_t executed_events() const { return executed_; }
 
-  /// Number of pending events.
+  /// Number of pending queued events (a registered stream's head is not
+  /// counted).
   std::size_t pending_events() const { return queue_.size(); }
 
  private:
@@ -142,13 +166,16 @@ class Simulator {
   /// run loop must then re-evaluate what fires next).
   bool flush_if_pending();
 
-  /// Shared body of run_until / run_until_gated (see the latter's contract).
+  /// Shared body of run_until / run_until_gated / run_to_completion (see
+  /// run_until_gated's contract). Returns true once nothing is left at or
+  /// before `end_time`, with the clock at the last dispatched instant.
   bool run_loop(double end_time, EventStream* stream, bool gated);
 
   EventQueue queue_;
   double now_;
   std::uint64_t executed_ = 0;
   FlushHook* hook_ = nullptr;
+  EventStream* registered_ = nullptr;
   bool flush_pending_ = false;
 };
 

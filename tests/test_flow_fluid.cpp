@@ -1,9 +1,13 @@
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "flow/flow_state.h"
 #include "flow/fluid_network.h"
 #include "sim/simulator.h"
 #include "support/fluid_engines.h"
@@ -265,6 +269,59 @@ TEST_P(FluidNetworkTest, SameInstantArrivalBurstSettlesOnce) {
     // 1 Mbit each at a fair 1 Mbps share -> all finish at t=2.
     EXPECT_NEAR(h.done[id].completion_time, 2.0, 1e-9);
   }
+}
+
+TEST_P(FluidNetworkTest, CompletionTiesFollowTheRescheduleRanks) {
+  // A completion that ties with another event fires in the order the
+  // reference's per-gateway event gets from schedule/reschedule ranks: a
+  // completion time left unchanged by a reallocation elsewhere keeps its
+  // rank (fires before U1, queued later), a completion time moved by a
+  // reallocation takes a fresh one (fires after U2, queued earlier).
+  Harness h(GetParam(), {1e6, 1e6});
+  std::vector<std::string> log;
+  h.net.set_completion_handler(
+      [&](const CompletedFlow& f) { log.push_back("F" + std::to_string(f.id)); });
+  h.net.set_gateway_serving(0, true);
+  h.net.set_gateway_serving(1, true);
+  h.net.add_flow(1, 0, 0, 125000.0, 1e9);  // 1 Mbit alone at 1 Mbps: done at 1.0
+  h.sim.at(0.25, [&] { h.sim.at(1.0, [&] { log.push_back("U1"); }); });
+  // Flow 2 on the other gateway (2 Mbit, done at 2.5) leaves flow 1's 1.0.
+  h.sim.at(0.5, [&] { h.net.add_flow(2, 1, 1, 250000.0, 1e9); });
+  h.sim.at(1.25, [&] { h.sim.at(3.5, [&] { log.push_back("U2"); }); });
+  // Flow 3 halves flow 2's rate: its last 1 Mbit now ends at 3.5.
+  h.sim.at(1.5, [&] { h.net.add_flow(3, 2, 1, 1.25e6, 1e9); });
+  h.sim.run_until(3.5);
+  EXPECT_EQ(log, (std::vector<std::string>{"F1", "U1", "U2", "F2"}));
+}
+
+TEST(FlowIndex, WorksAfterReservePreSizesTheDenseRange) {
+  FlowIndex index;
+  index.reserve(1000);
+  EXPECT_FALSE(index.find(0).valid());    // pre-sized entries start empty
+  EXPECT_FALSE(index.find(999).valid());
+  index.store(0, 1, 4);
+  index.store(999, 2, 7);
+  index.store(1500, 3, 1);  // past the reserved range, inside the dense ceiling
+  EXPECT_EQ(index.find(999).gateway, 2);
+  EXPECT_EQ(index.find(999).pos, 7u);
+  index.relocate(999, 5, 0);
+  EXPECT_EQ(index.find(999).gateway, 5);
+  EXPECT_EQ(index.find(999).pos, 0u);
+  EXPECT_EQ(index.find(1500).gateway, 3);
+  index.erase(0);
+  EXPECT_FALSE(index.find(0).valid());
+  EXPECT_EQ(index.find(999).gateway, 5);
+
+  // A sparse id still goes to the overflow map: a dense vector that large
+  // (~8 TB) could not be allocated, so storing it at all proves the split.
+  const std::uint64_t huge = 1'000'000'000'000ull;
+  index.store(huge, 6, 2);
+  EXPECT_EQ(index.find(huge).gateway, 6);
+  index.relocate(huge, 6, 3);
+  EXPECT_EQ(index.find(huge).pos, 3u);
+  index.erase(huge);
+  EXPECT_FALSE(index.find(huge).valid());
+  EXPECT_EQ(index.find(1500).gateway, 3);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, FluidNetworkTest,

@@ -9,6 +9,7 @@
 // Keep this suite out of sanitizer builds' label filters (it is labelled
 // test_hotpath_alloc, not test_sim/exec/city): interposing operator new is
 // not TSan-friendly.
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bh2/algorithm.h"
 #include "flow/fluid_network.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -187,6 +189,59 @@ TEST(HotPathAllocations, OrderedLaneMixedWithHeapIsAllocationFree) {
   EXPECT_EQ(allocations, 0) << "steady-state heap + lane traffic must not allocate";
   EXPECT_GT(epochs.fired() - epochs_before, 4000);
   EXPECT_EQ(fired, 2200);
+}
+
+/// Array-backed observer (no lookups that allocate) whose loads the test
+/// rotates between calls so every decision branch runs.
+class ArrayObserver : public bh2::GatewayObserver {
+ public:
+  double load(int gateway) const override { return loads[static_cast<std::size_t>(gateway)]; }
+  bool is_awake(int gateway) const override { return awake[static_cast<std::size_t>(gateway)]; }
+  std::vector<double> loads = std::vector<double>(8, 0.0);
+  std::vector<bool> awake = std::vector<bool>(8, true);
+};
+
+TEST(HotPathAllocations, Bh2DecisionsAreAllocationFree) {
+  ArrayObserver observer;
+  bh2::Bh2Config config;
+  sim::Random rng(17);
+  const std::vector<int> reachable{0, 1, 2, 3, 4, 5, 6, 7};
+  // Load patterns that steer decide() through the idle-home move, the
+  // overload escape, the cooling-remote re-selection and plain stays.
+  const std::vector<std::vector<double>> patterns{
+      {0.0, 0.2, 0.3, 0.05, 0.0, 0.1, 0.35, 0.02},
+      {0.6, 0.7, 0.1, 0.2, 0.05, 0.0, 0.3, 0.01},
+      {0.02, 0.05, 0.01, 0.3, 0.2, 0.0, 0.15, 0.04},
+      {0.3, 0.9, 0.8, 0.7, 0.6, 0.55, 0.45, 0.0}};
+  std::vector<int> actions(3, 0);
+  int reroutes = 0;
+  const auto run = [&](int calls) {
+    for (int i = 0; i < calls; ++i) {
+      const auto& pattern = patterns[static_cast<std::size_t>(i) % patterns.size()];
+      for (std::size_t g = 0; g < pattern.size(); ++g) observer.loads[g] = pattern[g];
+      observer.awake[static_cast<std::size_t>(i % 8)] = (i / 8) % 3 != 0;
+      const int home = i % 8;
+      const int current = (i / 3) % 8;
+      const bh2::Decision d = bh2::decide(home, reachable, current, observer, config, rng,
+                                          current == home ? 0.0 : 0.01);
+      ++actions[static_cast<std::size_t>(d.action)];
+      if (bh2::reroute_on_wake_needed(home, reachable, current, observer, config, rng) >= 0) {
+        ++reroutes;
+      }
+    }
+  };
+  run(200);  // warm-up: the decision scratch buffers size up
+
+  std::fill(actions.begin(), actions.end(), 0);
+  reroutes = 0;
+  AllocationWindow window;
+  run(10000);
+  const long allocations = window.count();
+  EXPECT_EQ(allocations, 0) << "decide/reroute_on_wake_needed must reuse their scratch";
+  EXPECT_GT(actions[static_cast<std::size_t>(bh2::Action::kStay)], 0);
+  EXPECT_GT(actions[static_cast<std::size_t>(bh2::Action::kMoveTo)], 0);
+  EXPECT_GT(actions[static_cast<std::size_t>(bh2::Action::kReturnHome)], 0);
+  EXPECT_GT(reroutes, 0);
 }
 
 // Both engines must hold the allocation-freedom contract: the reference one

@@ -1,7 +1,11 @@
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -190,6 +194,132 @@ TEST(Simulator, LaneAndStreamTiesFireInRankOrder) {
       EXPECT_DOUBLE_EQ(sim.now(), 20.0);
     }
   }
+}
+
+
+/// One moving head, as the incremental flow engine keeps its next
+/// completion: arming at a new time claims a fresh rank, re-arming at the
+/// same time keeps it, and each fire() arms the next scripted time.
+class HeadStream : public EventStream {
+ public:
+  HeadStream(Simulator& sim, std::vector<std::string>& log, std::string name,
+             std::vector<double> script = {})
+      : sim_(sim), log_(log), name_(std::move(name)), script_(std::move(script)) {}
+
+  void arm(double t) {
+    if (t != time_) rank_ = sim_.allocate_sequence();
+    time_ = t;
+  }
+  double next_time() const override { return time_; }
+  std::uint64_t next_rank() const override { return rank_; }
+  void fire() override {
+    time_ = std::numeric_limits<double>::infinity();
+    log_.push_back(name_ + std::to_string(static_cast<int>(sim_.now())));
+    if (next_ < script_.size()) arm(script_[next_++]);
+  }
+  bool ready() const override { return !closed_; }
+  void close() { closed_ = true; }
+
+ private:
+  Simulator& sim_;
+  std::vector<std::string>& log_;
+  std::string name_;
+  std::vector<double> script_;
+  std::size_t next_ = 0;
+  double time_ = std::numeric_limits<double>::infinity();
+  std::uint64_t rank_ = 0;
+  bool closed_ = false;
+};
+
+TEST(Simulator, FourSourcesTiedAtOneInstantFireInRankOrder) {
+  // A heap event, a lane event, the run_until stream's head and the
+  // registered stream's head all fall at t = 5. Whatever order they claimed
+  // their ranks in is the order they fire in, gated or not.
+  const std::array<std::string, 4> names{"H", "L", "S", "R"};
+  std::array<int, 4> order{0, 1, 2, 3};
+  do {
+    for (const bool gated : {false, true}) {
+      Simulator sim;
+      std::vector<std::string> log;
+      HeadStream run_stream(sim, log, "S");
+      HeadStream registered(sim, log, "R");
+      sim.set_event_stream(&registered);
+      std::vector<std::string> expected;
+      for (const int source : order) {
+        if (source == 0) sim.at(5.0, [&] { log.push_back("H5"); });
+        if (source == 1) sim.after_ordered(5.0, [&] { log.push_back("L5"); });
+        if (source == 2) run_stream.arm(5.0);
+        if (source == 3) registered.arm(5.0);
+        expected.push_back(names[static_cast<std::size_t>(source)] + "5");
+      }
+      if (gated) {
+        EXPECT_TRUE(sim.run_until_gated(10.0, &run_stream));
+      } else {
+        sim.run_until(10.0, &run_stream);
+      }
+      EXPECT_EQ(log, expected) << "gated " << gated;
+      EXPECT_EQ(sim.executed_events(), 4u);
+      sim.set_event_stream(nullptr);
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+TEST(Simulator, RegisteredStreamIsNeverGated) {
+  // Only the run's own stream answers to ready(); a registered head whose
+  // ready() is false still fires, and the gated run still pauses on the
+  // run stream.
+  Simulator sim;
+  std::vector<std::string> log;
+  HeadStream registered(sim, log, "R", {7.0});
+  registered.close();
+  sim.set_event_stream(&registered);
+  registered.arm(3.0);
+  HeadStream run_stream(sim, log, "S");
+  run_stream.arm(5.0);
+  run_stream.close();
+  EXPECT_FALSE(sim.run_until_gated(10.0, &run_stream));
+  EXPECT_EQ(log, (std::vector<std::string>{"R3"}));
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+  sim.run_until(10.0, &run_stream);
+  EXPECT_EQ(log, (std::vector<std::string>{"R3", "S5", "R7"}));
+  sim.set_event_stream(nullptr);
+}
+
+TEST(Simulator, SecondRegistrationThrows) {
+  Simulator sim;
+  std::vector<std::string> log;
+  HeadStream first(sim, log, "A");
+  HeadStream second(sim, log, "B");
+  sim.set_event_stream(&first);
+  EXPECT_THROW(sim.set_event_stream(&second), util::InvalidState);
+  EXPECT_EQ(sim.event_stream(), &first);
+  sim.set_event_stream(nullptr);
+  sim.set_event_stream(&second);
+  EXPECT_EQ(sim.event_stream(), &second);
+  sim.set_event_stream(nullptr);
+
+  struct NoopHook : FlushHook {
+    void flush() override {}
+  } hook_a, hook_b;
+  sim.set_flush_hook(&hook_a);
+  EXPECT_THROW(sim.set_flush_hook(&hook_b), util::InvalidState);
+  EXPECT_EQ(sim.flush_hook(), &hook_a);
+  sim.set_flush_hook(nullptr);
+}
+
+TEST(Simulator, RunToCompletionRunsEveryRegisteredStreamEvent) {
+  Simulator sim;
+  std::vector<std::string> log;
+  HeadStream registered(sim, log, "R", {2.0, 4.0});
+  sim.set_event_stream(&registered);
+  registered.arm(1.0);
+  sim.at(3.0, [&] { log.push_back("H3"); });
+  sim.run_to_completion();
+  EXPECT_EQ(log, (std::vector<std::string>{"R1", "R2", "H3", "R4"}));
+  EXPECT_EQ(sim.executed_events(), 4u);
+  EXPECT_DOUBLE_EQ(sim.now(), 4.0);  // the clock ends at the last event
+  EXPECT_TRUE(std::isinf(registered.next_time()));
+  sim.set_event_stream(nullptr);
 }
 
 }  // namespace

@@ -13,7 +13,11 @@
 // fresh rank: their times are non-decreasing but coarse, so they tie with
 // heap events and with each other, and the merged heap/lane head must match
 // the reference's single ordering at every step.
+// A second variant drives a Simulator with a registered EventStream (the
+// flow engine's completion-head shape) beside heap and lane events, and
+// checks the run loop's merged firing order against the same reference.
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -185,6 +189,143 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
     ASSERT_EQ(last_fired, ref_id) << "fired a different event than the reference";
   }
   ASSERT_TRUE(reference.empty());
+}
+
+/// A registered stream driven like the incremental flow engine's
+/// completion head: armed, moved and cleared from outside, re-armed by its
+/// own fire(), claiming a fresh rank whenever it takes a new time and
+/// keeping it when re-armed at the same time. The reference mirrors it as
+/// one ordinary event: a first arm is a schedule, a move a reschedule, a
+/// clear a cancel — so the merged run must match the all-heap model.
+class ModelStream : public EventStream {
+ public:
+  ModelStream(Simulator& sim, ReferenceQueue& reference, Random& rng,
+              std::vector<EventId>& fired)
+      : sim_(sim), reference_(reference), rng_(rng), fired_(fired) {}
+
+  bool armed() const { return ref_id_ != 0; }
+  void arm(double t) {
+    if (armed() && t == time_) return;
+    if (armed()) {
+      ASSERT_TRUE(reference_.reschedule(ref_id_, t));
+    } else {
+      ref_id_ = reference_.schedule(t);
+    }
+    rank_ = sim_.allocate_sequence();
+    time_ = t;
+  }
+  void clear() {
+    if (!armed()) return;
+    ASSERT_TRUE(reference_.cancel(ref_id_));
+    ref_id_ = 0;
+    time_ = std::numeric_limits<double>::infinity();
+  }
+  double next_time() const override { return time_; }
+  std::uint64_t next_rank() const override { return rank_; }
+  void fire() override {
+    fired_.push_back(ref_id_);
+    ref_id_ = 0;
+    time_ = std::numeric_limits<double>::infinity();
+    // Re-arm from inside the fire a third of the time, often at this very
+    // instant, as completions re-arm the engine's head.
+    if (rng_.uniform_int(0, 2) == 0) arm(sim_.now() + rng_.uniform_int(0, 3));
+  }
+
+ private:
+  Simulator& sim_;
+  ReferenceQueue& reference_;
+  Random& rng_;
+  std::vector<EventId>& fired_;
+  double time_ = std::numeric_limits<double>::infinity();
+  std::uint64_t rank_ = 0;
+  EventId ref_id_ = 0;
+};
+
+TEST_P(EventQueueModel, RegisteredStreamMatchesReference) {
+  Random rng(static_cast<std::uint64_t>(GetParam()) * 11);
+  Simulator sim;
+  ReferenceQueue reference;
+  std::vector<EventId> fired;  // reference ids, in the order the simulator ran them
+  ModelStream stream(sim, reference, rng, fired);
+  sim.set_event_stream(&stream);
+  std::vector<std::pair<EventId, EventId>> live;  // (queue id, reference id)
+  std::vector<EventId> lane;
+  double lane_time = 0.0;
+
+  // Pops every reference event due by `horizon` and checks the simulator
+  // fired exactly those, in the same order; retires fired heap/lane events.
+  // `last_time` receives the time of the last one popped.
+  double last_time = 0.0;
+  const auto check_fired = [&](double horizon) {
+    std::vector<EventId> expected;
+    while (!reference.empty() && reference.peek_key().first <= horizon) {
+      const auto [t, seq, ref_id] = reference.pop();
+      expected.push_back(ref_id);
+      last_time = t;
+    }
+    ASSERT_EQ(fired, expected) << "merged order diverged from the all-heap reference";
+    for (const EventId ref_id : fired) {
+      const auto it = std::find_if(live.begin(), live.end(),
+                                   [ref_id](const std::pair<EventId, EventId>& p) {
+                                     return p.second == ref_id;
+                                   });
+      if (it != live.end()) {
+        live.erase(it);
+      } else if (!lane.empty() && lane.front() == ref_id) {
+        lane.erase(lane.begin());
+      }
+    }
+    fired.clear();
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    const double now = sim.now();
+    const int op = rng.uniform_int(0, 13);
+    if (op < 4) {
+      const double t = now + rng.uniform_int(0, 20);
+      const EventId ref_id = reference.schedule(t);
+      live.emplace_back(sim.at(t, [&fired, ref_id] { fired.push_back(ref_id); }), ref_id);
+    } else if (op < 5 && !live.empty()) {
+      const std::size_t pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(live.size()) - 1));
+      ASSERT_TRUE(sim.cancel(live[pick].first));
+      ASSERT_TRUE(reference.cancel(live[pick].second));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else if (op < 6 && !live.empty()) {
+      const std::size_t pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(live.size()) - 1));
+      const double t = now + rng.uniform_int(0, 20);
+      ASSERT_TRUE(sim.reschedule(live[pick].first, t));
+      ASSERT_TRUE(reference.reschedule(live[pick].second, t));
+    } else if (op == 6) {
+      ASSERT_EQ(sim.allocate_sequence(), reference.allocate_sequence());
+    } else if (op == 7) {
+      lane_time = std::max(lane_time, now) + (rng.uniform_int(0, 3) == 0 ? 1.0 : 0.0);
+      const EventId ref_id = reference.schedule(lane_time);
+      sim.after_ordered(lane_time - now, [&fired, ref_id] { fired.push_back(ref_id); });
+      lane.push_back(ref_id);
+    } else if (op < 11) {
+      // Arm or move the head; small offsets make same-time re-arms (rank
+      // kept) and ties with queued events common.
+      stream.arm(now + rng.uniform_int(0, 6));
+    } else if (op == 11) {
+      stream.clear();
+    } else if (!reference.empty()) {
+      const double horizon = reference.peek_key().first;
+      sim.run_until(horizon);
+      check_fired(horizon);
+    }
+    ASSERT_EQ(sim.pending_events(), live.size() + lane.size());
+    ASSERT_EQ(reference.empty(), live.empty() && lane.empty() && !stream.armed());
+  }
+  // run_to_completion drains the registered stream too, self-re-arms
+  // included, and leaves the clock at the last event.
+  sim.run_to_completion();
+  check_fired(std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(reference.empty());
+  EXPECT_FALSE(stream.armed());
+  EXPECT_EQ(sim.now(), last_time);
+  sim.set_event_stream(nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueModel, ::testing::Range(1, 9));
