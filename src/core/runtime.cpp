@@ -44,6 +44,7 @@ AccessRuntime::AccessRuntime(const ScenarioConfig& scenario,
   util::require(scenario.gateway_count <= scenario.dslam_ports(),
                 "every gateway needs a DSLAM port");
 
+  simulator_.add_event_stream(&arrivals_);
   std::vector<double> backhaul(static_cast<std::size_t>(scenario.gateway_count),
                                scenario.backhaul_bps);
   network_ = make_network != nullptr
@@ -249,9 +250,8 @@ void AccessRuntime::repack_dslam() {
 }
 
 double AccessRuntime::ArrivalStream::next_time() const {
-  return runtime_->cursor_ < runtime_->flows_->size()
-             ? (*runtime_->flows_)[runtime_->cursor_].start_time
-             : std::numeric_limits<double>::infinity();
+  return runtime_->arrival_armed_ ? (*runtime_->flows_)[runtime_->cursor_].start_time
+                                  : std::numeric_limits<double>::infinity();
 }
 
 void AccessRuntime::arm_next_arrival() {
@@ -288,15 +288,19 @@ RunMetrics AccessRuntime::run() {
   util::require_state(!live_, "AccessRuntime::run needs the trace constructor");
   util::require_state(!ran_, "AccessRuntime::run may only be called once");
   ran_ = true;
+  start_day();
+  simulator_.run_until(scenario_->duration + scenario_->drain_time);
+  return assemble_metrics();
+}
 
+void AccessRuntime::start_day() {
   if (scenario_->start_awake) {
     for (int g = 0; g < scenario_->gateway_count; ++g) force_active(g);
   }
   policy_->start(*this);
+  // The first arrival's rank is claimed here, after policy start, in both
+  // modes — in live mode whether or not its record has been appended yet.
   arm_next_arrival();
-  ArrivalStream arrivals(*this);
-  simulator_.run_until(scenario_->duration + scenario_->drain_time, &arrivals);
-  return assemble_metrics();
 }
 
 RunMetrics AccessRuntime::assemble_metrics() {
@@ -319,14 +323,7 @@ void AccessRuntime::begin_live() {
   util::require_state(!ran_, "begin_live may only be called once");
   ran_ = true;
   live_started_ = true;
-
-  if (scenario_->start_awake) {
-    for (int g = 0; g < scenario_->gateway_count; ++g) force_active(g);
-  }
-  policy_->start(*this);
-  // The first arrival's rank is claimed here — after policy start, exactly
-  // where run() claims it — whether or not its record has been appended yet.
-  arm_next_arrival();
+  start_day();
 }
 
 void AccessRuntime::append_live_arrivals(const trace::FlowRecord* records,
@@ -367,12 +364,11 @@ void AccessRuntime::finish_live_input() {
 
 AccessRuntime::StepResult AccessRuntime::step_live(double until) {
   util::require_state(live_started_, "step_live before begin_live");
-  ArrivalStream arrivals(*this);
   if (live_gated_) {
-    return simulator_.run_until_gated(until, &arrivals) ? StepResult::kReachedTime
-                                                        : StepResult::kNeedArrival;
+    return simulator_.run_until_gated(until) ? StepResult::kReachedTime
+                                             : StepResult::kNeedArrival;
   }
-  simulator_.run_until(until, &arrivals);
+  simulator_.run_until(until);
   return StepResult::kReachedTime;
 }
 

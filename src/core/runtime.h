@@ -191,6 +191,10 @@ class AccessRuntime {
   /// Re-reads the DSLAM card states into the card meter and series.
   void sync_card_meters();
 
+  /// Shared preamble of run() / begin_live(): warm start, policy start,
+  /// first arrival armed.
+  void start_day();
+
   /// Claims the FIFO rank of the next trace arrival. The trace is already
   /// time-sorted, so arrivals replay as a sim::EventStream instead of
   /// churning through the event heap; the rank is taken exactly where the
@@ -209,7 +213,8 @@ class AccessRuntime {
   /// Shared metrics-assembly tail of run() / finish_live().
   RunMetrics assemble_metrics();
 
-  /// Adapts the trace cursor to sim::EventStream for the run loop.
+  /// Adapts the trace cursor to sim::EventStream; registered with the
+  /// simulator for the runtime's lifetime.
   class ArrivalStream : public sim::EventStream {
    public:
     explicit ArrivalStream(AccessRuntime& runtime) : runtime_(&runtime) {}
@@ -229,6 +234,7 @@ class AccessRuntime {
   sim::Random rng_;
 
   sim::Simulator simulator_;
+  ArrivalStream arrivals_{*this};
   std::unique_ptr<flow::FluidNetwork> network_;
   dslam::Dslam dslam_;
 

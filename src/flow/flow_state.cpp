@@ -105,7 +105,11 @@ FlowIndex::Loc FlowIndex::find(std::uint64_t id) const {
 void FlowIndex::store(std::uint64_t id, int gateway, FlowBlock::Pos pos) {
   ++stored_total_;
   if (dense_id(id)) {
-    if (dense_.size() <= id) dense_.resize(id + 1, kEmpty);
+    // Geometric growth: a live day has no flow count to reserve() up front,
+    // and growing to exactly id + 1 would refill the tail once per arrival.
+    if (dense_.size() <= id) {
+      dense_.resize(std::max<std::size_t>(id + 1, 2 * dense_.size()), kEmpty);
+    }
     dense_[id] = pack(gateway, pos);
   } else {
     overflow_[id] = pack(gateway, pos);

@@ -13,20 +13,16 @@ IncrementalFluidNetwork::IncrementalFluidNetwork(sim::Simulator& simulator,
                                                  std::vector<double> backhaul_rates)
     : simulator_(&simulator) {
   util::require(!backhaul_rates.empty(), "FluidNetwork needs at least one gateway");
-  util::require(simulator.flush_hook() == nullptr && simulator.event_stream() == nullptr,
-                "one incremental network per simulator (flush hook or event stream taken)");
   gateways_.reserve(backhaul_rates.size());
   for (double rate : backhaul_rates) {
     util::require(rate > 0.0, "backhaul rates must be positive");
     gateways_.emplace_back(rate, simulator.now());
   }
-  simulator.set_flush_hook(this);
-  simulator.set_event_stream(this);
+  simulator.add_event_stream(this);
 }
 
 IncrementalFluidNetwork::~IncrementalFluidNetwork() {
-  if (simulator_->event_stream() == this) simulator_->set_event_stream(nullptr);
-  if (simulator_->flush_hook() == this) simulator_->set_flush_hook(nullptr);
+  simulator_->remove_event_stream(this);
   obs::counter("flow.waterfills").add(waterfills_);
 }
 

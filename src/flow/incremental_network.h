@@ -11,7 +11,7 @@
 //     migration, serving flip) only marks its gateway dirty; the actual
 //     water-fill runs once per gateway per instant — either when a query
 //     needs current rates (pull-flush) or at the simulator's flush barrier
-//     before the clock moves (sim::FlushHook). A burst of same-instant
+//     before the clock moves (sim::EventStream::flush). A burst of same-instant
 //     arrivals therefore costs one water-fill instead of one per arrival.
 //     This is exact, not approximate: the reference engine re-waterfills
 //     eagerly after every mutation, so flushing at query time reproduces
@@ -22,8 +22,8 @@
 //     completion event per gateway and reschedules it on nearly every
 //     reallocation — the dominant source of event-heap traffic. Here each
 //     gateway's next completion lives in a small engine-internal min-heap
-//     keyed (time, stamp), and the engine registers itself as the
-//     simulator's sim::EventStream: its head is the heap minimum, merged
+//     keyed (time, stamp), and the engine registers itself as one of the
+//     simulator's sim::EventStreams: its head is the heap minimum, merged
 //     into the run loop by (time, rank) without ever entering the event
 //     queue. The head takes a fresh rank exactly where a single tracking
 //     event would have been scheduled or rescheduled, and stamps refresh
@@ -51,14 +51,11 @@
 
 namespace insomnia::flow {
 
-class IncrementalFluidNetwork final : public FluidNetwork,
-                                      private sim::FlushHook,
-                                      private sim::EventStream {
+class IncrementalFluidNetwork final : public FluidNetwork, private sim::EventStream {
  public:
   /// `backhaul_rates[g]` is gateway g's broadband speed in bits/s. The
-  /// engine registers itself as the simulator's flush hook and event
-  /// stream; one simulator carries at most one incremental network at a
-  /// time.
+  /// engine registers itself as one of the simulator's event streams until
+  /// it is destroyed.
   IncrementalFluidNetwork(sim::Simulator& simulator, std::vector<double> backhaul_rates);
   ~IncrementalFluidNetwork() override;
 
@@ -121,7 +118,7 @@ class IncrementalFluidNetwork final : public FluidNetwork,
   GatewayState& gateway(int g);
   const GatewayState& gateway(int g) const;
 
-  /// sim::FlushHook: water-fills every dirty gateway (in first-marked
+  /// sim::EventStream barrier: water-fills every dirty gateway (in first-marked
   /// order, matching the order the reference's eager reallocations would
   /// have settled in) and re-arms the master completion head.
   void flush() override;

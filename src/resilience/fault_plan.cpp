@@ -1,5 +1,6 @@
 #include "resilience/fault_plan.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
@@ -30,9 +31,11 @@ double parse_probability(const std::string& entry, std::string_view token) {
 double parse_duration_ms(const std::string& entry, std::string_view token) {
   const auto seconds =
       util::parse_duration_seconds(token, util::DurationUnit::kMilliseconds);
-  util::require(seconds.has_value(), "fault-spec entry \"" + entry +
-                                         "\": duration must be " +
-                                         util::duration_grammar_help());
+  // A duration finite in seconds can still overflow in milliseconds
+  // ("1e306s"); an infinite sleep is not a fault to inject.
+  util::require(seconds.has_value() && std::isfinite(*seconds * 1000.0),
+                "fault-spec entry \"" + entry + "\": duration must be " +
+                    util::duration_grammar_help());
   return *seconds * 1000.0;
 }
 

@@ -89,28 +89,6 @@ EventId EventQueue::schedule(double t, std::function<void()> action) {
   return encode(slot, entry.generation);
 }
 
-void EventQueue::schedule_ordered(double t, std::function<void()> action) {
-  if (lane_size_ > 0) {
-    util::require_state(t >= lane_[lane_index(lane_size_ - 1)].time,
-                        "EventQueue::schedule_ordered needs non-decreasing times");
-  }
-  if (lane_size_ == lane_.size()) {
-    // Full ring: unwrap into double the capacity (power of two, so the
-    // index wrap stays a mask).
-    std::vector<LaneEntry> grown(std::max<std::size_t>(16, 2 * lane_.size()));
-    for (std::size_t i = 0; i < lane_size_; ++i) {
-      grown[i] = std::move(lane_[lane_index(i)]);
-    }
-    lane_.swap(grown);
-    lane_head_ = 0;
-  }
-  LaneEntry& entry = lane_[lane_index(lane_size_)];
-  entry.time = t;
-  entry.sequence = next_sequence_++;
-  entry.action = std::move(action);
-  ++lane_size_;
-}
-
 bool EventQueue::cancel(EventId id) {
   Slot* entry = lookup(id);
   if (entry == nullptr) return false;
@@ -133,30 +111,8 @@ bool EventQueue::reschedule(EventId id, double t) {
   return true;
 }
 
-double EventQueue::next_time() const {
-  util::require_state(!empty(), "next_time on empty EventQueue");
-  return lane_first() ? lane_[lane_head_].time : heap_.front().time;
-}
-
-std::uint64_t EventQueue::next_sequence() const {
-  util::require_state(!empty(), "next_sequence on empty EventQueue");
-  return lane_first() ? lane_[lane_head_].sequence : heap_.front().sequence;
-}
-
 double EventQueue::run_next() {
   util::require_state(!empty(), "run_next on empty EventQueue");
-  if (lane_first()) {
-    // Move the action out before popping: the callback typically re-appends
-    // to the lane, possibly into this very ring cell or a regrown ring.
-    LaneEntry& head = lane_[lane_head_];
-    const double time = head.time;
-    std::function<void()> action = std::move(head.action);
-    head.action = nullptr;
-    lane_head_ = lane_index(1);
-    --lane_size_;
-    action();
-    return time;
-  }
   const Node top = heap_.front();
   heap_remove(0);
   // Move the action out before releasing so the callback may schedule into

@@ -6,21 +6,16 @@
 // next_time() is a single array read. EventIds encode (slot, generation):
 // a stale handle — one whose slot has been fired, cancelled and reused —
 // is recognised and rejected in O(1) without any per-event hash-set
-// bookkeeping.
-//
-// Beside the heap sits an ordered lane: a FIFO ring of events appended in
-// non-decreasing time order (periodic self-re-arming timers, e.g. BH2's
-// per-terminal decision epochs). Lane events take their rank from the same
-// counter as schedule(), and next_time/next_sequence/run_next pop whichever
-// head is earlier by (time, sequence), so the merged order is exactly the
-// order the same calls would have produced through the heap — at O(1) per
-// event instead of a sift through the heap. Lane events cannot be cancelled
-// or rescheduled; an out-of-order append throws rather than reorder.
+// bookkeeping. Pre-ordered event families bypass the heap as
+// Simulator-registered EventStreams that rank from the same counter
+// (allocate_sequence).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
+
+#include "util/error.h"
 
 namespace insomnia::sim {
 
@@ -52,25 +47,25 @@ class EventQueue {
   /// True if `id` is scheduled and not yet fired or cancelled.
   bool is_pending(EventId id) const { return lookup(id) != nullptr; }
 
-  /// Appends `action` at absolute time `t` to the ordered lane, taking the
-  /// next FIFO rank exactly as schedule() would. `t` must not precede the
-  /// lane's last time: throws util::InvalidState otherwise, leaving the
-  /// queue and its rank counter unchanged. Lane events have no handle.
-  void schedule_ordered(double t, std::function<void()> action);
+  /// True if no live events remain.
+  bool empty() const { return heap_.empty(); }
 
-  /// True if no live events remain (heap or lane).
-  bool empty() const { return heap_.empty() && lane_size_ == 0; }
-
-  /// Number of live (non-cancelled, unfired) events, lane included.
-  std::size_t size() const { return heap_.size() + lane_size_; }
+  /// Number of live (non-cancelled, unfired) events.
+  std::size_t size() const { return heap_.size(); }
 
   /// Time of the earliest live event; requires !empty().
-  double next_time() const;
+  double next_time() const {
+    util::require_state(!empty(), "next_time on empty EventQueue");
+    return heap_.front().time;
+  }
 
   /// FIFO rank of the earliest live event; requires !empty(). Comparable
   /// with ranks from allocate_sequence(): among equal times, lower rank
   /// fires first.
-  std::uint64_t next_sequence() const;
+  std::uint64_t next_sequence() const {
+    util::require_state(!empty(), "next_sequence on empty EventQueue");
+    return heap_.front().sequence;
+  }
 
   /// Consumes and returns the next FIFO rank without scheduling anything.
   /// Lets a caller interleave an external pre-ordered event stream (see
@@ -103,14 +98,6 @@ class EventQueue {
     std::uint32_t slot;
   };
 
-  /// Ordered-lane entry; the lane is sorted by (time, sequence) by
-  /// construction.
-  struct LaneEntry {
-    double time = 0.0;
-    std::uint64_t sequence = 0;
-    std::function<void()> action;
-  };
-
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   /// 4-ary heap: shallower than binary for the same size, and the 4-child
   /// min scan stays within one cache line of nodes.
@@ -123,19 +110,6 @@ class EventQueue {
   static bool earlier(const Node& a, const Node& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.sequence < b.sequence;
-  }
-
-  /// True if the lane head fires before the heap front.
-  bool lane_first() const {
-    if (lane_size_ == 0) return false;
-    if (heap_.empty()) return true;
-    const LaneEntry& head = lane_[lane_head_];
-    return earlier(Node{head.time, head.sequence, kNoSlot}, heap_.front());
-  }
-
-  /// Ring index of the lane entry `offset` places behind the head.
-  std::size_t lane_index(std::size_t offset) const {
-    return (lane_head_ + offset) & (lane_.size() - 1);
   }
 
   /// Slot behind a live id, or nullptr for stale/invalid ids.
@@ -166,10 +140,6 @@ class EventQueue {
   std::vector<Node> heap_;
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_sequence_ = 0;
-  /// Ring storage for the lane; its size is the capacity, a power of two.
-  std::vector<LaneEntry> lane_;
-  std::size_t lane_head_ = 0;
-  std::size_t lane_size_ = 0;
 };
 
 }  // namespace insomnia::sim

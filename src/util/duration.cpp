@@ -26,11 +26,14 @@ std::optional<double> parse_duration_seconds(std::string_view text,
     scale = 3600.0;
   }
   // parse_double trims, which would quietly accept "2 s"; the number must
-  // abut its suffix. Non-finite "numbers" are not durations either.
+  // abut its suffix. Non-finite "numbers" are not durations either, nor is
+  // a finite one whose conversion to seconds overflows ("1e307m").
   if (digits != trim(digits)) return std::nullopt;
   const auto value = parse_double(digits);
   if (!value.has_value() || !std::isfinite(*value) || *value < 0.0) return std::nullopt;
-  return *value * scale;
+  const double seconds = *value * scale;
+  if (!std::isfinite(seconds)) return std::nullopt;
+  return seconds;
 }
 
 const char* duration_grammar_help() {

@@ -17,8 +17,9 @@ enum class DurationUnit { kMilliseconds, kSeconds };
 /// Parses `text` (after trimming) as a non-negative duration and returns it
 /// in SECONDS. Accepted forms: a number with an optional "ms", "s", "m"
 /// (minutes) or "h" suffix; a bare number takes `bare_unit`. Returns
-/// nullopt on empty input, a negative value, trailing junk ("2sx"), or an
-/// unparseable number — callers turn that into their own clear error.
+/// nullopt on empty input, a negative value, trailing junk ("2sx"), an
+/// unparseable or non-finite number, or one whose value in seconds is not
+/// finite ("1e307m") — callers turn that into their own clear error.
 std::optional<double> parse_duration_seconds(
     std::string_view text, DurationUnit bare_unit = DurationUnit::kSeconds);
 

@@ -324,6 +324,39 @@ TEST(FlowIndex, WorksAfterReservePreSizesTheDenseRange) {
   EXPECT_EQ(index.find(1500).gateway, 3);
 }
 
+TEST(FlowIndex, GrowsWithoutReserveAndKeepsEveryMapping) {
+  // Live days store ids 0, 1, 2, ... with no reserve(); the dense vector
+  // grows geometrically past them, so every lookup must still fall through
+  // correctly, and a far outlier must still take the overflow map.
+  constexpr std::uint64_t kCount = 5000;
+  FlowIndex index;
+  for (std::uint64_t id = 0; id < kCount; ++id) {
+    index.store(id, static_cast<int>(id % 7), static_cast<FlowBlock::Pos>(id));
+  }
+  const std::uint64_t huge = 1'000'000'000'000ull;
+  index.store(huge, 3, 9);
+  EXPECT_FALSE(index.find(kCount).valid());  // inside the grown range, never stored
+  for (std::uint64_t id = 0; id < kCount; ++id) {
+    const FlowIndex::Loc loc = index.find(id);
+    ASSERT_EQ(loc.gateway, static_cast<int>(id % 7)) << id;
+    ASSERT_EQ(loc.pos, static_cast<FlowBlock::Pos>(id)) << id;
+    index.relocate(id, static_cast<int>((id + 1) % 7), static_cast<FlowBlock::Pos>(id + 1));
+  }
+  for (std::uint64_t id = 0; id < kCount; ++id) {
+    const FlowIndex::Loc loc = index.find(id);
+    ASSERT_EQ(loc.gateway, static_cast<int>((id + 1) % 7)) << id;
+    ASSERT_EQ(loc.pos, static_cast<FlowBlock::Pos>(id + 1)) << id;
+    index.erase(id);
+    ASSERT_FALSE(index.find(id).valid()) << id;
+  }
+  EXPECT_EQ(index.find(huge).gateway, 3);
+  EXPECT_EQ(index.find(huge).pos, 9u);
+  index.relocate(huge, 4, 2);
+  EXPECT_EQ(index.find(huge).gateway, 4);
+  index.erase(huge);
+  EXPECT_FALSE(index.find(huge).valid());
+}
+
 INSTANTIATE_TEST_SUITE_P(BothEngines, FluidNetworkTest,
                          ::testing::Values(TestEngine::kReference, TestEngine::kIncremental),
                          [](const ::testing::TestParamInfo<TestEngine>& info) {

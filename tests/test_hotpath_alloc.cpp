@@ -137,11 +137,9 @@ TEST(HotPathAllocations, AlwaysOnHistogramRecordNIsAllocationFree) {
 /// closure, which std::function keeps in its inline buffer.
 class LaneEpochs {
  public:
-  LaneEpochs(sim::EventQueue& queue, int clients, double period)
-      : queue_(queue), next_(static_cast<std::size_t>(clients)), period_(period) {
+  LaneEpochs(sim::Simulator& sim, int clients, double period) : sim_(sim), period_(period) {
     for (int c = 0; c < clients; ++c) {
-      next_[static_cast<std::size_t>(c)] = period * c / clients;
-      queue_.schedule(next_[static_cast<std::size_t>(c)], [this, c] { epoch(c); });
+      sim_.at(period * c / clients, [this, c] { epoch(c); });
     }
   }
   LaneEpochs(const LaneEpochs&) = delete;
@@ -152,32 +150,29 @@ class LaneEpochs {
  private:
   void epoch(int client) {
     ++fired_;
-    double& t = next_[static_cast<std::size_t>(client)];
-    t += period_;
-    queue_.schedule_ordered(t, [this, client] { epoch(client); });
+    sim_.after_ordered(period_, [this, client] { epoch(client); });
   }
 
-  sim::EventQueue& queue_;
-  std::vector<double> next_;
+  sim::Simulator& sim_;
   double period_;
   long fired_ = 0;
 };
 
 TEST(HotPathAllocations, OrderedLaneMixedWithHeapIsAllocationFree) {
-  sim::EventQueue queue;
-  LaneEpochs epochs(queue, 8, 10.0);
+  sim::Simulator sim;
+  LaneEpochs epochs(sim, 8, 10.0);
   int fired = 0;
   double t = 0.0;
   const auto churn = [&](int rounds) {
     for (int round = 0; round < rounds; ++round) {
-      const sim::EventId a = queue.schedule(t + 1.0, [&fired] { ++fired; });
-      const sim::EventId b = queue.schedule(t + 2.0, [&fired] { ++fired; });
-      queue.reschedule(a, t + 3.0);
-      queue.cancel(b);
+      const sim::EventId a = sim.at(t + 1.0, [&fired] { ++fired; });
+      const sim::EventId b = sim.at(t + 2.0, [&fired] { ++fired; });
+      sim.reschedule(a, t + 3.0);
+      sim.cancel(b);
       t += 3.0;
-      // Pops the heap event and the ~2.4 lane epochs due by t, each of
+      // Fires the heap event and the ~2.4 lane epochs due by t, each of
       // which appends its successor to the lane.
-      while (queue.next_time() <= t) queue.run_next();
+      sim.run_until(t);
     }
   };
   churn(200);  // warm-up: the first epochs leave the heap, the ring sizes up

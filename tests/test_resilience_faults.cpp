@@ -76,6 +76,14 @@ TEST(FaultPlan, RejectsMalformedEntries) {
   EXPECT_THROW(parse_fault_plan("seed=notanumber"), util::InvalidArgument);
 }
 
+TEST(FaultPlan, RejectsSlowShardDurationsThatOverflow) {
+  // Finite as written, infinite once scaled: a sleep_for(inf) is a
+  // float-to-integer overflow, not a slow shard.
+  EXPECT_THROW(parse_fault_plan("slow-shard=0.5:1e306s"), util::InvalidArgument);
+  EXPECT_THROW(parse_fault_plan("slow-shard=0.5:1e307m"), util::InvalidArgument);
+  EXPECT_THROW(parse_fault_plan("slow-shard=0.5:1e306h"), util::InvalidArgument);
+}
+
 TEST(FaultPlan, SummaryRoundTripsActiveEntries) {
   const FaultPlan plan = parse_fault_plan("shard-throw=0.25,slow-shard=0.5:100ms");
   EXPECT_EQ(plan.summary(), "shard-throw=0.25, slow-shard=0.50:100ms");

@@ -1,5 +1,4 @@
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -189,69 +188,6 @@ TEST(EventQueue, ReturnsFiringTime) {
   EventQueue q;
   q.schedule(4.5, [] {});
   EXPECT_DOUBLE_EQ(q.run_next(), 4.5);
-}
-
-TEST(EventQueue, LaneMergesWithHeapByTimeThenRank) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(5.0, [&] { order.push_back(0); });
-  q.schedule_ordered(5.0, [&] { order.push_back(1); });
-  q.schedule(5.0, [&] { order.push_back(2); });
-  q.schedule_ordered(7.0, [&] { order.push_back(3); });
-  q.schedule(6.0, [&] { order.push_back(4); });
-  EXPECT_EQ(q.size(), 5u);
-  EXPECT_EQ(q.next_sequence(), 0u);
-  while (!q.empty()) q.run_next();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 4, 3}));
-}
-
-TEST(EventQueue, OutOfOrderLaneAppendThrowsAndLeavesQueueUnchanged) {
-  EventQueue q;
-  q.schedule(3.0, [] {});
-  q.schedule_ordered(10.0, [] {});
-  q.schedule_ordered(10.0, [] {});  // ties are in order
-  EXPECT_THROW(q.schedule_ordered(9.5, [] {}), util::InvalidState);
-  EXPECT_EQ(q.size(), 3u);
-  // The refused append burned no rank.
-  EXPECT_EQ(q.allocate_sequence(), 3u);
-  EXPECT_DOUBLE_EQ(q.run_next(), 3.0);
-  EXPECT_DOUBLE_EQ(q.run_next(), 10.0);
-  EXPECT_DOUBLE_EQ(q.run_next(), 10.0);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, SelfRearmingLaneMatchesHeapOnlyOrder) {
-  // Forty periodic timers re-arm from their own callbacks (growing and
-  // wrapping the lane's ring) amid one-shot heap events at tied times. The
-  // lane run must fire everything in exactly the heap-only order.
-  const auto run = [](bool use_lane) {
-    EventQueue q;
-    std::vector<std::pair<double, int>> log;
-    std::vector<double> next(40);
-    std::function<void(int)> tick = [&](int timer) {
-      log.emplace_back(next[static_cast<std::size_t>(timer)], timer);
-      double& t = next[static_cast<std::size_t>(timer)];
-      t += 4.0;
-      if (t > 200.0) return;
-      if (use_lane) {
-        q.schedule_ordered(t, [&tick, timer] { tick(timer); });
-      } else {
-        q.schedule(t, [&tick, timer] { tick(timer); });
-      }
-      if (timer % 7 == 0) {
-        q.schedule(t, [&log, t] { log.emplace_back(t, -1); });
-      }
-    };
-    for (int timer = 0; timer < 40; ++timer) {
-      next[static_cast<std::size_t>(timer)] = static_cast<double>(timer % 4);
-      q.schedule(next[static_cast<std::size_t>(timer)], [&tick, timer] { tick(timer); });
-    }
-    while (!q.empty()) q.run_next();
-    return log;
-  };
-  const auto heap_only = run(false);
-  EXPECT_GT(heap_only.size(), 40u * 50u);
-  EXPECT_EQ(run(true), heap_only);
 }
 
 }  // namespace

@@ -120,6 +120,71 @@ TEST(Simulator, AfterOrderedRejectsNegativeDelay) {
   EXPECT_EQ(sim.pending_events(), 1u);
 }
 
+TEST(Simulator, LaneMergesWithHeapByTimeThenRank) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.at(5.0, [&] { order.push_back(0); });
+  sim.after_ordered(5.0, [&] { order.push_back(1); });
+  sim.at(5.0, [&] { order.push_back(2); });
+  sim.after_ordered(7.0, [&] { order.push_back(3); });
+  sim.at(6.0, [&] { order.push_back(4); });
+  EXPECT_EQ(sim.pending_events(), 5u);
+  sim.run_to_completion();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 4, 3}));
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulator, OutOfOrderLaneAppendThrowsAndLeavesQueueUnchanged) {
+  Simulator sim;
+  std::vector<double> fired;
+  const auto log = [&] { fired.push_back(sim.now()); };
+  sim.at(3.0, log);
+  sim.after_ordered(10.0, log);
+  sim.after_ordered(10.0, log);  // ties are in order
+  sim.run_until(2.0);
+  EXPECT_THROW(sim.after_ordered(7.5, log), util::InvalidState);
+  EXPECT_EQ(sim.pending_events(), 3u);
+  // The refused append burned no rank.
+  EXPECT_EQ(sim.allocate_sequence(), 3u);
+  sim.run_to_completion();
+  EXPECT_EQ(fired, (std::vector<double>{3.0, 10.0, 10.0}));
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulator, SelfRearmingLaneMatchesHeapOnlyOrder) {
+  // Forty periodic timers re-arm from their own callbacks (growing and
+  // wrapping the lane's ring) amid one-shot heap events at tied times. The
+  // lane run must fire everything in exactly the heap-only order.
+  const auto run = [](bool use_lane) {
+    Simulator sim;
+    std::vector<std::pair<double, int>> log;
+    std::vector<double> next(40);
+    std::function<void(int)> tick = [&](int timer) {
+      log.emplace_back(next[static_cast<std::size_t>(timer)], timer);
+      double& t = next[static_cast<std::size_t>(timer)];
+      t += 4.0;
+      if (t > 200.0) return;
+      if (use_lane) {
+        sim.after_ordered(4.0, [&tick, timer] { tick(timer); });
+      } else {
+        sim.at(t, [&tick, timer] { tick(timer); });
+      }
+      if (timer % 7 == 0) {
+        sim.at(t, [&log, t] { log.emplace_back(t, -1); });
+      }
+    };
+    for (int timer = 0; timer < 40; ++timer) {
+      next[static_cast<std::size_t>(timer)] = static_cast<double>(timer % 4);
+      sim.at(next[static_cast<std::size_t>(timer)], [&tick, timer] { tick(timer); });
+    }
+    sim.run_to_completion();
+    return log;
+  };
+  const auto heap_only = run(false);
+  EXPECT_GT(heap_only.size(), 40u * 50u);
+  EXPECT_EQ(run(true), heap_only);
+}
+
 /// A stream whose events every 5 s claim their successor's rank as they
 /// fire, the way trace arrivals do. With `gate` set, each head is held back
 /// once (ready() is false until the caller reopens the gate), like a live
@@ -176,14 +241,15 @@ TEST(Simulator, LaneAndStreamTiesFireInRankOrder) {
         stream.claim_first();
         sim.after_ordered(5.0, tick);
       }
+      sim.add_event_stream(&stream);
       int pauses = 0;
       if (gated) {
-        while (!sim.run_until_gated(20.0, &stream)) {
+        while (!sim.run_until_gated(20.0)) {
           ++pauses;
           stream.open();
         }
       } else {
-        sim.run_until(20.0, &stream);
+        sim.run_until(20.0);
       }
       const std::vector<std::string> expected =
           lane_first ? std::vector<std::string>{"L5", "S5", "L10", "S10", "L15", "S15"}
@@ -219,6 +285,7 @@ class HeadStream : public EventStream {
   }
   bool ready() const override { return !closed_; }
   void close() { closed_ = true; }
+  void open() { closed_ = false; }
 
  private:
   Simulator& sim_;
@@ -232,57 +299,105 @@ class HeadStream : public EventStream {
 };
 
 TEST(Simulator, FourSourcesTiedAtOneInstantFireInRankOrder) {
-  // A heap event, a lane event, the run_until stream's head and the
-  // registered stream's head all fall at t = 5. Whatever order they claimed
-  // their ranks in is the order they fire in, gated or not.
+  // A heap event, a lane event and two registered streams' heads all fall
+  // at t = 5. Whatever order they claimed their ranks in is the order they
+  // fire in, gated or not.
   const std::array<std::string, 4> names{"H", "L", "S", "R"};
   std::array<int, 4> order{0, 1, 2, 3};
   do {
     for (const bool gated : {false, true}) {
       Simulator sim;
       std::vector<std::string> log;
-      HeadStream run_stream(sim, log, "S");
-      HeadStream registered(sim, log, "R");
-      sim.set_event_stream(&registered);
+      HeadStream first(sim, log, "S");
+      HeadStream second(sim, log, "R");
+      sim.add_event_stream(&first);
+      sim.add_event_stream(&second);
       std::vector<std::string> expected;
       for (const int source : order) {
         if (source == 0) sim.at(5.0, [&] { log.push_back("H5"); });
         if (source == 1) sim.after_ordered(5.0, [&] { log.push_back("L5"); });
-        if (source == 2) run_stream.arm(5.0);
-        if (source == 3) registered.arm(5.0);
+        if (source == 2) first.arm(5.0);
+        if (source == 3) second.arm(5.0);
         expected.push_back(names[static_cast<std::size_t>(source)] + "5");
       }
       if (gated) {
-        EXPECT_TRUE(sim.run_until_gated(10.0, &run_stream));
+        EXPECT_TRUE(sim.run_until_gated(10.0));
       } else {
-        sim.run_until(10.0, &run_stream);
+        sim.run_until(10.0);
       }
       EXPECT_EQ(log, expected) << "gated " << gated;
       EXPECT_EQ(sim.executed_events(), 4u);
-      sim.set_event_stream(nullptr);
     }
   } while (std::next_permutation(order.begin(), order.end()));
 }
 
-TEST(Simulator, RegisteredStreamIsNeverGated) {
-  // Only the run's own stream answers to ready(); a registered head whose
-  // ready() is false still fires, and the gated run still pauses on the
-  // run stream.
+TEST(Simulator, RegistrationOrderNeverChangesTieOrder) {
+  // Three registered streams and a heap event tie at t = 5. For every
+  // registration order and every rank-claim order, events fire in rank
+  // order, gated and ungated: ranks come from one counter, so where a
+  // stream sits in the list never matters.
+  const std::array<std::string, 3> names{"A", "B", "C"};
+  std::array<int, 3> registration{0, 1, 2};
+  do {
+    std::array<int, 4> claim{0, 1, 2, 3};  // 3 = the heap event
+    do {
+      for (const bool gated : {false, true}) {
+        Simulator sim;
+        std::vector<std::string> log;
+        std::vector<HeadStream> streams;
+        streams.reserve(3);
+        for (const std::string& name : names) streams.emplace_back(sim, log, name);
+        for (const int s : registration) {
+          sim.add_event_stream(&streams[static_cast<std::size_t>(s)]);
+        }
+        std::vector<std::string> expected;
+        for (const int source : claim) {
+          if (source == 3) {
+            sim.at(5.0, [&] { log.push_back("H5"); });
+            expected.push_back("H5");
+          } else {
+            streams[static_cast<std::size_t>(source)].arm(5.0);
+            expected.push_back(names[static_cast<std::size_t>(source)] + "5");
+          }
+        }
+        if (gated) {
+          EXPECT_TRUE(sim.run_until_gated(10.0));
+        } else {
+          sim.run_until(10.0);
+        }
+        EXPECT_EQ(log, expected) << "gated " << gated;
+        EXPECT_DOUBLE_EQ(sim.now(), 10.0);
+      }
+    } while (std::next_permutation(claim.begin(), claim.end()));
+  } while (std::next_permutation(registration.begin(), registration.end()));
+}
+
+TEST(Simulator, GatePausesOnAnyNotReadyHead) {
+  // run_until_gated pauses before whichever stream head is about to fire
+  // with ready() false, leaving the clock at the last dispatched instant;
+  // run_until ignores the gate.
   Simulator sim;
   std::vector<std::string> log;
-  HeadStream registered(sim, log, "R", {7.0});
-  registered.close();
-  sim.set_event_stream(&registered);
-  registered.arm(3.0);
-  HeadStream run_stream(sim, log, "S");
-  run_stream.arm(5.0);
-  run_stream.close();
-  EXPECT_FALSE(sim.run_until_gated(10.0, &run_stream));
-  EXPECT_EQ(log, (std::vector<std::string>{"R3"}));
-  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
-  sim.run_until(10.0, &run_stream);
-  EXPECT_EQ(log, (std::vector<std::string>{"R3", "S5", "R7"}));
-  sim.set_event_stream(nullptr);
+  HeadStream closed(sim, log, "R", {7.0});
+  HeadStream open(sim, log, "S");
+  sim.add_event_stream(&closed);
+  sim.add_event_stream(&open);
+  sim.at(1.0, [&] { log.push_back("H1"); });
+  closed.arm(3.0);
+  closed.close();
+  open.arm(5.0);
+  EXPECT_FALSE(sim.run_until_gated(10.0));
+  EXPECT_EQ(log, (std::vector<std::string>{"H1"}));
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  EXPECT_FALSE(sim.run_until_gated(10.0));  // still closed: no progress
+  EXPECT_EQ(log, (std::vector<std::string>{"H1"}));
+  closed.open();
+  EXPECT_TRUE(sim.run_until_gated(4.0));
+  EXPECT_EQ(log, (std::vector<std::string>{"H1", "R3"}));
+  closed.close();
+  sim.run_until(10.0);
+  EXPECT_EQ(log, (std::vector<std::string>{"H1", "R3", "S5", "R7"}));
+  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
 }
 
 TEST(Simulator, SecondRegistrationThrows) {
@@ -290,28 +405,89 @@ TEST(Simulator, SecondRegistrationThrows) {
   std::vector<std::string> log;
   HeadStream first(sim, log, "A");
   HeadStream second(sim, log, "B");
-  sim.set_event_stream(&first);
-  EXPECT_THROW(sim.set_event_stream(&second), util::InvalidState);
-  EXPECT_EQ(sim.event_stream(), &first);
-  sim.set_event_stream(nullptr);
-  sim.set_event_stream(&second);
-  EXPECT_EQ(sim.event_stream(), &second);
-  sim.set_event_stream(nullptr);
+  sim.add_event_stream(&first);
+  EXPECT_THROW(sim.add_event_stream(&first), util::InvalidState);
+  EXPECT_THROW(sim.remove_event_stream(&second), util::InvalidState);
+  EXPECT_THROW(sim.add_event_stream(nullptr), util::InvalidArgument);
+  sim.add_event_stream(&second);
+  sim.remove_event_stream(&first);
+  EXPECT_THROW(sim.remove_event_stream(&first), util::InvalidState);
+  // A removed stream no longer fires; the one left still does.
+  first.arm(0.5);
+  second.arm(2.0);
+  sim.run_until(1.0);
+  EXPECT_TRUE(log.empty());
+  first.arm(2.5);
+  sim.add_event_stream(&first);
+  sim.run_until(3.0);
+  EXPECT_EQ(log, (std::vector<std::string>{"B2", "A2"}));
+}
 
-  struct NoopHook : FlushHook {
-    void flush() override {}
-  } hook_a, hook_b;
-  sim.set_flush_hook(&hook_a);
-  EXPECT_THROW(sim.set_flush_hook(&hook_b), util::InvalidState);
-  EXPECT_EQ(sim.flush_hook(), &hook_a);
-  sim.set_flush_hook(nullptr);
+/// A stream that defers work the way the flow engine coalesces a burst:
+/// defer() requests a flush, and flush() logs the instant it ran at and arms
+/// the head half a second later.
+class DeferringStream : public EventStream {
+ public:
+  DeferringStream(Simulator& sim, std::vector<std::string>& log, std::string name)
+      : sim_(sim), log_(log), name_(std::move(name)) {}
+
+  void defer() {
+    deferred_ = true;
+    sim_.request_flush();
+  }
+  double next_time() const override { return time_; }
+  std::uint64_t next_rank() const override { return rank_; }
+  void fire() override {
+    time_ = std::numeric_limits<double>::infinity();
+    log_.push_back(name_ + "@" + std::to_string(sim_.now()));
+  }
+  void flush() override {
+    if (!deferred_) return;
+    deferred_ = false;
+    log_.push_back("flush " + name_ + "@" + std::to_string(sim_.now()));
+    time_ = sim_.now() + 0.5;
+    rank_ = sim_.allocate_sequence();
+  }
+
+ private:
+  Simulator& sim_;
+  std::vector<std::string>& log_;
+  std::string name_;
+  bool deferred_ = false;
+  double time_ = std::numeric_limits<double>::infinity();
+  std::uint64_t rank_ = 0;
+};
+
+TEST(Simulator, FlushBarrierFlushesEveryRegisteredStream) {
+  Simulator sim;
+  std::vector<std::string> log;
+  DeferringStream a(sim, log, "A");
+  DeferringStream b(sim, log, "B");
+  sim.add_event_stream(&a);
+  sim.add_event_stream(&b);
+  sim.at(1.0, [&] {
+    log.push_back("H@" + std::to_string(sim.now()));
+    b.defer();
+    a.defer();
+  });
+  sim.at(1.0, [&] { log.push_back("H'@" + std::to_string(sim.now())); });
+  sim.at(2.0, [&] { log.push_back("H@" + std::to_string(sim.now())); });
+  sim.run_until(3.0);
+  // Both deferrals are brought current at t = 1 — after the second event at
+  // that instant, before the clock moves — and what they armed fires in
+  // the ranks their flushes claimed.
+  const std::string one = std::to_string(1.0);
+  EXPECT_EQ(log, (std::vector<std::string>{"H@" + one, "H'@" + one, "flush A@" + one,
+                                           "flush B@" + one, "A@" + std::to_string(1.5),
+                                           "B@" + std::to_string(1.5),
+                                           "H@" + std::to_string(2.0)}));
 }
 
 TEST(Simulator, RunToCompletionRunsEveryRegisteredStreamEvent) {
   Simulator sim;
   std::vector<std::string> log;
   HeadStream registered(sim, log, "R", {2.0, 4.0});
-  sim.set_event_stream(&registered);
+  sim.add_event_stream(&registered);
   registered.arm(1.0);
   sim.at(3.0, [&] { log.push_back("H3"); });
   sim.run_to_completion();
@@ -319,7 +495,6 @@ TEST(Simulator, RunToCompletionRunsEveryRegisteredStreamEvent) {
   EXPECT_EQ(sim.executed_events(), 4u);
   EXPECT_DOUBLE_EQ(sim.now(), 4.0);  // the clock ends at the last event
   EXPECT_TRUE(std::isinf(registered.next_time()));
-  sim.set_event_stream(nullptr);
 }
 
 }  // namespace

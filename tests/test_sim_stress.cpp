@@ -9,14 +9,14 @@
 // Retired handles (fired or cancelled) are kept and re-probed: the
 // generation stamp must keep rejecting them in O(1) even after their pool
 // slot has been recycled by later schedules.
-// Ordered-lane appends (schedule_ordered) are modelled as schedules under a
-// fresh rank: their times are non-decreasing but coarse, so they tie with
-// heap events and with each other, and the merged heap/lane head must match
-// the reference's single ordering at every step.
-// A second variant drives a Simulator with a registered EventStream (the
-// flow engine's completion-head shape) beside heap and lane events, and
-// checks the run loop's merged firing order against the same reference.
+// A second variant drives a Simulator with two registered EventStreams (the
+// flow engine's completion-head shape) beside heap events and ordered-lane
+// appends (Simulator::after_ordered, modelled as schedules under a fresh
+// rank: their times are non-decreasing but coarse, so they tie with heap
+// events and with each other), and checks the run loop's merged firing
+// order against the same reference.
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <map>
 #include <tuple>
@@ -87,15 +87,11 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
   // actually ran. `dead` holds retired queue handles for staleness probes.
   std::vector<std::pair<EventId, EventId>> live;  // (queue id, reference id)
   std::vector<EventId> dead;
-  // Reference ids of pending lane events (no queue handle) and the lane's
-  // last appended time.
-  std::vector<EventId> lane;
-  double lane_time = 0.0;
   EventId last_fired = 0;
 
   const auto check_heads = [&] {
     ASSERT_EQ(queue.empty(), reference.empty());
-    ASSERT_EQ(queue.size(), live.size() + lane.size());
+    ASSERT_EQ(queue.size(), live.size());
     if (!queue.empty()) {
       const auto [ref_t, ref_seq] = reference.peek_key();
       ASSERT_EQ(queue.next_time(), ref_t);
@@ -104,7 +100,7 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
   };
 
   for (int step = 0; step < 4000; ++step) {
-    const int op = rng.uniform_int(0, 14);
+    const int op = rng.uniform_int(0, 12);
     if (op < 5) {
       // Schedule. Times are drawn coarse so ties are common.
       const double t = static_cast<double>(rng.uniform_int(0, 50));
@@ -145,13 +141,6 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
       ASSERT_FALSE(queue.is_pending(stale));
       ASSERT_FALSE(queue.cancel(stale));
       ASSERT_FALSE(queue.reschedule(stale, 10.0));
-    } else if (op >= 13) {
-      // Lane append: the time creeps up slowly from the heap's coarse
-      // range, so it often ties with heap events and earlier lane events.
-      if (rng.uniform_int(0, 7) == 0) lane_time += 1.0;
-      const EventId ref_id = reference.schedule(lane_time);
-      queue.schedule_ordered(lane_time, [&last_fired, ref_id] { last_fired = ref_id; });
-      lane.push_back(ref_id);
     } else if (!queue.empty()) {
       ASSERT_FALSE(reference.empty());
       const double t = queue.next_time();
@@ -164,15 +153,9 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
                                       [ref_id = ref_id](const std::pair<EventId, EventId>& p) {
                                         return p.second == ref_id;
                                       });
-      if (fired != live.end()) {
-        dead.push_back(fired->first);
-        live.erase(fired);
-      } else {
-        // Not a heap event, so it must be the lane's head.
-        ASSERT_FALSE(lane.empty());
-        ASSERT_EQ(lane.front(), ref_id) << "lane fired out of FIFO order";
-        lane.erase(lane.begin());
-      }
+      ASSERT_NE(fired, live.end());
+      dead.push_back(fired->first);
+      live.erase(fired);
     } else {
       ASSERT_TRUE(reference.empty());
     }
@@ -246,8 +229,10 @@ TEST_P(EventQueueModel, RegisteredStreamMatchesReference) {
   Simulator sim;
   ReferenceQueue reference;
   std::vector<EventId> fired;  // reference ids, in the order the simulator ran them
-  ModelStream stream(sim, reference, rng, fired);
-  sim.set_event_stream(&stream);
+  std::array<ModelStream, 2> streams{ModelStream(sim, reference, rng, fired),
+                                     ModelStream(sim, reference, rng, fired)};
+  sim.add_event_stream(&streams[0]);
+  sim.add_event_stream(&streams[1]);
   std::vector<std::pair<EventId, EventId>> live;  // (queue id, reference id)
   std::vector<EventId> lane;
   double lane_time = 0.0;
@@ -305,27 +290,28 @@ TEST_P(EventQueueModel, RegisteredStreamMatchesReference) {
       sim.after_ordered(lane_time - now, [&fired, ref_id] { fired.push_back(ref_id); });
       lane.push_back(ref_id);
     } else if (op < 11) {
-      // Arm or move the head; small offsets make same-time re-arms (rank
-      // kept) and ties with queued events common.
-      stream.arm(now + rng.uniform_int(0, 6));
+      // Arm or move a head; small offsets make same-time re-arms (rank
+      // kept) and ties with queued events and the other head common.
+      streams[static_cast<std::size_t>(rng.uniform_int(0, 1))].arm(now + rng.uniform_int(0, 6));
     } else if (op == 11) {
-      stream.clear();
+      streams[static_cast<std::size_t>(rng.uniform_int(0, 1))].clear();
     } else if (!reference.empty()) {
       const double horizon = reference.peek_key().first;
       sim.run_until(horizon);
       check_fired(horizon);
     }
     ASSERT_EQ(sim.pending_events(), live.size() + lane.size());
-    ASSERT_EQ(reference.empty(), live.empty() && lane.empty() && !stream.armed());
+    ASSERT_EQ(reference.empty(),
+              live.empty() && lane.empty() && !streams[0].armed() && !streams[1].armed());
   }
-  // run_to_completion drains the registered stream too, self-re-arms
+  // run_to_completion drains the registered streams too, self-re-arms
   // included, and leaves the clock at the last event.
   sim.run_to_completion();
   check_fired(std::numeric_limits<double>::infinity());
   EXPECT_TRUE(reference.empty());
-  EXPECT_FALSE(stream.armed());
+  EXPECT_FALSE(streams[0].armed());
+  EXPECT_FALSE(streams[1].armed());
   EXPECT_EQ(sim.now(), last_time);
-  sim.set_event_stream(nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueModel, ::testing::Range(1, 9));

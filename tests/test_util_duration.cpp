@@ -48,6 +48,10 @@ TEST(ParseDuration, RejectsMalformedInput) {
   EXPECT_FALSE(parse_duration_seconds("1d").has_value());    // unknown unit
   EXPECT_FALSE(parse_duration_seconds("nan").has_value());
   EXPECT_FALSE(parse_duration_seconds("inf").has_value());
+  // Finite numbers whose conversion to seconds overflows.
+  EXPECT_FALSE(parse_duration_seconds("1e307m").has_value());
+  EXPECT_FALSE(parse_duration_seconds("1e306h").has_value());
+  EXPECT_TRUE(parse_duration_seconds("1e306s").has_value());  // finite in seconds
 }
 
 TEST(ParseDuration, GrammarHelpNamesTheAcceptedForms) {
