@@ -19,6 +19,7 @@ void Bh2Policy::start(AccessRuntime& runtime) {
   util::require(std::isfinite(period) && period > 0.0,
                 "bh2.decision_period must be finite and positive");
   runtime_ = &runtime;
+  runtime.simulator().set_ordered_handler(this);
   config_ = runtime.scenario().bh2;
   config_.backup = backup_;
   const int clients = runtime.scenario().client_count;
@@ -67,9 +68,9 @@ void Bh2Policy::decision_epoch(AccessRuntime& runtime, int client) {
 
   if (runtime.simulator().now() < runtime.duration()) {
     // Every re-arm lands at now + period with now non-decreasing, so the
-    // epochs arrive in time order and ride the queue's ordered lane.
+    // epochs arrive in time order and ride the simulator's ordered lane.
     runtime.simulator().after_ordered(config_.decision_period,
-                                      [this, client] { decision_epoch(*runtime_, client); });
+                                      static_cast<std::uint64_t>(client));
   }
 }
 

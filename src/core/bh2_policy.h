@@ -5,6 +5,7 @@
 // the remote gateway until the home finishes waking (§5.1).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "bh2/algorithm.h"
@@ -15,7 +16,9 @@ namespace insomnia::core {
 /// BH2 user policy over the shared runtime. The gateway observer is backed
 /// by the simulator's ground truth (equivalent to an ideal SN-counting
 /// estimator; bh2::SnLoadEstimator shows the over-the-air version works).
-class Bh2Policy : public Policy {
+/// It is the simulator's ordered-lane handler: each terminal's periodic
+/// decision epoch re-arms on the lane tagged with the client index.
+class Bh2Policy : public Policy, private sim::OrderedHandler {
  public:
   /// `backup` overrides the scenario's bh2.backup (Fig. 7/9 compare 0 / 1).
   /// `threshold_jitter` > 0 scales each terminal's low/high load thresholds
@@ -44,6 +47,11 @@ class Bh2Policy : public Policy {
     AccessRuntime* runtime_;
   };
 
+  /// sim::OrderedHandler: a lane epoch, tagged with its client.
+  void on_ordered(std::uint64_t tag) override {
+    decision_epoch(*runtime_, static_cast<int>(tag));
+  }
+
   /// Periodic decision for one client; reschedules itself until the trace
   /// horizon.
   void decision_epoch(AccessRuntime& runtime, int client);
@@ -58,12 +66,7 @@ class Bh2Policy : public Policy {
                                   : client_config_[static_cast<std::size_t>(client)];
   }
 
-  AccessRuntime* runtime_ = nullptr;  ///< bound in start(); the periodic
-                                      ///< decision closures capture only
-                                      ///< {this, client} (12 bytes) so they
-                                      ///< fit std::function's inline buffer
-                                      ///< instead of heap-allocating once
-                                      ///< per client per decision period
+  AccessRuntime* runtime_ = nullptr;  ///< bound in start()
   bh2::Bh2Config config_;
   int backup_;
   double threshold_jitter_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "flow/incremental_network.h"
 #include "util/error.h"
@@ -44,27 +45,14 @@ AccessRuntime::AccessRuntime(const ScenarioConfig& scenario,
   util::require(scenario.gateway_count <= scenario.dslam_ports(),
                 "every gateway needs a DSLAM port");
 
-  simulator_.add_event_stream(&arrivals_);
+  simulator_.add_event_stream(&arrivals_, /*can_gate=*/true);
   std::vector<double> backhaul(static_cast<std::size_t>(scenario.gateway_count),
                                scenario.backhaul_bps);
   network_ = make_network != nullptr
                  ? make_network(simulator_, std::move(backhaul))
                  : std::make_unique<flow::IncrementalFluidNetwork>(simulator_, std::move(backhaul));
   network_->reserve_flows(flows.size());
-  network_->set_completion_handler([this](const flow::CompletedFlow& done) {
-    if (done.id < metrics_.completion_time.size()) {
-      metrics_.completion_time[done.id] = done.duration();
-    }
-    auto& live = client_live_flows_[static_cast<std::size_t>(done.client)];
-    live.erase(std::remove(live.begin(), live.end(), done.id), live.end());
-    // Re-arm the SoI timer exactly when a gateway drains its last flow.
-    if (policy_->sleep_on_idle() &&
-        states_[static_cast<std::size_t>(done.gateway)] == GatewayState::kActive &&
-        network_->active_flow_count(done.gateway) == 0) {
-      arm_idle_check(done.gateway);
-    }
-    policy_->on_flow_complete(*this, done);
-  });
+  network_->set_completion_sink(this);
 
   states_.assign(static_cast<std::size_t>(scenario.gateway_count), GatewayState::kAsleep);
   wake_events_.assign(states_.size(), sim::kInvalidEventId);
@@ -76,10 +64,18 @@ AccessRuntime::AccessRuntime(const ScenarioConfig& scenario,
   metrics_.completion_time.assign(flows.size(), std::numeric_limits<double>::quiet_NaN());
 }
 
+namespace {
+
+/// What the LiveMode constructor's `flows_` points at: live arrivals are
+/// read from the runtime's own buffer, never through `flows_`.
+const trace::FlowTrace kNoTrace;
+
+}  // namespace
+
 AccessRuntime::AccessRuntime(const ScenarioConfig& scenario,
                              const topo::AccessTopology& topology, Policy& policy,
                              sim::Random rng, LiveMode mode)
-    : AccessRuntime(scenario, topology, live_flows_, policy, rng) {
+    : AccessRuntime(scenario, topology, kNoTrace, policy, rng) {
   live_ = true;
   live_gated_ = mode.gated;
 }
@@ -233,8 +229,8 @@ void AccessRuntime::idle_check(int gateway) {
     return;
   }
   // Not idle. With flows in service last_activity can be stale (it advances
-  // only when this gateway's events run), so back off a full timeout; the
-  // completion handler re-arms the timer exactly when the last flow ends.
+  // only when this gateway's events run), so back off a full timeout;
+  // on_flow_complete re-arms the timer exactly when the last flow ends.
   const double when = has_flows ? simulator_.now() + scenario_->idle_timeout
                                 : reference + scenario_->idle_timeout;
   auto& pending = idle_events_[static_cast<std::size_t>(gateway)];
@@ -249,14 +245,25 @@ void AccessRuntime::repack_dslam() {
   sync_card_meters();
 }
 
-double AccessRuntime::ArrivalStream::next_time() const {
-  return runtime_->arrival_armed_ ? (*runtime_->flows_)[runtime_->cursor_].start_time
-                                  : std::numeric_limits<double>::infinity();
+void AccessRuntime::on_flow_complete(const flow::CompletedFlow& done) {
+  if (done.id < metrics_.completion_time.size()) {
+    metrics_.completion_time[done.id] = done.duration();
+  }
+  auto& live = client_live_flows_[static_cast<std::size_t>(done.client)];
+  live.erase(std::remove(live.begin(), live.end(), done.id), live.end());
+  // Re-arm the SoI timer exactly when a gateway drains its last flow.
+  if (policy_->sleep_on_idle() &&
+      states_[static_cast<std::size_t>(done.gateway)] == GatewayState::kActive &&
+      network_->active_flow_count(done.gateway) == 0) {
+    arm_idle_check(done.gateway);
+  }
+  policy_->on_flow_complete(*this, done);
 }
 
 void AccessRuntime::arm_next_arrival() {
-  if (arrival_armed_ || cursor_ >= flows_->size()) return;
-  arrival_rank_ = simulator_.allocate_sequence();
+  if (arrival_armed_ || cursor_ >= arrivals_available()) return;
+  simulator_.set_stream_head(arrivals_, arrival(cursor_).start_time,
+                             simulator_.allocate_sequence());
   arrival_armed_ = true;
 }
 
@@ -266,14 +273,16 @@ bool AccessRuntime::arrival_ready() const {
   // the head is processed, and claiming it later — after other events
   // allocated sequence numbers — would break same-instant FIFO ties against
   // the offline replay.
-  return !live_gated_ || live_input_done_ || cursor_ + 1 < flows_->size();
+  return !live_gated_ || live_input_done_ || cursor_ + 1 < live_appended_;
 }
 
 void AccessRuntime::process_arrival() {
-  const trace::FlowRecord& record = (*flows_)[cursor_];
+  const trace::FlowRecord& record = arrival(cursor_);
   const auto id = static_cast<flow::FlowId>(cursor_);
   ++cursor_;
   arrival_armed_ = false;
+  simulator_.set_stream_head(arrivals_, std::numeric_limits<double>::infinity(),
+                             arrivals_.head_rank());
   arm_next_arrival();
 
   const int gateway = policy_->route_flow(*this, record.client, record.bytes);
@@ -315,7 +324,8 @@ RunMetrics AccessRuntime::assemble_metrics() {
     metrics_.gateway_online_time[static_cast<std::size_t>(g)] =
         households_.online_time(g, 0.0, metrics_.duration);
   }
-  return metrics_;
+  // run() and finish_live() end the day once each, so the metrics move out.
+  return std::move(metrics_);
 }
 
 void AccessRuntime::begin_live() {
@@ -351,10 +361,19 @@ void AccessRuntime::append_live_arrivals(const trace::FlowRecord* records,
           std::max({record.start_time, live_last_time_, simulator_.now()});
     }
     live_last_time_ = record.start_time;
-    live_flows_.push_back(record);
-    metrics_.completion_time.push_back(std::numeric_limits<double>::quiet_NaN());
+    if (live_appended_ - cursor_ == live_pending_.size()) grow_live_pending();
+    live_pending_[live_appended_ & (live_pending_.size() - 1)] = record;
+    ++live_appended_;
   }
   if (live_started_) arm_next_arrival();
+}
+
+void AccessRuntime::grow_live_pending() {
+  std::vector<trace::FlowRecord> grown(std::max<std::size_t>(1024, 2 * live_pending_.size()));
+  for (std::size_t i = cursor_; i < live_appended_; ++i) {
+    grown[i & (grown.size() - 1)] = live_pending_[i & (live_pending_.size() - 1)];
+  }
+  live_pending_.swap(grown);
 }
 
 void AccessRuntime::finish_live_input() {
@@ -375,10 +394,10 @@ AccessRuntime::StepResult AccessRuntime::step_live(double until) {
 RunMetrics AccessRuntime::finish_live(double covered_duration) {
   util::require_state(live_started_, "finish_live before begin_live");
   util::require_state(live_input_done_, "finish_live before finish_live_input");
+  util::require_state(!live_finished_, "finish_live may only be called once");
+  live_finished_ = true;
   metrics_.duration = covered_duration;
   return assemble_metrics();
 }
-
-std::size_t AccessRuntime::arrivals_appended() const { return live_flows_.size(); }
 
 }  // namespace insomnia::core

@@ -58,7 +58,9 @@ class Policy {
 /// One simulated day. Construct, then call run() exactly once — or, for the
 /// online controller, construct with LiveMode and drive the incremental
 /// begin_live / append_live_arrivals / step_live / finish_live sequence.
-class AccessRuntime {
+/// The data plane reports finished flows straight to the runtime (it is the
+/// network's flow::CompletionSink).
+class AccessRuntime final : private flow::CompletionSink {
  public:
   /// Builds the day's fluid data plane; `backhaul_rates[g]` is gateway g's
   /// broadband speed in bits/s.
@@ -99,11 +101,13 @@ class AccessRuntime {
   /// Call once, after appending any records already on hand.
   void begin_live();
 
-  /// Appends `count` records to the arrival buffer. Both modes enforce the
-  /// row contract of trace::parse_flow_row (finite, non-negative start time
-  /// and bytes) and a valid client range. Gated mode also requires sorted
-  /// times; ungated mode instead clamps stale times forward to the current
-  /// virtual time, so late events are decided now rather than rejected.
+  /// Appends `count` records to the arrival buffer, copying each once into
+  /// a ring that holds only the records not yet dispatched (the day's
+  /// records never accumulate). Both modes enforce the row contract of
+  /// trace::parse_flow_row (finite, non-negative start time and bytes) and
+  /// a valid client range. Gated mode also requires sorted times; ungated
+  /// mode instead clamps stale times forward to the current virtual time,
+  /// so late events are decided now rather than rejected.
   void append_live_arrivals(const trace::FlowRecord* records, std::size_t count);
 
   /// Promises no further append_live_arrivals calls; opens the gate for the
@@ -124,10 +128,13 @@ class AccessRuntime {
   /// covered horizon plus drain. `covered_duration` is the virtual span the
   /// day actually covered (metrics normalise energy/series against it); an
   /// uninterrupted full-day live replay passes scenario().duration and gets
-  /// metrics bit-identical to run().
+  /// metrics bit-identical to run(), except that a live day keeps no
+  /// per-flow completion times (completion_time is empty): nothing online
+  /// reads them, and they would cost two day-sized buffers. Replay the
+  /// recorded trace offline for flow completion times.
   RunMetrics finish_live(double covered_duration);
 
-  std::size_t arrivals_appended() const;
+  std::size_t arrivals_appended() const { return live_appended_; }
   /// Arrivals dispatched into the data plane so far (decision made).
   std::size_t arrivals_consumed() const { return cursor_; }
 
@@ -195,13 +202,30 @@ class AccessRuntime {
   /// first arrival armed.
   void start_day();
 
-  /// Claims the FIFO rank of the next trace arrival. The trace is already
-  /// time-sorted, so arrivals replay as a sim::EventStream instead of
-  /// churning through the event heap; the rank is taken exactly where the
-  /// arrival event used to be scheduled, keeping event order identical. In
-  /// live mode a rank is only claimed once the record exists; appending the
-  /// record later claims it then (the gate keeps those two points the same
-  /// instant in the event order).
+  /// flow::CompletionSink: records the completion time (replay only),
+  /// retires the flow from its client's live list, re-arms SoI and notifies
+  /// the policy.
+  void on_flow_complete(const flow::CompletedFlow& done) override;
+
+  /// Records the trace holds or were appended live (the cursor's end).
+  std::size_t arrivals_available() const { return live_ ? live_appended_ : flows_->size(); }
+
+  /// Arrival `i` (i >= cursor_ in live mode: dispatched records are gone).
+  const trace::FlowRecord& arrival(std::size_t i) const {
+    return live_ ? live_pending_[i & (live_pending_.size() - 1)] : (*flows_)[i];
+  }
+
+  /// Doubles the live pending ring, keeping each record at its index.
+  void grow_live_pending();
+
+  /// Claims the FIFO rank of the next trace arrival and publishes it as the
+  /// arrival stream's head. The trace is already time-sorted, so arrivals
+  /// replay as a sim::EventStream instead of churning through the event
+  /// heap; the rank is taken exactly where the arrival event used to be
+  /// scheduled, keeping event order identical. In live mode a rank is only
+  /// claimed once the record exists; appending the record later claims it
+  /// then (the gate keeps those two points the same instant in the event
+  /// order).
   void arm_next_arrival();
 
   /// Processes the trace flow at `cursor_`.
@@ -210,16 +234,16 @@ class AccessRuntime {
   /// Gate for run_until_gated: may the arrival at `cursor_` dispatch now?
   bool arrival_ready() const;
 
-  /// Shared metrics-assembly tail of run() / finish_live().
+  /// Shared metrics-assembly tail of run() / finish_live(); moves the
+  /// metrics out (each ends the day once).
   RunMetrics assemble_metrics();
 
   /// Adapts the trace cursor to sim::EventStream; registered with the
-  /// simulator for the runtime's lifetime.
+  /// simulator (able to gate) for the runtime's lifetime. arm_next_arrival
+  /// publishes its head.
   class ArrivalStream : public sim::EventStream {
    public:
     explicit ArrivalStream(AccessRuntime& runtime) : runtime_(&runtime) {}
-    double next_time() const override;
-    std::uint64_t next_rank() const override { return runtime_->arrival_rank_; }
     void fire() override { runtime_->process_arrival(); }
     bool ready() const override { return runtime_->arrival_ready(); }
 
@@ -253,20 +277,23 @@ class AccessRuntime {
 
   RunMetrics metrics_;
   std::size_t cursor_ = 0;
-  std::uint64_t arrival_rank_ = 0;
   bool arrival_armed_ = false;
   bool ran_ = false;
 
-  // Live-mode state. `live_flows_` backs `flows_` for the LiveMode
-  // constructor (the delegating constructor binds the reference before the
-  // vector is constructed — only its address is taken, and it is
-  // default-constructed before any constructor body reads it).
+  // Live-mode state. The delegating LiveMode constructor binds `flows_` to
+  // an empty trace (so no completion times are kept); appended records wait
+  // in `live_pending_` until they dispatch.
   bool live_ = false;
   bool live_gated_ = false;
   bool live_started_ = false;
   bool live_input_done_ = false;
+  bool live_finished_ = false;
   double live_last_time_ = 0.0;
-  trace::FlowTrace live_flows_;
+  /// Records [cursor_, live_appended_), record i at index i & (size - 1): a
+  /// power-of-two ring as large as the caller's lookahead, not the day, so
+  /// a live day's records stay in cache and never re-copy the day.
+  std::vector<trace::FlowRecord> live_pending_;
+  std::size_t live_appended_ = 0;
 };
 
 }  // namespace insomnia::core

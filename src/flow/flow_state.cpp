@@ -6,21 +6,6 @@
 
 namespace insomnia::flow {
 
-FlowBlock::Pos FlowBlock::push_back(std::uint64_t flow_id, int flow_client, double arrival,
-                                    double flow_bytes, double remaining, double cap,
-                                    std::uint64_t seq) {
-  const Pos pos = static_cast<Pos>(id.size());
-  id.push_back(flow_id);
-  client.push_back(flow_client);
-  arrival_time.push_back(arrival);
-  bytes.push_back(flow_bytes);
-  remaining_bits.push_back(remaining);
-  wireless_cap.push_back(cap);
-  rate.push_back(0.0);
-  cap_seq.push_back(seq);
-  return pos;
-}
-
 void FlowBlock::compact_removed(const std::vector<Pos>& removed, std::vector<Pos>& remap) {
   const std::size_t n = size();
   remap.resize(n);
@@ -33,67 +18,52 @@ void FlowBlock::compact_removed(const std::vector<Pos>& removed, std::vector<Pos
       continue;
     }
     remap[read] = static_cast<Pos>(write);
-    if (write != read) {
-      id[write] = id[read];
-      client[write] = client[read];
-      arrival_time[write] = arrival_time[read];
-      bytes[write] = bytes[read];
-      remaining_bits[write] = remaining_bits[read];
-      wireless_cap[write] = wireless_cap[read];
-      rate[write] = rate[read];
-      cap_seq[write] = cap_seq[read];
-    }
+    if (write != read) flows_[write] = flows_[read];
     ++write;
   }
-  id.resize(write);
-  client.resize(write);
-  arrival_time.resize(write);
-  bytes.resize(write);
-  remaining_bits.resize(write);
-  wireless_cap.resize(write);
-  rate.resize(write);
-  cap_seq.resize(write);
+  flows_.resize(write);
 }
 
 void FlowBlock::erase_at(Pos pos) {
   util::require_state(pos < size(), "FlowBlock::erase_at out of range");
-  id.erase(id.begin() + pos);
-  client.erase(client.begin() + pos);
-  arrival_time.erase(arrival_time.begin() + pos);
-  bytes.erase(bytes.begin() + pos);
-  remaining_bits.erase(remaining_bits.begin() + pos);
-  wireless_cap.erase(wireless_cap.begin() + pos);
-  rate.erase(rate.begin() + pos);
-  cap_seq.erase(cap_seq.begin() + pos);
+  flows_.erase(flows_.begin() + pos);
 }
 
-void FlowBlock::reserve(std::size_t n) {
-  id.reserve(n);
-  client.reserve(n);
-  arrival_time.reserve(n);
-  bytes.reserve(n);
-  remaining_bits.reserve(n);
-  wireless_cap.reserve(n);
-  rate.reserve(n);
-  cap_seq.reserve(n);
-}
-
-bool FlowIndex::dense_id(std::uint64_t id) const {
-  // Growing the flat vector is fine while it stays proportionate to the
-  // flows actually stored; a far outlier (sparse trace id) must not make it
-  // balloon. Mirrors the reference engine's heuristic exactly.
-  if (id < dense_.size()) return true;
+bool FlowIndex::make_room(std::uint64_t id) {
+  // The window may cover ids up to base_ + ceiling: proportionate to the
+  // flows actually stored, so a far outlier (sparse trace id) never
+  // balloons it, nor drags it away from the dense ids.
   const std::uint64_t ceiling = std::max<std::uint64_t>(1024, 4 * (stored_total_ + 1));
-  return id < ceiling;
+  if (id < base_ || id - base_ >= ceiling) return false;
+  // Leading retired slots go back to the free end once they are at least
+  // half the window: the shift then moves at most half of it, and buys as
+  // many stores before the next one (amortized O(1) per id). Fewer than
+  // half, and the window doubles instead.
+  std::size_t retired = 0;
+  while (retired < window_.size() && window_[retired] == kEmpty) ++retired;
+  if (retired == window_.size()) {
+    base_ = id;  // nothing live in the window: restart it at `id`
+  } else if (2 * retired >= window_.size()) {
+    std::copy(window_.begin() + static_cast<std::ptrdiff_t>(retired), window_.end(),
+              window_.begin());
+    std::fill(window_.end() - static_cast<std::ptrdiff_t>(retired), window_.end(), kEmpty);
+    base_ += retired;
+  }
+  const std::uint64_t span = id - base_ + 1;
+  if (span > window_.size()) {
+    window_.resize(std::max<std::size_t>({span, 2 * window_.size(), 1024}), kEmpty);
+  }
+  return true;
 }
 
 FlowIndex::Loc FlowIndex::find(std::uint64_t id) const {
   std::uint64_t packed = kEmpty;
-  // The dense vector may later grow past an id that went to the overflow
-  // map while it was still an outlier, so an empty dense entry must fall
-  // through to the map (cheap: the map is almost always empty).
-  if (id < dense_.size() && dense_[id] != kEmpty) {
-    packed = dense_[id];
+  // An id that went to the overflow map may later fall inside the window
+  // (it slid or grew past it), so an empty slot must fall through to the
+  // map (cheap: the map is almost always empty).
+  const std::uint64_t* entry = slot(id);
+  if (entry != nullptr && *entry != kEmpty) {
+    packed = *entry;
   } else if (!overflow_.empty()) {
     const auto it = overflow_.find(id);
     if (it != overflow_.end()) packed = it->second;
@@ -104,21 +74,17 @@ FlowIndex::Loc FlowIndex::find(std::uint64_t id) const {
 
 void FlowIndex::store(std::uint64_t id, int gateway, FlowBlock::Pos pos) {
   ++stored_total_;
-  if (dense_id(id)) {
-    // Geometric growth: a live day has no flow count to reserve() up front,
-    // and growing to exactly id + 1 would refill the tail once per arrival.
-    if (dense_.size() <= id) {
-      dense_.resize(std::max<std::size_t>(id + 1, 2 * dense_.size()), kEmpty);
-    }
-    dense_[id] = pack(gateway, pos);
+  if (slot(id) != nullptr || make_room(id)) {
+    *slot(id) = pack(gateway, pos);
   } else {
     overflow_[id] = pack(gateway, pos);
   }
 }
 
 void FlowIndex::relocate(std::uint64_t id, int gateway, FlowBlock::Pos pos) {
-  if (id < dense_.size() && dense_[id] != kEmpty) {
-    dense_[id] = pack(gateway, pos);
+  std::uint64_t* entry = slot(id);
+  if (entry != nullptr && *entry != kEmpty) {
+    *entry = pack(gateway, pos);
   } else {
     const auto it = overflow_.find(id);
     util::require_state(it != overflow_.end(), "FlowIndex::relocate of unknown id");
@@ -127,20 +93,15 @@ void FlowIndex::relocate(std::uint64_t id, int gateway, FlowBlock::Pos pos) {
 }
 
 void FlowIndex::erase(std::uint64_t id) {
-  // Mirror find(): the mapping lives in the dense vector or, for an id that
-  // was an outlier when stored, in the overflow map — even if the vector
-  // has since grown past it.
-  if (id < dense_.size() && dense_[id] != kEmpty) {
-    dense_[id] = kEmpty;
+  // Mirror find(): the mapping lives in the window or, for an id that was
+  // an outlier when stored, in the overflow map — even if the window has
+  // since moved over it.
+  std::uint64_t* entry = slot(id);
+  if (entry != nullptr && *entry != kEmpty) {
+    *entry = kEmpty;
   } else {
     overflow_.erase(id);
   }
-}
-
-void FlowIndex::reserve(std::size_t flow_count) {
-  // Pre-size rather than reserve: store() then finds every id below
-  // flow_count already in range instead of growing the vector per flow.
-  if (dense_.size() < flow_count) dense_.resize(flow_count, kEmpty);
 }
 
 }  // namespace insomnia::flow

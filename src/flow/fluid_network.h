@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -31,7 +30,7 @@ namespace insomnia::flow {
 /// schemes.
 using FlowId = std::uint64_t;
 
-/// A finished flow, reported through the completion callback.
+/// A finished flow, reported to the network's CompletionSink.
 struct CompletedFlow {
   FlowId id = 0;
   int client = 0;
@@ -44,6 +43,16 @@ struct CompletedFlow {
   double duration() const { return completion_time - arrival_time; }
 };
 
+/// Receives every finished flow from a FluidNetwork: the engine calls it
+/// directly for each completion, with no closure in between.
+class CompletionSink {
+ public:
+  virtual void on_flow_complete(const CompletedFlow& flow) = 0;
+
+ protected:
+  ~CompletionSink() = default;
+};
+
 /// The fluid data plane. All mutating calls advance internal progress to
 /// the simulator's current time first, so rates may change arbitrarily often
 /// without integration error.
@@ -54,12 +63,14 @@ class FluidNetwork {
   FluidNetwork(const FluidNetwork&) = delete;
   FluidNetwork& operator=(const FluidNetwork&) = delete;
 
-  /// Invoked whenever a flow finishes.
-  virtual void set_completion_handler(std::function<void(const CompletedFlow&)> handler) = 0;
+  /// Routes every finished flow to `sink` (nullptr: nowhere). The sink must
+  /// outlive the network's last event.
+  void set_completion_sink(CompletionSink* sink) { sink_ = sink; }
 
   /// Capacity hint: the caller expects about `flow_count` add_flow calls
-  /// with dense ids. Pre-sizes the flow store so the replay loop does not
-  /// pay for incremental growth.
+  /// with dense ids. An engine that keeps per-flow state for the whole day
+  /// pre-sizes it so the replay loop does not pay for incremental growth;
+  /// one that keeps live flows only may ignore it.
   virtual void reserve_flows(std::size_t flow_count) = 0;
 
   /// Starts a flow of `bytes` for `client` via `gateway`, throttled to at
@@ -113,6 +124,11 @@ class FluidNetwork {
  protected:
   FluidNetwork() = default;
 
+  /// Hands one finished flow to the bound sink, if any.
+  void complete(const CompletedFlow& flow) {
+    if (sink_ != nullptr) sink_->on_flow_complete(flow);
+  }
+
   /// A flow with less than a millibit left is complete (physically
   /// meaningless, numerically decisive). Shared by both engines so the
   /// completion condition can never drift between them.
@@ -121,6 +137,9 @@ class FluidNetwork {
   /// Completion events fire at least this far in the future (well above the
   /// double ulp at t ~ 1e5 s), so zero-progress event loops cannot form.
   static constexpr double kMinEventDelay = 1e-6;
+
+ private:
+  CompletionSink* sink_ = nullptr;
 };
 
 }  // namespace insomnia::flow

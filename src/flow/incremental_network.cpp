@@ -26,13 +26,9 @@ IncrementalFluidNetwork::~IncrementalFluidNetwork() {
   obs::counter("flow.waterfills").add(waterfills_);
 }
 
-void IncrementalFluidNetwork::set_completion_handler(
-    std::function<void(const CompletedFlow&)> handler) {
-  on_complete_ = std::move(handler);
-}
-
-void IncrementalFluidNetwork::reserve_flows(std::size_t flow_count) {
-  index_.reserve(flow_count);
+void IncrementalFluidNetwork::reserve_flows(std::size_t /*flow_count*/) {
+  // Nothing to pre-size: the engine holds live flows only, and its id
+  // window tracks the span of live ids, not the day's flow count.
 }
 
 IncrementalFluidNetwork::GatewayState& IncrementalFluidNetwork::gateway(int g) {
@@ -49,7 +45,7 @@ void IncrementalFluidNetwork::mark_dirty(int g) {
     gw.dirty = true;
     dirty_list_.push_back(g);
   }
-  simulator_->request_flush();
+  simulator_->request_flush(*this);
 }
 
 void IncrementalFluidNetwork::flush() {
@@ -112,15 +108,20 @@ void IncrementalFluidNetwork::add_flow(FlowId id, int client, int gateway_id, do
     // Mirrors the reference exactly: a zero-byte flow completes on the spot
     // and does NOT trigger a re-waterfill, even though the advance() above
     // may have completed flows and left survivor rates stale.
-    if (on_complete_) {
-      on_complete_({id, client, gateway_id, now, now, bytes});
-    }
+    complete({id, client, gateway_id, now, now, bytes});
     return;
   }
 
   util::require(!index_.find(id).valid(), "duplicate flow id");
-  const FlowBlock::Pos pos =
-      gw.flows.push_back(id, client, now, bytes, remaining_bits, wireless_cap, gw.next_cap_seq);
+  FlowState flow;
+  flow.id = id;
+  flow.arrival_time = now;
+  flow.bytes = bytes;
+  flow.remaining_bits = remaining_bits;
+  flow.wireless_cap = wireless_cap;
+  flow.cap_seq = gw.next_cap_seq;
+  flow.client = client;
+  const FlowBlock::Pos pos = gw.flows.push_back(flow);
   index_.store(id, gateway_id, pos);
   insert_sorted(gw, pos, wireless_cap, gw.next_cap_seq);
   ++gw.next_cap_seq;
@@ -143,7 +144,7 @@ void IncrementalFluidNetwork::migrate_flow(FlowId id, int new_gateway, double ne
       GatewayState& gw = gateway(old_gateway);
       const std::uint64_t seq = remove_sorted(gw, loc.pos);
       insert_sorted(gw, loc.pos, new_wireless_cap, seq);
-      gw.flows.wireless_cap[loc.pos] = new_wireless_cap;
+      gw.flows[loc.pos].wireless_cap = new_wireless_cap;
     }
     mark_dirty(old_gateway);
     return;
@@ -156,27 +157,23 @@ void IncrementalFluidNetwork::migrate_flow(FlowId id, int new_gateway, double ne
   if (!loc.valid()) return;
 
   GatewayState& old_gw = gateway(loc.gateway);
-  const int client = old_gw.flows.client[loc.pos];
-  const double arrival = old_gw.flows.arrival_time[loc.pos];
-  const double bytes = old_gw.flows.bytes[loc.pos];
-  const double remaining = old_gw.flows.remaining_bits[loc.pos];
-  const double carried_rate = old_gw.flows.rate[loc.pos];
+  // The rate travels with the flow until the next water-fill, as in the
+  // reference (unobservable there — both gateways re-waterfill — and kept
+  // identical here for the same reason).
+  FlowState moved = old_gw.flows[loc.pos];
   remove_sorted(old_gw, loc.pos);
   old_gw.flows.erase_at(loc.pos);
   for (SortedCap& entry : old_gw.sorted) {
     if (entry.pos > loc.pos) --entry.pos;
   }
   for (FlowBlock::Pos pos = loc.pos; pos < old_gw.flows.size(); ++pos) {
-    index_.relocate(old_gw.flows.id[pos], loc.gateway, pos);
+    index_.relocate(old_gw.flows[pos].id, loc.gateway, pos);
   }
 
   GatewayState& new_gw = gateway(new_gateway);
-  const FlowBlock::Pos new_pos = new_gw.flows.push_back(id, client, arrival, bytes, remaining,
-                                                        new_wireless_cap, new_gw.next_cap_seq);
-  // The rate travels with the flow until the next water-fill, as in the
-  // reference (unobservable there — both gateways re-waterfill — and kept
-  // identical here for the same reason).
-  new_gw.flows.rate[new_pos] = carried_rate;
+  moved.wireless_cap = new_wireless_cap;
+  moved.cap_seq = new_gw.next_cap_seq;
+  const FlowBlock::Pos new_pos = new_gw.flows.push_back(moved);
   insert_sorted(new_gw, new_pos, new_wireless_cap, new_gw.next_cap_seq);
   ++new_gw.next_cap_seq;
   index_.relocate(id, new_gateway, new_pos);
@@ -201,22 +198,18 @@ int IncrementalFluidNetwork::active_flow_count(int gateway_id) const {
 }
 
 int IncrementalFluidNetwork::client_flow_count_at(int client, int gateway_id) const {
-  const GatewayState& gw = gateway(gateway_id);
   int count = 0;
-  const std::size_t n = gw.flows.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (gw.flows.client[i] == client) ++count;
+  for (const FlowState& flow : gateway(gateway_id).flows) {
+    if (flow.client == client) ++count;
   }
   return count;
 }
 
 double IncrementalFluidNetwork::client_throughput_at(int client, int gateway_id) const {
   const_cast<IncrementalFluidNetwork*>(this)->flush_gateway(gateway_id);
-  const GatewayState& gw = gateway(gateway_id);
   double total = 0.0;
-  const std::size_t n = gw.flows.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (gw.flows.client[i] == client) total += gw.flows.rate[i];
+  for (const FlowState& flow : gateway(gateway_id).flows) {
+    if (flow.client == client) total += flow.rate;
   }
   return total;
 }
@@ -278,12 +271,11 @@ void IncrementalFluidNetwork::advance(int gateway_id) {
 
   gw.finished.clear();
   const std::size_t n = gw.flows.size();
-  double* remaining = gw.flows.remaining_bits.data();
-  const double* rate = gw.flows.rate.data();
   for (std::size_t i = 0; i < n; ++i) {
-    remaining[i] -= rate[i] * dt;
-    if (remaining[i] <= kEpsilonBits) {
-      remaining[i] = 0.0;
+    FlowState& flow = gw.flows[static_cast<FlowBlock::Pos>(i)];
+    flow.remaining_bits -= flow.rate * dt;
+    if (flow.remaining_bits <= kEpsilonBits) {
+      flow.remaining_bits = 0.0;
       gw.finished.push_back(static_cast<FlowBlock::Pos>(i));
     }
   }
@@ -295,8 +287,8 @@ void IncrementalFluidNetwork::advance(int gateway_id) {
   completed.swap(completed_scratch_);
   completed.clear();
   for (FlowBlock::Pos pos : gw.finished) {
-    completed.push_back({gw.flows.id[pos], gw.flows.client[pos], gateway_id,
-                         gw.flows.arrival_time[pos], now, gw.flows.bytes[pos]});
+    const FlowState& flow = gw.flows[pos];
+    completed.push_back({flow.id, flow.client, gateway_id, flow.arrival_time, now, flow.bytes});
   }
 
   gw.flows.compact_removed(gw.finished, gw.remap);
@@ -312,13 +304,11 @@ void IncrementalFluidNetwork::advance(int gateway_id) {
   gw.sorted.resize(write);
   for (FlowBlock::Pos pos = gw.finished.front();
        pos < static_cast<FlowBlock::Pos>(gw.flows.size()); ++pos) {
-    index_.relocate(gw.flows.id[pos], gateway_id, pos);
+    index_.relocate(gw.flows[pos].id, gateway_id, pos);
   }
   live_flows_ -= static_cast<int>(completed.size());
   for (const CompletedFlow& f : completed) index_.erase(f.id);
-  if (on_complete_) {
-    for (const CompletedFlow& f : completed) on_complete_(f);
-  }
+  for (const CompletedFlow& f : completed) complete(f);
   // Hand the warm buffer back for the next advance().
   completed.clear();
   if (completed_scratch_.capacity() < completed.capacity()) completed.swap(completed_scratch_);
@@ -331,7 +321,7 @@ void IncrementalFluidNetwork::waterfill(int gateway_id) {
 
   if (!gw.serving || gw.flows.empty()) {
     if (gw.heap_pos != kNotInHeap) heap_remove(gateway_id);
-    std::fill(gw.flows.rate.begin(), gw.flows.rate.end(), 0.0);
+    for (FlowState& flow : gw.flows) flow.rate = 0.0;
     gw.rates_zero = true;
     gw.throughput = 0.0;
     gw.served.set(now, 0.0);
@@ -344,11 +334,10 @@ void IncrementalFluidNetwork::waterfill(int gateway_id) {
   // order are the reference engine's, bit for bit.
   double remaining = gw.backhaul;
   std::size_t left = gw.sorted.size();
-  double* rate = gw.flows.rate.data();
   for (const SortedCap& entry : gw.sorted) {
     const double share = remaining / static_cast<double>(left);
     const double r = std::min(entry.cap, share);
-    rate[entry.pos] = r;
+    gw.flows[entry.pos].rate = r;
     remaining -= r;
     --left;
   }
@@ -358,12 +347,10 @@ void IncrementalFluidNetwork::waterfill(int gateway_id) {
   // reference loop bit for bit.
   double total = 0.0;
   double next_completion = std::numeric_limits<double>::infinity();
-  const std::size_t n = gw.flows.size();
-  const double* rem = gw.flows.remaining_bits.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    total += rate[i];
-    if (rate[i] > 0.0) {
-      next_completion = std::min(next_completion, now + rem[i] / rate[i]);
+  for (const FlowState& flow : gw.flows) {
+    total += flow.rate;
+    if (flow.rate > 0.0) {
+      next_completion = std::min(next_completion, now + flow.remaining_bits / flow.rate);
     }
   }
   gw.throughput = total;
@@ -393,7 +380,7 @@ void IncrementalFluidNetwork::waterfill(int gateway_id) {
 }
 
 void IncrementalFluidNetwork::fire() {
-  master_time_ = std::numeric_limits<double>::infinity();
+  simulator_->set_stream_head(*this, std::numeric_limits<double>::infinity(), head_rank());
   on_master_event();
 }
 
@@ -427,8 +414,9 @@ void IncrementalFluidNetwork::arm_master() {
   // A new time claims a fresh rank, exactly where a tracking event would
   // have been scheduled (first arm after a fire or a clear) or rescheduled;
   // an unchanged time keeps its rank.
-  if (std::isfinite(t) && t != master_time_) master_rank_ = simulator_->allocate_sequence();
-  master_time_ = t;
+  if (t == head_time()) return;
+  simulator_->set_stream_head(
+      *this, t, std::isfinite(t) ? simulator_->allocate_sequence() : head_rank());
 }
 
 bool IncrementalFluidNetwork::heap_less(int a, int b) const {

@@ -23,15 +23,17 @@
 //     reallocation — the dominant source of event-heap traffic. Here each
 //     gateway's next completion lives in a small engine-internal min-heap
 //     keyed (time, stamp), and the engine registers itself as one of the
-//     simulator's sim::EventStreams: its head is the heap minimum, merged
-//     into the run loop by (time, rank) without ever entering the event
-//     queue. The head takes a fresh rank exactly where a single tracking
+//     simulator's sim::EventStreams: it publishes the heap minimum as its
+//     head, which the run loop merges by (time, rank) without ever
+//     entering the event queue. The head takes a fresh rank exactly where a single tracking
 //     event would have been scheduled or rescheduled, and stamps refresh
 //     exactly when the reference would have (re)scheduled, so tie order
 //     among simultaneous completions and other events matches.
 //
-//  3. Structure-of-arrays flow state (flow/flow_state.h): the integration
-//     and total/next-completion scans run over contiguous arrays.
+//  3. One 64-byte record per flow in per-gateway blocks (flow/flow_state.h):
+//     a gateway holds 1.6 live flows on average, so appending, compacting
+//     and moving a flow — one cache line each — is what the store is built
+//     for; the short scans read the same lines.
 //
 // All floating-point evaluation orders — water-fill over the (cap, seq)
 // order, totals and completion minima in arrival order, progress
@@ -40,8 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <vector>
 
 #include "flow/flow_state.h"
@@ -59,8 +59,7 @@ class IncrementalFluidNetwork final : public FluidNetwork, private sim::EventStr
   IncrementalFluidNetwork(sim::Simulator& simulator, std::vector<double> backhaul_rates);
   ~IncrementalFluidNetwork() override;
 
-  void set_completion_handler(std::function<void(const CompletedFlow&)> handler) override;
-  void reserve_flows(std::size_t flow_count) override;
+  void reserve_flows(std::size_t flow_count) override;  ///< a no-op (see .cpp)
   void add_flow(FlowId id, int client, int gateway, double bytes, double wireless_cap) override;
   void migrate_flow(FlowId id, int new_gateway, double new_wireless_cap) override;
   void set_gateway_serving(int gateway, bool serving) override;
@@ -91,7 +90,7 @@ class IncrementalFluidNetwork final : public FluidNetwork, private sim::EventStr
     double backhaul = 0.0;
     bool serving = false;
     bool dirty = false;       ///< water-fill deferred since the last mutation
-    bool rates_zero = true;   ///< every rate[] entry is exactly 0.0
+    bool rates_zero = true;   ///< every flow's rate is exactly 0.0
     FlowBlock flows;          ///< live flows, arrival order
     std::vector<SortedCap> sorted;       ///< live caps ascending by (cap, seq)
     std::vector<FlowBlock::Pos> finished;  ///< scratch reused by advance()
@@ -123,11 +122,8 @@ class IncrementalFluidNetwork final : public FluidNetwork, private sim::EventStr
   /// have settled in) and re-arms the master completion head.
   void flush() override;
 
-  /// sim::EventStream: the master completion head, +infinity when unarmed.
-  double next_time() const override { return master_time_; }
-  std::uint64_t next_rank() const override { return master_rank_; }
-
-  /// Clears the head and runs on_master_event().
+  /// sim::EventStream: clears the master completion head and runs
+  /// on_master_event().
   void fire() override;
 
   /// Brings one gateway's rates current ahead of a rate-observing query.
@@ -155,7 +151,8 @@ class IncrementalFluidNetwork final : public FluidNetwork, private sim::EventStr
   /// defers their re-waterfill to the flush barrier.
   void on_master_event();
 
-  /// Points the master completion head at the completion-heap minimum.
+  /// Points the master completion head — this stream's published head,
+  /// +infinity when unarmed — at the completion-heap minimum.
   void arm_master();
 
   // --- completion min-heap over gateways, keyed (next_completion, stamp) --
@@ -169,16 +166,11 @@ class IncrementalFluidNetwork final : public FluidNetwork, private sim::EventStr
   sim::Simulator* simulator_;
   std::vector<GatewayState> gateways_;
   FlowIndex index_;
-  std::function<void(const CompletedFlow&)> on_complete_;
   int live_flows_ = 0;
 
   std::vector<int> dirty_list_;  ///< gateways awaiting water-fill, first-marked order
   std::vector<int> heap_;        ///< gateway ids, binary min-heap
   std::uint64_t stamp_counter_ = 0;
-  /// The master completion head: its time (+infinity while unarmed) and the
-  /// FIFO rank it claimed when last armed at a new time.
-  double master_time_ = std::numeric_limits<double>::infinity();
-  std::uint64_t master_rank_ = 0;
   std::vector<CompletedFlow> completed_scratch_;  ///< warm buffer for advance()
   /// Water-fills performed, accumulated locally (waterfill is hot) and
   /// folded into the "flow.waterfills" counter once, at destruction.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/obs.h"
 #include "util/error.h"
 
 namespace insomnia::live {
@@ -11,36 +12,59 @@ IngestQueue::IngestQueue(std::size_t capacity, OverflowPolicy policy)
   util::require(capacity >= 1, "ingest queue needs capacity >= 1");
 }
 
-std::size_t IngestQueue::push_batch(const trace::FlowRecord* records, std::size_t count,
-                                    std::uint64_t stamp_ns) {
-  const std::size_t room = free_slots();
+std::size_t IngestQueue::commit(std::size_t first, std::uint64_t stamp_ns) {
+  const std::size_t count = records_.size() - first;
+  const std::size_t room = capacity_ - (first - head_);
   const std::size_t taken = std::min(count, room);
   if (taken < count) {
-    util::require_state(policy_ == OverflowPolicy::kDropNewest,
-                        "backpressure ingest queue overfilled — poll must honour "
-                        "free_slots()");
+    if (policy_ != OverflowPolicy::kDropNewest) {
+      records_.resize(first);
+      util::require_state(false,
+                          "backpressure ingest queue overfilled — poll must honour "
+                          "free_slots()");
+    }
     dropped_ += count - taken;
+    records_.resize(first + taken);
   }
   if (taken == 0) return 0;
-  records_.insert(records_.end(), records, records + taken);
   if (!stamps_.empty() && stamps_.back().stamp_ns == stamp_ns) {
     stamps_.back().count += static_cast<std::uint32_t>(taken);
   } else {
     stamps_.push_back({stamp_ns, static_cast<std::uint32_t>(taken)});
   }
   accepted_ += taken;
-  peak_depth_ = std::max(peak_depth_, records_.size());
+  peak_depth_ = std::max(peak_depth_, size());
   return taken;
 }
 
-std::size_t IngestQueue::pop(std::size_t max, trace::FlowTrace& records,
-                             std::deque<StampRun>& stamps) {
-  const std::size_t taken = std::min(max, records_.size());
-  if (taken == 0) return 0;
-  records.insert(records.end(), records_.begin(),
-                 records_.begin() + static_cast<std::ptrdiff_t>(taken));
-  records_.erase(records_.begin(), records_.begin() + static_cast<std::ptrdiff_t>(taken));
-  std::size_t remaining = taken;
+std::size_t IngestQueue::push_batch(const trace::FlowRecord* records, std::size_t count,
+                                    std::uint64_t stamp_ns) {
+  const std::size_t first = records_.size();
+  records_.insert(records_.end(), records, records + count);
+  return commit(first, stamp_ns);
+}
+
+IngestQueue::Polled IngestQueue::poll_from(EventSource& source, double horizon,
+                                           std::size_t max) {
+  const std::size_t first = records_.size();
+  Polled polled;
+  try {
+    polled.got = source.poll(horizon, max, records_);
+  } catch (...) {
+    records_.resize(first);  // a failed poll queues nothing
+    throw;
+  }
+  util::require_state(records_.size() == first + polled.got,
+                      "event source appended a different count than it returned");
+  polled.taken = polled.got == 0 ? 0 : commit(first, obs::now_ns());
+  polled.records = records_.data() + first;
+  return polled;
+}
+
+void IngestQueue::consume(std::size_t count, std::deque<StampRun>& stamps) {
+  util::require_state(count <= size(), "IngestQueue::consume past the queued records");
+  head_ += count;
+  std::size_t remaining = count;
   while (remaining > 0) {
     StampRun& head = stamps_.front();
     const std::uint32_t slice =
@@ -54,6 +78,20 @@ std::size_t IngestQueue::pop(std::size_t max, trace::FlowTrace& records,
     if (head.count == 0) stamps_.pop_front();
     remaining -= slice;
   }
+  // Reclaim the consumed prefix once it outnumbers what is still queued: a
+  // full drain (the controller's case) just resets, keeping the capacity.
+  if (head_ >= size()) {
+    records_.erase(records_.begin(), records_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
+std::size_t IngestQueue::pop(std::size_t max, trace::FlowTrace& records,
+                             std::deque<StampRun>& stamps) {
+  const std::size_t taken = std::min(max, size());
+  if (taken == 0) return 0;
+  records.insert(records.end(), front(), front() + taken);
+  consume(taken, stamps);
   return taken;
 }
 

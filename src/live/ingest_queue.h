@@ -9,12 +9,17 @@
 // single thread, so per-record bookkeeping is what the layout optimizes
 // away. The controller turns stamps into the ingest→decision latency
 // histogram when arrivals are consumed.
+//
+// Records are copied once on the way in — a source polls straight into the
+// queue's storage (poll_from) — and once on the way out, when the consumer
+// reads the contiguous queued span (front/consume) into its own buffer.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 
+#include "live/event_source.h"
 #include "trace/records.h"
 
 namespace insomnia::live {
@@ -35,10 +40,10 @@ class IngestQueue {
   IngestQueue(std::size_t capacity, OverflowPolicy policy);
 
   /// Slots available before the queue is full.
-  std::size_t free_slots() const { return capacity_ - records_.size(); }
-  std::size_t size() const { return records_.size(); }
+  std::size_t free_slots() const { return capacity_ - size(); }
+  std::size_t size() const { return records_.size() - head_; }
   std::size_t capacity() const { return capacity_; }
-  bool empty() const { return records_.empty(); }
+  bool empty() const { return size() == 0; }
 
   /// Accepts (or sheds, see OverflowPolicy) `count` records stamped
   /// `stamp_ns` and returns how many were queued. Under kBackpressure
@@ -47,9 +52,31 @@ class IngestQueue {
   std::size_t push_batch(const trace::FlowRecord* records, std::size_t count,
                          std::uint64_t stamp_ns);
 
+  /// One source poll, appended straight to the queue's storage.
+  struct Polled {
+    std::size_t got = 0;    ///< records the source returned
+    std::size_t taken = 0;  ///< of those, queued (the rest were shed)
+    /// The `taken` records just queued; valid until the queue next changes.
+    const trace::FlowRecord* records = nullptr;
+  };
+
+  /// Polls `source` once for up to `max` records (EventSource::poll's
+  /// `horizon`) into the queue's own storage, then queues them as
+  /// push_batch would, stamped with obs::now_ns() read after the poll.
+  Polled poll_from(EventSource& source, double horizon, std::size_t max);
+
+  /// The oldest queued record; all size() queued records are contiguous
+  /// from it. Valid until the queue next changes.
+  const trace::FlowRecord* front() const { return records_.data() + head_; }
+
+  /// Drops the `count` oldest records (count <= size()) and appends their
+  /// ingest stamps to `stamps` as runs (merged with the last run when the
+  /// stamp matches).
+  void consume(std::size_t count, std::deque<StampRun>& stamps);
+
   /// Pops up to `max` records in FIFO order into `records`, with their
-  /// ingest stamps appended to `stamps` as runs (merged with the last run
-  /// when the stamp matches). Returns the count.
+  /// ingest stamps appended to `stamps` as consume() does. Returns the
+  /// count.
   std::size_t pop(std::size_t max, trace::FlowTrace& records,
                   std::deque<StampRun>& stamps);
 
@@ -60,8 +87,15 @@ class IngestQueue {
  private:
   std::size_t capacity_;
   OverflowPolicy policy_;
-  std::deque<trace::FlowRecord> records_;
-  std::deque<StampRun> stamps_;  ///< run-length, same order as records_
+  /// Queues the records appended to records_ past `first` (shedding the
+  /// tail beyond capacity under kDropNewest); returns how many stayed.
+  std::size_t commit(std::size_t first, std::uint64_t stamp_ns);
+
+  /// Queued records are records_[head_, records_.size()); consumed ones
+  /// before head_ are reclaimed once they outnumber the queued ones.
+  trace::FlowTrace records_;
+  std::size_t head_ = 0;
+  std::deque<StampRun> stamps_;  ///< run-length, same order as the queued records
   std::uint64_t accepted_ = 0;
   std::uint64_t dropped_ = 0;
   std::size_t peak_depth_ = 0;

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <future>
+#include <condition_variable>
+#include <exception>
 #include <iostream>
 #include <limits>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/day_summary.h"
@@ -89,6 +92,86 @@ struct LiveController::Twins {
                core::AccessRuntime::LiveMode{gated}) {}
 };
 
+// The stepping loop's one poll thread. Each round, start() hands it a
+// poll_into_queue(horizon) while the main thread steps the runtime, and
+// wait() joins the round — the same join points a thread per round had,
+// without paying a thread spawn and join 500-odd times a day. Poll touches
+// no runtime, and the queue and the appends are only used between joins.
+// The thread lives for one run(); the destructor lets a pending round
+// finish and joins it, so every exit path (an exception, the stop flag)
+// leaves no thread behind.
+class LiveController::Prefetcher {
+ public:
+  explicit Prefetcher(LiveController& owner) : owner_(owner), thread_([this] { loop(); }) {}
+
+  ~Prefetcher() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stopping_ = true;
+    }
+    wake_.notify_one();
+    thread_.join();
+  }
+
+  Prefetcher(const Prefetcher&) = delete;
+  Prefetcher& operator=(const Prefetcher&) = delete;
+
+  /// Starts one round: poll_into_queue(horizon) on the worker.
+  void start(double horizon) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      horizon_ = horizon;
+      pending_ = true;
+    }
+    wake_.notify_one();
+  }
+
+  /// Joins the round started last; rethrows what its poll threw.
+  void wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_.wait(lock, [this] { return !pending_; });
+    if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+  }
+
+  /// Joins the round started last, dropping what its poll threw (an
+  /// exception already unwinding takes precedence).
+  void settle() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_.wait(lock, [this] { return !pending_; });
+  }
+
+ private:
+  void loop() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (true) {
+      wake_.wait(lock, [this] { return pending_ || stopping_; });
+      if (!pending_) return;  // stopping, with no round left to run
+      const double horizon = horizon_;
+      lock.unlock();
+      std::exception_ptr error;
+      try {
+        owner_.poll_into_queue(horizon);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lock.lock();
+      error_ = error;
+      pending_ = false;
+      done_.notify_one();
+    }
+  }
+
+  LiveController& owner_;
+  std::mutex mutex_;
+  std::condition_variable wake_;  ///< a round was started, or stopping
+  std::condition_variable done_;  ///< the round finished
+  double horizon_ = 0.0;
+  bool pending_ = false;
+  bool stopping_ = false;
+  std::exception_ptr error_;
+  std::thread thread_;  ///< last: starts once the state above exists
+};
+
 LiveController::LiveController(Options options, std::unique_ptr<EventSource> source)
     : options_(std::move(options)),
       source_(std::move(source)),
@@ -131,19 +214,17 @@ std::size_t LiveController::poll_into_queue(double horizon) {
                                  ? queue_.free_slots()
                                  : kPollBatch;
     if (room == 0) break;
-    scratch_.clear();
-    const std::size_t got = source_->poll(horizon, std::min(room, kPollBatch), scratch_);
-    if (got == 0) break;
-    const std::uint64_t stamp = obs::now_ns();
+    const IngestQueue::Polled polled =
+        queue_.poll_from(*source_, horizon, std::min(room, kPollBatch));
+    if (polled.got == 0) break;
     // Under kDropNewest the overflow is the batch TAIL, so the accepted
     // records are exactly the first `taken` — what the recorder mirrors.
-    const std::size_t taken = queue_.push_batch(scratch_.data(), got, stamp);
-    accepted += taken;
-    if (record_out_.is_open() && taken > 0) {
+    accepted += polled.taken;
+    if (record_out_.is_open() && polled.taken > 0) {
       util::CsvWriter writer(record_out_);
-      for (std::size_t r = 0; r < taken; ++r) {
-        writer.row({scratch_[r].start_time, static_cast<double>(scratch_[r].client),
-                    scratch_[r].bytes});
+      for (std::size_t r = 0; r < polled.taken; ++r) {
+        const trace::FlowRecord& record = polled.records[r];
+        writer.row({record.start_time, static_cast<double>(record.client), record.bytes});
       }
     }
   }
@@ -152,22 +233,23 @@ std::size_t LiveController::poll_into_queue(double horizon) {
 
 std::size_t LiveController::drain_queue() {
   OBS_SCOPE("live.drain");
-  scratch_.clear();
-  const std::size_t drained = queue_.pop(queue_.size(), scratch_, inflight_stamps_);
-  util::require_state(drained == 0 || !input_done_,
-                      "records queued after live input was finished");
-  if (drained > 0) twins_->scheme.append_live_arrivals(scratch_.data(), drained);
+  const std::size_t drained = queue_.size();
+  if (drained == 0) return 0;
+  util::require_state(!input_done_, "records queued after live input was finished");
+  // The queued span goes straight into the runtime's arrival buffer.
+  twins_->scheme.append_live_arrivals(queue_.front(), drained);
+  queue_.consume(drained, inflight_stamps_);
   return drained;
 }
 
 void LiveController::advance_to(double until, double poll_horizon,
-                                const std::atomic<bool>* stop) {
+                                const std::atomic<bool>* stop, Prefetcher& prefetcher) {
   // Wall pace polls fresh records up to `until` so this tick decides them.
   // Under backpressure one poll takes at most a queue's worth, so it keeps
   // polling until a poll comes back short: nothing due is left behind for a
   // tick that may never come. Virtual pace only appends what the previous
-  // tick's helper thread already prefetched — polling here would put the
-  // generator back on the critical path.
+  // round's prefetch already polled — polling here would put the generator
+  // back on the critical path.
   if (options_.pace == PaceMode::kWall) {
     while (ingest(poll_horizon) == queue_.capacity()) {
     }
@@ -175,14 +257,19 @@ void LiveController::advance_to(double until, double poll_horizon,
     drain_queue();
   }
   while (true) {
-    // The runtime keeps the main thread (and its cache); a helper thread
-    // prefetches the source meanwhile, keeping the generator off the
-    // critical path. Poll touches no runtime, and the staging buffer, queue
-    // and appends are only ever used between joins, so nothing is seen by
-    // two threads at once.
-    auto prefetch = std::async(std::launch::async, [&] { poll_into_queue(poll_horizon); });
-    const auto step = twins_->scheme.step_live(until);
-    prefetch.get();
+    // The runtime keeps the main thread (and its cache); the prefetcher
+    // polls the source meanwhile, keeping the generator off the critical
+    // path. Poll touches no runtime, and the queue and the appends are only
+    // ever used between joins, so nothing is seen by two threads at once.
+    core::AccessRuntime::StepResult step;
+    prefetcher.start(poll_horizon);
+    try {
+      step = twins_->scheme.step_live(until);
+    } catch (...) {
+      prefetcher.settle();  // no poll may outlive the unwinding
+      throw;
+    }
+    prefetcher.wait();
     const std::size_t appended = drain_queue();
     if (step == core::AccessRuntime::StepResult::kReachedTime) break;
     // The gate starved: the last buffered arrival needs its successor (or an
@@ -281,6 +368,7 @@ LiveResult LiveController::run(const std::atomic<bool>* stop) {
   // Records already on hand land in the buffer before the warm start.
   ingest(options_.pace == PaceMode::kVirtual ? options_.tick_virtual_sec : 0.0);
   twins_->scheme.begin_live();
+  Prefetcher prefetcher(*this);
 
   if (options_.pace == PaceMode::kVirtual) {
     while (virtual_time < day_span) {
@@ -297,7 +385,8 @@ LiveResult LiveController::run(const std::atomic<bool>* stop) {
       // Two ticks of poll lookahead: records prefetched during tick N cover
       // past tick N+1's horizon, so N+1 steps through in one round — the
       // gate never starves at a tick boundary waiting for a successor.
-      advance_to(virtual_time, virtual_time + 2.0 * options_.tick_virtual_sec, stop);
+      advance_to(virtual_time, virtual_time + 2.0 * options_.tick_virtual_sec, stop,
+                 prefetcher);
       ++stats_.ticks;
 #ifndef INSOMNIA_OBS_DISABLED
       obs::gauge("live.virtual_time_sec").set(virtual_time);
@@ -328,7 +417,7 @@ LiveResult LiveController::run(const std::atomic<bool>* stop) {
       now = obs::now_ns();
       const double elapsed = static_cast<double>(now - start) / 1e9;
       virtual_time = std::min(elapsed * options_.speedup, day_span);
-      advance_to(virtual_time, virtual_time, stop);
+      advance_to(virtual_time, virtual_time, stop, prefetcher);
       ++stats_.ticks;
 #ifndef INSOMNIA_OBS_DISABLED
       obs::gauge("live.virtual_time_sec").set(virtual_time);

@@ -103,6 +103,7 @@ class LiveController {
 
  private:
   struct Twins;  ///< the scheme's live runtime (defined in the .cpp)
+  class Prefetcher;  ///< the persistent poll thread of one run() (the .cpp)
 
   /// Polls the source into the queue (honouring the overflow policy) and
   /// drains the queue into the runtime. Returns records appended.
@@ -117,11 +118,11 @@ class LiveController {
   /// interrupted run never appends arrivals it will not simulate.
   std::size_t drain_queue();
 
-  /// Steps the runtime to `until`, prefetching the source up to
-  /// `poll_horizon` on a helper thread while it runs and replenishing
-  /// whenever the arrival gate starves; marks input finished when the
-  /// source is spent.
-  void advance_to(double until, double poll_horizon, const std::atomic<bool>* stop);
+  /// Steps the runtime to `until` while `prefetcher` polls the source up
+  /// to `poll_horizon`, replenishing whenever the arrival gate starves;
+  /// marks input finished when the source is spent.
+  void advance_to(double until, double poll_horizon, const std::atomic<bool>* stop,
+                  Prefetcher& prefetcher);
 
   /// Folds ingest stamps of newly consumed arrivals into the latency
   /// histograms.
@@ -133,7 +134,6 @@ class LiveController {
   std::unique_ptr<EventSource> source_;
   std::unique_ptr<Twins> twins_;
   IngestQueue queue_;
-  trace::FlowTrace scratch_;  ///< poll/pop staging, reused across ticks
   std::deque<StampRun> inflight_stamps_;
   obs::Histogram latency_;  ///< always on, so livectl prints it with obs off
   LiveStats stats_;

@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -43,60 +42,90 @@ EventId Simulator::after(double delay, std::function<void()> action) {
   return queue_.schedule(now_ + delay, std::move(action));
 }
 
-void Simulator::after_ordered(double delay, std::function<void()> action) {
-  util::require(delay >= 0.0, "Simulator::after_ordered needs delay >= 0");
-  const double t = now_ + delay;
-  util::require_state(lane_.accepts(t), "Simulator::after_ordered needs non-decreasing times");
-  lane_.push(t, queue_.allocate_sequence(), std::move(action));
+void Simulator::set_ordered_handler(OrderedHandler* handler) {
+  util::require_state(handler == ordered_handler_ || lane_.size() == 0,
+                      "Simulator::set_ordered_handler with lane events pending");
+  ordered_handler_ = handler;
 }
 
-void Simulator::OrderedLane::push(double t, std::uint64_t rank, std::function<void()> action) {
+void Simulator::after_ordered(double delay, std::uint64_t tag) {
+  util::require(delay >= 0.0, "Simulator::after_ordered needs delay >= 0");
+  const double t = now_ + delay;
+  util::require_state(ordered_handler_ != nullptr,
+                      "Simulator::after_ordered needs a bound ordered handler");
+  util::require_state(lane_.accepts(t), "Simulator::after_ordered needs non-decreasing times");
+  lane_.push({t, queue_.allocate_sequence(), tag});
+  if (lane_.size() == 1) publish_lane_head();
+}
+
+void Simulator::OrderedLane::push(const Entry& entry) {
   if (size_ == ring_.size()) {
     // Full ring: unwrap into double the capacity (power of two, so the
     // index wrap stays a mask).
     std::vector<Entry> grown(std::max<std::size_t>(16, 2 * ring_.size()));
-    for (std::size_t i = 0; i < size_; ++i) grown[i] = std::move(ring_[index(i)]);
+    for (std::size_t i = 0; i < size_; ++i) grown[i] = ring_[index(i)];
     ring_.swap(grown);
     head_ = 0;
   }
-  Entry& entry = ring_[index(size_)];
-  entry.time = t;
-  entry.rank = rank;
-  entry.action = std::move(action);
+  ring_[index(size_)] = entry;
   ++size_;
 }
 
-double Simulator::OrderedLane::next_time() const {
-  return size_ == 0 ? std::numeric_limits<double>::infinity() : ring_[head_].time;
-}
-
-void Simulator::OrderedLane::fire() {
-  // Move the action out before popping: the callback typically re-appends
-  // to the lane, possibly into this very ring cell or a regrown ring.
-  std::function<void()> action = std::move(ring_[head_].action);
-  ring_[head_].action = nullptr;
+Simulator::OrderedLane::Entry Simulator::OrderedLane::pop() {
+  const Entry entry = ring_[head_];
   head_ = index(1);
   --size_;
-  action();
+  return entry;
 }
 
-void Simulator::add_event_stream(EventStream* stream) {
+void Simulator::publish_lane_head() {
+  heads_[kLaneSlot] = lane_.size() == 0
+                          ? Head{std::numeric_limits<double>::infinity(), 0}
+                          : Head{lane_.front().time, lane_.front().rank};
+}
+
+void Simulator::fire_lane() {
+  // Pop and republish before dispatching: the handler typically re-appends
+  // to the lane, possibly into this very ring cell or a regrown ring.
+  const std::uint64_t tag = lane_.pop().tag;
+  publish_lane_head();
+  ordered_handler_->on_ordered(tag);
+}
+
+void Simulator::add_event_stream(EventStream* stream, bool can_gate) {
   util::require(stream != nullptr, "Simulator::add_event_stream needs a stream");
   util::require_state(std::find(streams_.begin(), streams_.end(), stream) == streams_.end(),
                       "event stream already registered with this simulator");
+  stream->owner_ = this;
+  stream->slot_ = streams_.size();
   streams_.push_back(stream);
+  heads_.push_back(Head{stream->head_time_, stream->head_rank_});
+  can_gate_.push_back(can_gate ? 1 : 0);
+  flush_requested_.push_back(0);
 }
 
 void Simulator::remove_event_stream(EventStream* stream) {
   const auto it = std::find(streams_.begin(), streams_.end(), stream);
-  util::require_state(it != streams_.end(), "event stream not registered with this simulator");
+  util::require_state(stream != nullptr && it != streams_.end(),
+                      "event stream not registered with this simulator");
+  const auto slot = static_cast<std::size_t>(it - streams_.begin());
   streams_.erase(it);
+  heads_.erase(heads_.begin() + static_cast<std::ptrdiff_t>(slot));
+  can_gate_.erase(can_gate_.begin() + static_cast<std::ptrdiff_t>(slot));
+  flush_requested_.erase(flush_requested_.begin() + static_cast<std::ptrdiff_t>(slot));
+  for (std::size_t i = slot; i < streams_.size(); ++i) streams_[i]->slot_ = i;
+  stream->owner_ = nullptr;
+  stream->slot_ = EventStream::kUnregistered;
 }
 
 bool Simulator::flush_if_pending() {
   if (!flush_pending_) return false;
   flush_pending_ = false;
-  for (EventStream* stream : streams_) stream->flush();
+  for (std::size_t slot = 0; slot < streams_.size(); ++slot) {
+    if (flush_requested_[slot] == 0) continue;
+    flush_requested_[slot] = 0;
+    streams_[slot]->flush();
+  }
   return true;
 }
 
@@ -120,25 +149,31 @@ void Simulator::run_to_completion() {
 
 bool Simulator::run_loop(double end_time, bool gated) {
   util::require(end_time >= now_, "Simulator::run_until cannot rewind the clock");
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  constexpr std::size_t kQueue = SIZE_MAX;
   const std::uint64_t executed_before = executed_;
   while (true) {
     // The next event is the (time, rank) minimum of the queue's head and
-    // every registered stream's head (`next`; nullptr means the queue).
+    // every published head (`next` is its slot; kQueue means the queue).
     // Every rank comes from the queue's one counter, so ties resolve
-    // exactly; ranks are read only on a time tie.
-    EventStream* next = nullptr;
-    double t = queue_.empty() ? std::numeric_limits<double>::infinity() : queue_.next_time();
-    for (EventStream* candidate : streams_) {
-      const double tc = candidate->next_time();
-      if (tc > t || !std::isfinite(tc)) continue;
-      if (tc == t &&
-          candidate->next_rank() > (next != nullptr ? next->next_rank() : queue_.next_sequence())) {
-        continue;
-      }
-      next = candidate;
-      t = tc;
+    // exactly, whatever the slot order. A head at +infinity is unarmed.
+    std::size_t next = kQueue;
+    double t = kNever;
+    std::uint64_t rank = 0;
+    if (!queue_.empty()) {
+      t = queue_.next_time();
+      rank = queue_.next_sequence();
     }
-    if ((next == nullptr && queue_.empty()) || t > end_time) {
+    const Head* heads = heads_.data();
+    const std::size_t count = heads_.size();
+    for (std::size_t i = 0; i < count; ++i) {
+      const double tc = heads[i].time;
+      if (tc > t || tc == kNever || (tc == t && heads[i].rank > rank)) continue;
+      next = i;
+      t = tc;
+      rank = heads[i].rank;
+    }
+    if ((next == kQueue && queue_.empty()) || t > end_time) {
       if (flush_if_pending()) continue;  // flushed work may arm new events
       break;
     }
@@ -151,17 +186,19 @@ bool Simulator::run_loop(double end_time, bool gated) {
     // was about to fire. Pausing here leaves the clock at the last
     // dispatched instant, so a resumed loop continues exactly where an
     // ungated one would have been.
-    if (gated && next != nullptr && !next->ready()) {
+    if (gated && next != kQueue && can_gate_[next] != 0 && !streams_[next]->ready()) {
       record_executed_delta(executed_ - executed_before);
       return false;
     }
     // Advance the clock before dispatching so the callback observes now()
     // equal to its own firing time.
     now_ = t;
-    if (next == nullptr) {
+    if (next == kQueue) {
       queue_.run_next();
+    } else if (next == kLaneSlot) {
+      fire_lane();
     } else {
-      next->fire();
+      streams_[next]->fire();
     }
     ++executed_;
   }

@@ -2,19 +2,30 @@
 // absolute and relative scheduling and a bounded run loop.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "util/error.h"
 
 namespace insomnia::sim {
+
+class Simulator;
 
 /// An already-ordered source of timed events that the run loop interleaves
 /// with the queue without its events ever entering the heap — e.g. a trace
 /// replay whose arrivals are sorted by time, or a component that tracks one
 /// moving head event of its own. Registered with
 /// Simulator::add_event_stream.
+///
+/// The stream publishes its head — the (time, rank) of its next event,
+/// +infinity when it has none — through Simulator::set_stream_head each
+/// time the head changes. The simulator keeps every registered head in one
+/// array, so picking the next event compares doubles and never calls into
+/// a stream; only the stream that fires is called.
 ///
 /// Ordering contract: the head's rank must come from
 /// Simulator::allocate_sequence(), taken at the moment the event would
@@ -25,34 +36,57 @@ class EventStream {
  public:
   virtual ~EventStream() = default;
 
-  /// Time of the stream's head event; +infinity when exhausted.
-  virtual double next_time() const = 0;
-
-  /// FIFO rank of the head event (see class comment).
-  virtual std::uint64_t next_rank() const = 0;
-
-  /// Fires the head event and advances the stream.
+  /// Fires the head event and advances the stream (publishing its next
+  /// head, or +infinity).
   virtual void fire() = 0;
 
-  /// Gate consulted by run_until_gated at the instant the head would fire:
-  /// false pauses the run loop so the producer can extend the stream first.
-  /// Live replay uses this to hold the last buffered arrival back until its
-  /// successor is known — the successor's FIFO rank is claimed while the
-  /// head is processed, so firing early would claim it at a later point in
-  /// the event order than an offline replay would (run_until ignores the
-  /// gate). Default: always ready.
+  /// Gate consulted by run_until_gated at the instant the head would fire,
+  /// and only for a stream registered as able to gate: false pauses the run
+  /// loop so the producer can extend the stream first. Live replay uses
+  /// this to hold the last buffered arrival back until its successor is
+  /// known — the successor's FIFO rank is claimed while the head is
+  /// processed, so firing early would claim it at a later point in the
+  /// event order than an offline replay would (run_until ignores the gate).
+  /// Default: always ready.
   virtual bool ready() const { return true; }
 
   /// The deferred-work barrier. A stream that batches same-instant work (the
   /// incremental flow engine coalesces a burst of arrivals into one
-  /// reallocation pass) calls Simulator::request_flush() after deferring;
-  /// the run loop then flushes every registered stream before the clock
-  /// moves past the current instant, so deferred work can still arm events
-  /// at future times without ever being observed late. Called with now()
-  /// unchanged since the request; must leave nothing deferred (it is not
-  /// re-entered for work it performs itself, unless request_flush is called
-  /// again). Default: nothing deferred.
+  /// reallocation pass) calls Simulator::request_flush(*this) after
+  /// deferring; the run loop then flushes every stream that asked, in
+  /// registration order, before the clock moves past the current instant,
+  /// so deferred work can still arm events at future times without ever
+  /// being observed late. Called with now() unchanged since the request;
+  /// must leave nothing deferred (it is not re-entered for work it performs
+  /// itself, unless request_flush is called again). Default: nothing
+  /// deferred.
   virtual void flush() {}
+
+  /// The head last published (+infinity time when none).
+  double head_time() const { return head_time_; }
+  std::uint64_t head_rank() const { return head_rank_; }
+
+ private:
+  friend class Simulator;
+
+  static constexpr std::size_t kUnregistered = SIZE_MAX;
+
+  // The stream's own copy of its published head, kept while it is not
+  // registered so that a later registration starts from it.
+  double head_time_ = std::numeric_limits<double>::infinity();
+  std::uint64_t head_rank_ = 0;
+  const Simulator* owner_ = nullptr;  ///< simulator it is registered with
+  std::size_t slot_ = kUnregistered;  ///< its index in the owner's head array
+};
+
+/// Receives the ordered lane's events (Simulator::after_ordered): one
+/// handler, bound once, gets every lane event's tag.
+class OrderedHandler {
+ public:
+  virtual void on_ordered(std::uint64_t tag) = 0;
+
+ protected:
+  ~OrderedHandler() = default;
 };
 
 /// Discrete-event simulator clock and scheduler.
@@ -64,7 +98,7 @@ class Simulator {
   /// Constructs a simulator whose clock starts at `start_time`.
   explicit Simulator(double start_time = 0.0) : now_(start_time) {}
 
-  // Registered streams (the lane included) are held by address.
+  // Registered streams are held by address and point back at their owner.
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -77,12 +111,19 @@ class Simulator {
   /// Schedules `action` `delay` seconds from now (delay >= 0).
   EventId after(double delay, std::function<void()> action);
 
-  /// As after(), but through the ordered lane: the event gets no handle (it
-  /// cannot be cancelled) and fires in exactly the order after() would give
-  /// it. Every call's `now() + delay` must be non-decreasing, so use it for
-  /// one fixed-period self-re-arming family; an out-of-order time throws
-  /// util::InvalidState, leaving the lane and the rank counter unchanged.
-  void after_ordered(double delay, std::function<void()> action);
+  /// Binds the handler that receives every ordered-lane event. Rebinding
+  /// to a different handler while lane events are pending throws
+  /// util::InvalidState (they were tagged for the old one).
+  void set_ordered_handler(OrderedHandler* handler);
+
+  /// As after(), but through the ordered lane: the event carries only
+  /// `tag`, which the bound OrderedHandler receives when it fires; it gets
+  /// no handle (it cannot be cancelled) and fires in exactly the order
+  /// after() would give it. Every call's `now() + delay` must be
+  /// non-decreasing, so use it for one fixed-period self-re-arming family;
+  /// an out-of-order time, or no bound handler, throws util::InvalidState,
+  /// leaving the lane and the rank counter unchanged.
+  void after_ordered(double delay, std::uint64_t tag);
 
   /// Cancels a pending event; returns true if it was still pending.
   bool cancel(EventId id) { return queue_.cancel(id); }
@@ -100,12 +141,13 @@ class Simulator {
   /// exactly at `end_time`.
   void run_until(double end_time);
 
-  /// As run_until, but pauses when the next event to fire is a stream head
-  /// whose ready() is false: returns false with the clock still at the last
-  /// dispatched instant (it does NOT jump to end_time) so the caller can
-  /// extend the stream and resume. Returns true once end_time is reached. A
-  /// sequence of gated calls that always resumes executes exactly the
-  /// events a single run_until would, in the same order.
+  /// As run_until, but pauses when the next event to fire is the head of a
+  /// stream registered with `can_gate` whose ready() is false: returns
+  /// false with the clock still at the last dispatched instant (it does NOT
+  /// jump to end_time) so the caller can extend the stream and resume.
+  /// Returns true once end_time is reached. A sequence of gated calls that
+  /// always resumes executes exactly the events a single run_until would,
+  /// in the same order.
   bool run_until_gated(double end_time);
 
   /// Consumes the next FIFO rank for an EventStream head (see EventStream).
@@ -116,20 +158,36 @@ class Simulator {
   void run_to_completion();
 
   /// Registers a stream the run loop merges with the queue by (time, rank)
-  /// in every run; a requested flush reaches the streams in registration
-  /// order. Registering a pointer twice throws util::InvalidState.
-  /// The stream must be removed before it is destroyed unless the simulator
-  /// goes first.
-  void add_event_stream(EventStream* stream);
+  /// in every run, starting from the head it last published; a requested
+  /// flush reaches the streams in registration order. `can_gate` marks a
+  /// stream whose ready() run_until_gated must ask; no other stream's is
+  /// ever called. Registering a pointer twice throws util::InvalidState; a
+  /// stream belongs to at most one simulator at a time. The stream must be
+  /// removed before it is destroyed unless the simulator goes first.
+  void add_event_stream(EventStream* stream, bool can_gate = false);
 
   /// Unregisters a stream; throws util::InvalidState if it is not
   /// registered.
   void remove_event_stream(EventStream* stream);
 
-  /// Asks the run loop to flush every registered stream before the clock
-  /// next moves past the current instant (and before run_until /
-  /// run_to_completion return). Cheap and idempotent.
-  void request_flush() { flush_pending_ = true; }
+  /// Publishes `stream`'s head: its next event fires at `time` (+infinity:
+  /// none) with FIFO rank `rank`. Registered or not — a later registration
+  /// starts from it.
+  void set_stream_head(EventStream& stream, double time, std::uint64_t rank) {
+    stream.head_time_ = time;
+    stream.head_rank_ = rank;
+    if (stream.owner_ == this) heads_[stream.slot_] = Head{time, rank};
+  }
+
+  /// Asks the run loop to flush `stream` (registered here) before the
+  /// clock next moves past the current instant (and before run_until /
+  /// run_to_completion return). Cheap and idempotent; streams that did not
+  /// ask are not called.
+  void request_flush(EventStream& stream) {
+    util::require_state(stream.owner_ == this, "request_flush from an unregistered stream");
+    flush_requested_[stream.slot_] = 1;
+    flush_pending_ = true;
+  }
 
   /// Number of events executed so far.
   std::uint64_t executed_events() const { return executed_; }
@@ -139,28 +197,34 @@ class Simulator {
   std::size_t pending_events() const { return queue_.size() + lane_.size(); }
 
  private:
-  /// The after_ordered events: a FIFO ring, sorted by (time, rank) by
-  /// construction, that the simulator registers as its first stream. BH2's
-  /// per-terminal decision epochs re-arm here at O(1) per event instead of
-  /// a sift through the heap.
-  class OrderedLane final : public EventStream {
+  /// A (time, rank) head of the lane or of a registered stream.
+  struct Head {
+    double time;
+    std::uint64_t rank;
+  };
+
+  /// The after_ordered events: a FIFO ring of {time, rank, tag}, sorted by
+  /// (time, rank) by construction. BH2's per-terminal decision epochs
+  /// re-arm here at O(1) per event instead of a sift through the heap, with
+  /// no closure to store or call.
+  class OrderedLane {
    public:
-    /// True if an event at `t` keeps the lane in time order.
-    bool accepts(double t) const { return size_ == 0 || t >= ring_[index(size_ - 1)].time; }
-    void push(double t, std::uint64_t rank, std::function<void()> action);
-    std::size_t size() const { return size_; }
-
-    double next_time() const override;
-    std::uint64_t next_rank() const override { return ring_[head_].rank; }
-    void fire() override;
-
-   private:
     struct Entry {
       double time = 0.0;
       std::uint64_t rank = 0;
-      std::function<void()> action;
+      std::uint64_t tag = 0;
     };
 
+    /// True if an event at `t` keeps the lane in time order.
+    bool accepts(double t) const { return size_ == 0 || t >= ring_[index(size_ - 1)].time; }
+    void push(const Entry& entry);
+    /// Removes and returns the head entry; requires size() > 0.
+    Entry pop();
+    /// The head entry; requires size() > 0.
+    const Entry& front() const { return ring_[head_]; }
+    std::size_t size() const { return size_; }
+
+   private:
     /// Ring index of the entry `offset` places behind the head.
     std::size_t index(std::size_t offset) const { return (head_ + offset) & (ring_.size() - 1); }
 
@@ -170,8 +234,18 @@ class Simulator {
     std::size_t size_ = 0;
   };
 
-  /// Flushes every registered stream if a flush is pending; returns true if
-  /// it did (the run loop must then re-evaluate what fires next).
+  /// heads_ slot of the lane; registered streams take the slots after it.
+  static constexpr std::size_t kLaneSlot = 0;
+
+  /// Republishes the lane's head into heads_[kLaneSlot].
+  void publish_lane_head();
+
+  /// Pops the lane's head and hands its tag to the bound handler.
+  void fire_lane();
+
+  /// Flushes, in registration order, every stream that requested it since
+  /// the last flush; returns true if any did (the run loop must then
+  /// re-evaluate what fires next).
   bool flush_if_pending();
 
   /// Shared body of run_until / run_until_gated / run_to_completion (see
@@ -181,7 +255,14 @@ class Simulator {
 
   EventQueue queue_;
   OrderedLane lane_;
-  std::vector<EventStream*> streams_{&lane_};
+  OrderedHandler* ordered_handler_ = nullptr;
+  /// Slot i's head: the lane's at kLaneSlot, registered streams' after it.
+  std::vector<Head> heads_{Head{std::numeric_limits<double>::infinity(), 0}};
+  /// Slot i's stream (nullptr for the lane), whether it can gate, and
+  /// whether it asked for a flush.
+  std::vector<EventStream*> streams_{nullptr};
+  std::vector<char> can_gate_{0};
+  std::vector<char> flush_requested_{0};
   double now_;
   std::uint64_t executed_ = 0;
   bool flush_pending_ = false;

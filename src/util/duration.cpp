@@ -27,18 +27,19 @@ std::optional<double> parse_duration_seconds(std::string_view text,
   }
   // parse_double trims, which would quietly accept "2 s"; the number must
   // abut its suffix. Non-finite "numbers" are not durations either, nor is
-  // a finite one whose conversion to seconds overflows ("1e307m").
+  // a finite one past the ceiling ("1e300s"), whose clock ticks would
+  // overflow where a caller sleeps or waits on it.
   if (digits != trim(digits)) return std::nullopt;
   const auto value = parse_double(digits);
   if (!value.has_value() || !std::isfinite(*value) || *value < 0.0) return std::nullopt;
   const double seconds = *value * scale;
-  if (!std::isfinite(seconds)) return std::nullopt;
+  if (!(seconds <= kMaxDurationSeconds)) return std::nullopt;
   return seconds;
 }
 
 const char* duration_grammar_help() {
   return "a non-negative number with an optional \"ms\", \"s\", \"m\" or \"h\" "
-         "suffix (e.g. \"500ms\", \"2s\", \"1m\")";
+         "suffix, at most 365 days (e.g. \"500ms\", \"2s\", \"1m\")";
 }
 
 }  // namespace insomnia::util

@@ -14,12 +14,18 @@ namespace insomnia::util {
 /// Unit applied to a bare number with no suffix.
 enum class DurationUnit { kMilliseconds, kSeconds };
 
+/// Longest duration the grammar accepts: 365 days. Every parsed duration
+/// ends up as a clock's integer tick count (sleep_for, wait_for, a daemon's
+/// wall budget), and int64 nanoseconds overflow past ~292 years; a year is
+/// far inside that and far above any sane timeout or budget.
+inline constexpr double kMaxDurationSeconds = 365.0 * 24.0 * 3600.0;
+
 /// Parses `text` (after trimming) as a non-negative duration and returns it
 /// in SECONDS. Accepted forms: a number with an optional "ms", "s", "m"
 /// (minutes) or "h" suffix; a bare number takes `bare_unit`. Returns
 /// nullopt on empty input, a negative value, trailing junk ("2sx"), an
-/// unparseable or non-finite number, or one whose value in seconds is not
-/// finite ("1e307m") — callers turn that into their own clear error.
+/// unparseable or non-finite number, or one above kMaxDurationSeconds
+/// ("1e300s", "1e307m") — callers turn that into their own clear error.
 std::optional<double> parse_duration_seconds(
     std::string_view text, DurationUnit bare_unit = DurationUnit::kSeconds);
 

@@ -4,7 +4,9 @@
 // which no production target sees.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "flow/fluid_network.h"
@@ -16,6 +18,17 @@ namespace insomnia::flow {
 enum class TestEngine {
   kReference,    ///< exact eager engine, the oracle
   kIncremental,  ///< the production engine
+};
+
+/// A CompletionSink forwarding to a callable, so a test can log, count or
+/// re-enter the network from a completion in a lambda.
+class FunctionSink final : public CompletionSink {
+ public:
+  explicit FunctionSink(std::function<void(const CompletedFlow&)> fn) : fn_(std::move(fn)) {}
+  void on_flow_complete(const CompletedFlow& flow) override { fn_(flow); }
+
+ private:
+  std::function<void(const CompletedFlow&)> fn_;
 };
 
 /// "reference" / "incremental" (gtest parameter names).

@@ -24,11 +24,6 @@ ReferenceFluidNetwork::~ReferenceFluidNetwork() {
   obs::counter("flow.waterfills").add(waterfills_);
 }
 
-void ReferenceFluidNetwork::set_completion_handler(
-    std::function<void(const CompletedFlow&)> handler) {
-  on_complete_ = std::move(handler);
-}
-
 void ReferenceFluidNetwork::reserve_flows(std::size_t flow_count) {
   flows_.reserve(flow_count);
   id_to_index_.reserve(flow_count);
@@ -130,9 +125,7 @@ void ReferenceFluidNetwork::add_flow(FlowId id, int client, int gateway_id, doub
 
   if (state.remaining_bits <= kEpsilonBits) {
     state.done = true;
-    if (on_complete_) {
-      on_complete_({id, client, gateway_id, state.arrival_time, simulator_->now(), bytes});
-    }
+    complete({id, client, gateway_id, state.arrival_time, simulator_->now(), bytes});
     return;
   }
 
@@ -288,9 +281,7 @@ void ReferenceFluidNetwork::advance(int gateway_id) {
   for (std::size_t index : finished) {
     const FlowState& f = flows_[index];
     erase_index(f.id);
-    if (on_complete_) {
-      on_complete_({f.id, f.client, f.gateway, f.arrival_time, now, f.bytes});
-    }
+    complete({f.id, f.client, f.gateway, f.arrival_time, now, f.bytes});
   }
   // Hand the warm buffer back for the next advance() on this gateway.
   finished.clear();

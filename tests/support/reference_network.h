@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -24,7 +23,6 @@ class ReferenceFluidNetwork final : public FluidNetwork {
   ReferenceFluidNetwork(sim::Simulator& simulator, std::vector<double> backhaul_rates);
   ~ReferenceFluidNetwork() override;  ///< folds the local waterfill tally into obs
 
-  void set_completion_handler(std::function<void(const CompletedFlow&)> handler) override;
   void reserve_flows(std::size_t flow_count) override;
   void add_flow(FlowId id, int client, int gateway, double bytes, double wireless_cap) override;
   void migrate_flow(FlowId id, int new_gateway, double new_wireless_cap) override;
@@ -123,7 +121,6 @@ class ReferenceFluidNetwork final : public FluidNetwork {
   std::vector<FlowState> flows_;                       // all flows ever added
   std::vector<std::size_t> id_to_index_;               // dense FlowId -> flows_ index
   std::unordered_map<FlowId, std::size_t> id_overflow_;  // sparse outlier ids
-  std::function<void(const CompletedFlow&)> on_complete_;
   int live_flows_ = 0;
   /// Reallocations performed, accumulated locally (reallocate is hot) and
   /// folded into the "flow.waterfills" counter once, at destruction.

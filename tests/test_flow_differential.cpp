@@ -139,7 +139,7 @@ std::vector<double> run_one(TestEngine engine, const Scenario& s) {
   const auto net = make_test_engine(engine, sim, s.backhaul);
   const int gw_count = s.gateway_count;
 
-  net->set_completion_handler([&](const CompletedFlow& f) {
+  FunctionSink sink([&](const CompletedFlow& f) {
     log.push_back(-1.0);  // completion tag
     log.push_back(static_cast<double>(f.id));
     log.push_back(static_cast<double>(f.client));
@@ -173,6 +173,7 @@ std::vector<double> run_one(TestEngine engine, const Scenario& s) {
       }
     }
   });
+  net->set_completion_sink(&sink);
 
   for (const Op& op : s.ops) {
     sim.at(op.time, [&, op] {

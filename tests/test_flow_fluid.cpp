@@ -27,10 +27,11 @@ struct Harness {
   std::unique_ptr<FluidNetwork> owned;
   FluidNetwork& net;
   std::map<FlowId, CompletedFlow> done;
+  FunctionSink record{[this](const CompletedFlow& f) { done[f.id] = f; }};
 
   Harness(TestEngine engine, std::vector<double> backhaul)
       : owned(make_test_engine(engine, sim, std::move(backhaul))), net(*owned) {
-    net.set_completion_handler([this](const CompletedFlow& f) { done[f.id] = f; });
+    net.set_completion_sink(&record);
   }
 };
 
@@ -279,8 +280,9 @@ TEST_P(FluidNetworkTest, CompletionTiesFollowTheRescheduleRanks) {
   // reallocation takes a fresh one (fires after U2, queued earlier).
   Harness h(GetParam(), {1e6, 1e6});
   std::vector<std::string> log;
-  h.net.set_completion_handler(
+  FunctionSink log_completions(
       [&](const CompletedFlow& f) { log.push_back("F" + std::to_string(f.id)); });
+  h.net.set_completion_sink(&log_completions);
   h.net.set_gateway_serving(0, true);
   h.net.set_gateway_serving(1, true);
   h.net.add_flow(1, 0, 0, 125000.0, 1e9);  // 1 Mbit alone at 1 Mbps: done at 1.0
@@ -294,14 +296,13 @@ TEST_P(FluidNetworkTest, CompletionTiesFollowTheRescheduleRanks) {
   EXPECT_EQ(log, (std::vector<std::string>{"F1", "U1", "U2", "F2"}));
 }
 
-TEST(FlowIndex, WorksAfterReservePreSizesTheDenseRange) {
+TEST(FlowIndex, KeepsMappingsAcrossTheWindowAndTheOverflowMap) {
   FlowIndex index;
-  index.reserve(1000);
-  EXPECT_FALSE(index.find(0).valid());    // pre-sized entries start empty
+  EXPECT_FALSE(index.find(0).valid());
   EXPECT_FALSE(index.find(999).valid());
   index.store(0, 1, 4);
   index.store(999, 2, 7);
-  index.store(1500, 3, 1);  // past the reserved range, inside the dense ceiling
+  index.store(1500, 3, 1);  // past the window's ceiling: the overflow map
   EXPECT_EQ(index.find(999).gateway, 2);
   EXPECT_EQ(index.find(999).pos, 7u);
   index.relocate(999, 5, 0);
@@ -324,10 +325,48 @@ TEST(FlowIndex, WorksAfterReservePreSizesTheDenseRange) {
   EXPECT_EQ(index.find(1500).gateway, 3);
 }
 
+TEST(FlowIndex, SlidesPastRetiredIdsAndRoutesLateOnesToTheMap) {
+  // A day's replay: ids 0, 1, 2, ... stored in order, each retired a few
+  // ids later, so the window slides a million ids while holding a handful.
+  // A straggler stored below the window and an outlier far above it take
+  // the overflow map, and every mapping stays findable until erased.
+  FlowIndex index;
+  constexpr std::uint64_t kDay = 1'000'000;
+  constexpr std::uint64_t kLive = 6;
+  for (std::uint64_t id = 0; id < kDay; ++id) {
+    index.store(id, static_cast<int>(id % 5), static_cast<FlowBlock::Pos>(id % 3));
+    if (id >= kLive) {
+      const std::uint64_t old = id - kLive;
+      ASSERT_EQ(index.find(old).gateway, static_cast<int>(old % 5)) << old;
+      index.relocate(old, 9, 1);
+      ASSERT_EQ(index.find(old).gateway, 9) << old;
+      index.erase(old);
+      ASSERT_FALSE(index.find(old).valid()) << old;
+    }
+  }
+  const std::uint64_t straggler = 17;  // long retired, stored again late
+  index.store(straggler, 2, 2);
+  const std::uint64_t huge = 1'000'000'000'000ull;
+  index.store(huge, 3, 3);
+  for (std::uint64_t id = kDay; id < kDay + 5000; ++id) {
+    index.store(id, 4, static_cast<FlowBlock::Pos>(id % 3));
+  }
+  EXPECT_EQ(index.find(straggler).gateway, 2);
+  EXPECT_EQ(index.find(huge).gateway, 3);
+  for (std::uint64_t id = kDay - kLive; id < kDay + 5000; ++id) {
+    ASSERT_TRUE(index.find(id).valid()) << id;
+  }
+  index.erase(straggler);
+  index.erase(huge);
+  EXPECT_FALSE(index.find(straggler).valid());
+  EXPECT_FALSE(index.find(huge).valid());
+  EXPECT_TRUE(index.find(kDay).valid());
+}
+
 TEST(FlowIndex, GrowsWithoutReserveAndKeepsEveryMapping) {
-  // Live days store ids 0, 1, 2, ... with no reserve(); the dense vector
-  // grows geometrically past them, so every lookup must still fall through
-  // correctly, and a far outlier must still take the overflow map.
+  // Ids 0, 1, 2, ... all stay live: the window grows geometrically past
+  // them, every lookup must still fall through correctly, and a far
+  // outlier must still take the overflow map.
   constexpr std::uint64_t kCount = 5000;
   FlowIndex index;
   for (std::uint64_t id = 0; id < kCount; ++id) {

@@ -6,11 +6,11 @@
 // the flow log grow by doubling, so a window of thousands of events may
 // see a handful of reallocations, never one-per-event).
 //
-// Keep this suite out of sanitizer builds' label filters (it is labelled
-// test_hotpath_alloc, not test_sim/exec/city): interposing operator new is
-// not TSan-friendly.
+// The sanitizer jobs run this suite too: the counting operator new forwards
+// to malloc, which both sanitizers intercept.
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -18,6 +18,9 @@
 #include <gtest/gtest.h>
 
 #include "bh2/algorithm.h"
+#include "core/home_policy.h"
+#include "core/runtime.h"
+#include "core/scenario_presets.h"
 #include "flow/fluid_network.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -25,10 +28,14 @@
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "support/fluid_engines.h"
+#include "topology/access_topology.h"
+#include "trace/records.h"
+#include "trace/synthetic_crawdad.h"
 
 namespace {
 
 std::atomic<long> g_allocations{0};
+std::atomic<std::size_t> g_bytes{0};
 std::atomic<bool> g_counting{false};
 
 }  // namespace
@@ -36,6 +43,7 @@ std::atomic<bool> g_counting{false};
 void* operator new(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
@@ -56,10 +64,12 @@ class AllocationWindow {
  public:
   AllocationWindow() {
     g_allocations.store(0, std::memory_order_relaxed);
+    g_bytes.store(0, std::memory_order_relaxed);
     g_counting.store(true, std::memory_order_relaxed);
   }
   ~AllocationWindow() { g_counting.store(false, std::memory_order_relaxed); }
   long count() const { return g_allocations.load(std::memory_order_relaxed); }
+  std::size_t bytes() const { return g_bytes.load(std::memory_order_relaxed); }
 };
 
 TEST(HotPathAllocations, EventQueueScheduleRunCancelRescheduleIsAllocationFree) {
@@ -133,13 +143,14 @@ TEST(HotPathAllocations, AlwaysOnHistogramRecordNIsAllocationFree) {
 }
 
 /// Periodic per-client timers on the ordered lane, shaped like BH2's
-/// decision epochs: each fire re-arms `period` later with a {this, int}
-/// closure, which std::function keeps in its inline buffer.
-class LaneEpochs {
+/// decision epochs: the handler is bound once, and each fire re-arms
+/// `period` later with the client as the lane event's tag.
+class LaneEpochs : public sim::OrderedHandler {
  public:
   LaneEpochs(sim::Simulator& sim, int clients, double period) : sim_(sim), period_(period) {
+    sim_.set_ordered_handler(this);
     for (int c = 0; c < clients; ++c) {
-      sim_.at(period * c / clients, [this, c] { epoch(c); });
+      sim_.at(period * c / clients, [this, c] { on_ordered(static_cast<std::uint64_t>(c)); });
     }
   }
   LaneEpochs(const LaneEpochs&) = delete;
@@ -147,16 +158,31 @@ class LaneEpochs {
 
   long fired() const { return fired_; }
 
- private:
-  void epoch(int client) {
+  void on_ordered(std::uint64_t client) override {
     ++fired_;
-    sim_.after_ordered(period_, [this, client] { epoch(client); });
+    sim_.after_ordered(period_, client);
   }
 
+ private:
   sim::Simulator& sim_;
   double period_;
   long fired_ = 0;
 };
+
+TEST(HotPathAllocations, LaneEpochRearmIsAllocationFree) {
+  // Epochs alone: every event is a lane dispatch to the bound handler and
+  // a tagged re-arm. Once the ring has its working size, nothing allocates.
+  sim::Simulator sim;
+  LaneEpochs epochs(sim, 48, 10.0);
+  sim.run_until(100.0);  // warm-up: the first epochs leave the heap
+
+  const long before = epochs.fired();
+  AllocationWindow window;
+  sim.run_until(5000.0);
+  const long allocations = window.count();
+  EXPECT_EQ(allocations, 0) << "a lane epoch re-arm must not allocate";
+  EXPECT_EQ(epochs.fired() - before, 48 * 490);
+}
 
 TEST(HotPathAllocations, OrderedLaneMixedWithHeapIsAllocationFree) {
   sim::Simulator sim;
@@ -184,6 +210,47 @@ TEST(HotPathAllocations, OrderedLaneMixedWithHeapIsAllocationFree) {
   EXPECT_EQ(allocations, 0) << "steady-state heap + lane traffic must not allocate";
   EXPECT_GT(epochs.fired() - epochs_before, 4000);
   EXPECT_EQ(fired, 2200);
+}
+
+TEST(HotPathAllocations, LiveDayAppendsGrowWithoutRecopying) {
+  // A live paper-default day appended in the controller's 4096-record
+  // batches, stepped between batches. The records wait in a ring the size
+  // of the lookahead, so the appends make O(log n) allocations totalling a
+  // few batches, where a whole-day vector<FlowRecord> would allocate (and
+  // re-copy at each doubling) the day.
+  const core::ScenarioConfig scenario = core::find_scenario_preset("paper-default").scenario;
+  sim::Random topology_rng(3);
+  const topo::AccessTopology topology =
+      topo::make_overlap_topology(scenario.client_count, scenario.degrees, topology_rng);
+  sim::Random trace_rng(5);
+  const trace::FlowTrace day = trace::SyntheticCrawdadGenerator(scenario.traffic).generate(trace_rng);
+  ASSERT_GT(day.size(), 100000u);
+  core::NoSleepPolicy policy;
+  core::AccessRuntime runtime(scenario, topology, policy, sim::Random(5),
+                              core::AccessRuntime::LiveMode{true});
+  runtime.begin_live();
+  constexpr std::size_t kBatch = 4096;
+  long allocations = 0;
+  std::size_t bytes = 0;
+  for (std::size_t first = 0; first < day.size(); first += kBatch) {
+    const std::size_t count = std::min(kBatch, day.size() - first);
+    {
+      AllocationWindow window;  // counts the append alone, not the stepping
+      runtime.append_live_arrivals(day.data() + first, count);
+      allocations += window.count();
+      bytes += window.bytes();
+    }
+    runtime.step_live(day[first + count - 1].start_time);
+  }
+  runtime.finish_live_input();
+  runtime.step_live(scenario.duration + scenario.drain_time);
+  EXPECT_EQ(runtime.arrivals_appended(), day.size());
+  EXPECT_EQ(runtime.arrivals_consumed(), day.size());
+
+  const double log2_n = std::log2(static_cast<double>(day.size()));
+  EXPECT_LE(allocations, static_cast<long>(3 * log2_n)) << "appends must allocate O(log n) times";
+  EXPECT_LE(bytes, 4 * kBatch * sizeof(trace::FlowRecord))
+      << "appends must not hold, or re-copy, the day's records";
 }
 
 /// Array-backed observer (no lookups that allocate) whose loads the test
@@ -255,7 +322,8 @@ TEST_P(FluidNetworkAlloc, SteadyStateStaysAllocationFree) {
   net.reserve_flows(kWarmup + kMeasured);
 
   int completed = 0;
-  net.set_completion_handler([&completed](const flow::CompletedFlow&) { ++completed; });
+  flow::FunctionSink count([&completed](const flow::CompletedFlow&) { ++completed; });
+  net.set_completion_sink(&count);
 
   // Two interleaved arrival processes keep 3-6 flows live per gateway, so
   // every arrival triggers advance + water-fill + completion reschedule —
@@ -286,6 +354,42 @@ TEST_P(FluidNetworkAlloc, SteadyStateStaysAllocationFree) {
   // series and the flow log.
   EXPECT_LT(allocations, 24) << "inner loop is no longer allocation-free";
   EXPECT_GT(completed, kWarmup);  // the churn really completed flows
+}
+
+TEST_P(FluidNetworkAlloc, CompletionDispatchIsAllocationFree) {
+  // Zero-byte flows complete inside add_flow, with no water-fill and no
+  // series append: each is one advance plus one direct call into the sink,
+  // which (like the runtime's) reads the flow and re-enters the network.
+  sim::Simulator sim;
+  const auto owned = flow::make_test_engine(GetParam(), sim, {6e6, 6e6});
+  flow::FluidNetwork& net = *owned;
+  net.set_gateway_serving(0, true);
+  net.set_gateway_serving(1, true);
+  net.reserve_flows(30000);
+
+  struct Sink final : flow::CompletionSink {
+    flow::FluidNetwork* net = nullptr;
+    long completed = 0;
+    double seconds = 0.0;
+    void on_flow_complete(const flow::CompletedFlow& flow) override {
+      ++completed;
+      seconds += flow.duration() + net->last_activity(flow.gateway);
+    }
+  } sink;
+  sink.net = &net;
+  net.set_completion_sink(&sink);
+
+  flow::FlowId next_id = 0;
+  const auto churn = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) net.add_flow(next_id++, i % 7, i % 2, 0.0, 9e6);
+  };
+  churn(1000);  // warm-up
+
+  AllocationWindow window;
+  churn(20000);
+  const long allocations = window.count();
+  EXPECT_EQ(allocations, 0) << "a completion dispatch must not allocate";
+  EXPECT_EQ(sink.completed, 21000);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, FluidNetworkAlloc,

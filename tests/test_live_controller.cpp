@@ -3,14 +3,21 @@
 // offline Engine (modulo the telemetry block, which to_json(false) omits) —
 // regardless of tick size or queue capacity. Plus option validation and the
 // wall-pace path, which under backpressure must still decide the whole day.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
+
+#if defined(__linux__)
+#include <dirent.h>
+#endif
 
 #include "core/engine.h"
 #include "core/scenario.h"
@@ -153,6 +160,105 @@ TEST(LiveController, StopSignalProducesACoveredPartialReport) {
   EXPECT_TRUE(result.stats.interrupted);
   ASSERT_EQ(result.report.days.size(), 1u);
   EXPECT_EQ(result.stats.ingested, result.stats.decided);
+}
+
+#if defined(__linux__)
+/// Threads of this process right now.
+std::size_t thread_count();
+
+/// thread_count() once the process has created a thread before: sanitizer
+/// runtimes start a helper thread of their own at the first thread
+/// creation, which must not count against the controller's worker.
+std::size_t settled_thread_count() {
+  std::thread([] {}).join();
+  return thread_count();
+}
+
+std::size_t thread_count() {
+  std::size_t count = 0;
+  if (DIR* dir = opendir("/proc/self/task")) {
+    while (const dirent* entry = readdir(dir)) {
+      if (entry->d_name[0] != '.') ++count;
+    }
+    closedir(dir);
+  }
+  return count;
+}
+#endif
+
+/// A generator day whose poll number `fail_at` fails: it throws, or, given
+/// a stop flag, raises it (the SIGINT path) and keeps serving. Records how
+/// many polls ran off the calling thread and how many threads it saw.
+class FailingSource : public EventSource {
+ public:
+  FailingSource(const LiveController::Options& options, int fail_at, std::atomic<bool>* stop)
+      : inner_(make_generator(options)), fail_at_(fail_at), stop_(stop) {}
+
+  std::size_t poll(double horizon, std::size_t max, trace::FlowTrace& out) override {
+    if (std::this_thread::get_id() != caller_) ++worker_polls;
+#if defined(__linux__)
+    peak_threads = std::max(peak_threads.load(), thread_count());
+#endif
+    if (++polls_ == fail_at_) {
+      if (stop_ == nullptr) throw std::runtime_error("source failed mid-day");
+      stop_->store(true);
+    }
+    return inner_->poll(horizon, max, out);
+  }
+  bool exhausted() const override { return inner_->exhausted(); }
+  std::string describe() const override { return "failing " + inner_->describe(); }
+
+  std::atomic<int> worker_polls{0};
+  std::atomic<std::size_t> peak_threads{0};
+
+ private:
+  std::unique_ptr<EventSource> inner_;
+  int fail_at_;
+  std::atomic<bool>* stop_;
+  std::atomic<int> polls_{0};
+  std::thread::id caller_ = std::this_thread::get_id();
+};
+
+TEST(LiveController, PrefetchWorkerIsJoinedWhenTheSourceThrowsMidDay) {
+  const LiveController::Options options = live_options();
+  auto source = std::make_unique<FailingSource>(options, /*fail_at=*/40, nullptr);
+  FailingSource& probe = *source;
+#if defined(__linux__)
+  const std::size_t before = settled_thread_count();
+#endif
+  {
+    LiveController controller(options, std::move(source));
+    EXPECT_THROW(controller.run(), std::runtime_error);
+    // The poll thread is gone as soon as run() unwinds, not only once the
+    // controller is destroyed.
+#if defined(__linux__)
+    EXPECT_EQ(thread_count(), before);
+    EXPECT_EQ(probe.peak_threads.load(), before + 1);  // one persistent worker
+#endif
+    EXPECT_GT(probe.worker_polls.load(), 0);
+  }
+}
+
+TEST(LiveController, PrefetchWorkerIsJoinedWhenTheStopFlagFires) {
+  const LiveController::Options options = live_options();
+  std::atomic<bool> stop{false};
+  auto source = std::make_unique<FailingSource>(options, /*fail_at=*/40, &stop);
+  FailingSource& probe = *source;
+#if defined(__linux__)
+  const std::size_t before = settled_thread_count();
+#endif
+  LiveController controller(options, std::move(source));
+  const LiveResult result = controller.run(&stop);
+#if defined(__linux__)
+  EXPECT_EQ(thread_count(), before);
+  EXPECT_EQ(probe.peak_threads.load(), before + 1);
+#endif
+  EXPECT_TRUE(stop.load());
+  EXPECT_TRUE(result.stats.interrupted);
+  EXPECT_GT(result.stats.virtual_seconds, 0.0);
+  EXPECT_LT(result.stats.virtual_seconds, options.scenario.duration);
+  EXPECT_EQ(result.stats.ingested, result.stats.decided);
+  EXPECT_GT(probe.worker_polls.load(), 0);
 }
 
 TEST(LiveControllerValidation, DropSheddingRequiresWallPacing) {

@@ -66,7 +66,8 @@ TEST_F(ObsProfilerTest, StopIsIdempotent) {
   const std::uint64_t first = timer.stop();
   const std::uint64_t second = timer.stop();
   EXPECT_EQ(first, second);
-  const PhaseTotal* phase = find_phase(phase_totals(), "test.stop");
+  const auto phases = phase_totals();
+  const PhaseTotal* phase = find_phase(phases, "test.stop");
   ASSERT_NE(phase, nullptr);
   EXPECT_EQ(phase->count, 1u);  // recorded once, not per stop() call
 }
@@ -146,7 +147,8 @@ TEST_F(ObsProfilerTest, PhaseTotalsFoldAcrossThreads) {
     OBS_SCOPE("test.fold.shard");
     return i;
   });
-  const PhaseTotal* phase = find_phase(phase_totals(), "test.fold.shard");
+  const auto phases = phase_totals();
+  const PhaseTotal* phase = find_phase(phases, "test.fold.shard");
   ASSERT_NE(phase, nullptr);
   EXPECT_EQ(phase->count, 16u);
 }

@@ -1,5 +1,6 @@
 // Golden regression layer: pinned-seed, low-run-count versions of the
-// paper's figure experiments asserted against committed expected values.
+// paper's figure experiments, and pinned Engine days on three presets,
+// asserted against committed expected values.
 // run_main_experiment and run_density_sweep feed Figs. 6-10 and Tabs. 1-2;
 // any change to seed derivation, scheme wiring, accumulation order, or the
 // simulators themselves shifts these numbers — this suite turns such a shift
@@ -16,10 +17,12 @@
 // its own process, so splitting the assertions across cases would re-run the
 // pinned experiment once per case.
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "core/experiments.h"
 
 namespace insomnia::core {
@@ -139,6 +142,69 @@ TEST(RegressionDensitySweep, PointsMatchGoldens) {
   EXPECT_DOUBLE_EQ(points[0].mean_online_gateways, 6.4842992511470134);
   EXPECT_DOUBLE_EQ(points[1].mean_online_gateways, 4.0914766207051692);
   EXPECT_DOUBLE_EQ(points[2].mean_online_gateways, 2.3783960542963571);
+}
+
+// Pinned whole days through Engine::run (seed 5, two runs, 12 bins) on
+// the presets whose days the 48-client goldens above do not reach: their
+// load windows sit on saturation ties (a gateway at load 1.0 against
+// `load - own_share >= 0.5`), so a window integral that differs in the last
+// bit moves BH2 decisions, and with them every pinned count below.
+RunReport run_pinned_day(const char* preset, const char* scheme) {
+  RunSpec spec;
+  spec.preset = preset;
+  spec.scheme = scheme;
+  spec.seed = 5;
+  spec.runs = 2;
+  spec.bins = 12;
+  spec.threads = 1;
+  return Engine().run(spec);
+}
+
+void expect_days(const RunReport& report, const std::vector<std::uint64_t>& events,
+                 const std::vector<long>& moves, const std::vector<long>& wakes) {
+  ASSERT_EQ(report.days.size(), events.size());
+  for (std::size_t d = 0; d < events.size(); ++d) {
+    EXPECT_EQ(report.days[d].executed_events, events[d]) << "day " << d;
+    EXPECT_EQ(report.days[d].bh2_moves, moves[d]) << "day " << d;
+    EXPECT_EQ(report.days[d].wake_events, wakes[d]) << "day " << d;
+  }
+}
+
+TEST(RegressionPinnedDay, SparseRuralBh2Kswitch) {
+  INSOMNIA_SKIP_GOLDENS();
+  const RunReport report = run_pinned_day("sparse-rural", "bh2-kswitch");
+  expect_days(report, {225411, 255027}, {4418, 4953}, {308, 358});
+  EXPECT_DOUBLE_EQ(report.day_savings, 0.5446456037447338);
+  expect_series(report.savings_series,
+                {0.7500208417920033, 0.8417842360261543, 0.7160247340853654, 0.7676850342477782,
+                 0.5508979417306323, 0.43614010586849494, 0.3891165270607502, 0.33235396281442087,
+                 0.3237956405859188, 0.3812663745118666, 0.4459266511937079, 0.6007351950197154},
+                "savings");
+}
+
+TEST(RegressionPinnedDay, DevelopingWorldBh2Kswitch) {
+  INSOMNIA_SKIP_GOLDENS();
+  const RunReport report = run_pinned_day("developing-world", "bh2-kswitch");
+  expect_days(report, {375563, 414489}, {11674, 14214}, {307, 310});
+  EXPECT_DOUBLE_EQ(report.day_savings, 0.35117422291297007);
+  expect_series(report.savings_series,
+                {0.6112859905463708, 0.6862874800318624, 0.6417682609544246, 0.5681523961781116,
+                 0.34156827452556715, 0.18175794762484865, 0.13124229552061573,
+                 0.09970039262733077, 0.11161101289865194, 0.14957913810215762,
+                 0.20939627928997728, 0.48174120665572584},
+                "savings");
+}
+
+TEST(RegressionPinnedDay, PaperDefaultBh2NobackupKswitch) {
+  INSOMNIA_SKIP_GOLDENS();
+  const RunReport report = run_pinned_day("paper-default", "bh2-nobackup-kswitch");
+  expect_days(report, {642436, 684835}, {30121, 27577}, {435, 429});
+  EXPECT_DOUBLE_EQ(report.day_savings, 0.5974341333518147);
+  expect_series(report.savings_series,
+                {0.8230641935738017, 0.8276534074036302, 0.796272320055718, 0.7974123448402755,
+                 0.5827878737581295, 0.43059671900572205, 0.4216443755255832, 0.4504962530256924,
+                 0.4345070404317025, 0.4405719599716761, 0.5082469324254073, 0.6559561802044366},
+                "savings");
 }
 
 }  // namespace

@@ -82,6 +82,13 @@ TEST(FaultPlan, RejectsSlowShardDurationsThatOverflow) {
   EXPECT_THROW(parse_fault_plan("slow-shard=0.5:1e306s"), util::InvalidArgument);
   EXPECT_THROW(parse_fault_plan("slow-shard=0.5:1e307m"), util::InvalidArgument);
   EXPECT_THROW(parse_fault_plan("slow-shard=0.5:1e306h"), util::InvalidArgument);
+  // Finite in milliseconds but past the duration ceiling: sleep_for would
+  // overflow its integer ticks and return at once, so the slowdown would
+  // silently vanish.
+  EXPECT_THROW(parse_fault_plan("slow-shard=0.5:1e300s"), util::InvalidArgument);
+  EXPECT_THROW(parse_fault_plan("slow-shard=0.5:1e300"), util::InvalidArgument);
+  EXPECT_THROW(parse_fault_plan("slow-shard=0.5:8761h"), util::InvalidArgument);
+  EXPECT_DOUBLE_EQ(parse_fault_plan("slow-shard=0.5:8760h").slow_shard_ms, 8760.0 * 3600e3);
 }
 
 TEST(FaultPlan, SummaryRoundTripsActiveEntries) {

@@ -112,21 +112,85 @@ TEST(Simulator, ChainedSameTimeEventsRunSameInstant) {
   EXPECT_EQ(times, (std::vector<double>{4.0, 4.0}));
 }
 
+/// The ordered lane's handler for tests: each lane event's tag indexes a
+/// table of callbacks registered with add().
+class LaneActions : public OrderedHandler {
+ public:
+  explicit LaneActions(Simulator& sim) { sim.set_ordered_handler(this); }
+
+  /// Registers `action`; returns the tag that runs it.
+  std::uint64_t add(std::function<void()> action) {
+    actions_.push_back(std::move(action));
+    return actions_.size() - 1;
+  }
+  void on_ordered(std::uint64_t tag) override { actions_[static_cast<std::size_t>(tag)](); }
+
+ private:
+  std::vector<std::function<void()>> actions_;
+};
+
+/// Records the tags the lane delivers.
+class TagLog : public OrderedHandler {
+ public:
+  void on_ordered(std::uint64_t tag) override { tags.push_back(tag); }
+  std::vector<std::uint64_t> tags;
+};
+
 TEST(Simulator, AfterOrderedRejectsNegativeDelay) {
   Simulator sim;
-  EXPECT_THROW(sim.after_ordered(-1.0, [] {}), util::InvalidArgument);
+  TagLog handler;
+  sim.set_ordered_handler(&handler);
+  EXPECT_THROW(sim.after_ordered(-1.0, 0), util::InvalidArgument);
   EXPECT_EQ(sim.pending_events(), 0u);
-  sim.after_ordered(2.0, [] {});
+  sim.after_ordered(2.0, 0);
   EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+TEST(Simulator, AfterOrderedNeedsABoundHandler) {
+  Simulator sim;
+  EXPECT_THROW(sim.after_ordered(1.0, 7), util::InvalidState);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.allocate_sequence(), 0u);  // the refused append burned no rank
+  TagLog first;
+  TagLog second;
+  sim.set_ordered_handler(&first);
+  sim.after_ordered(1.0, 7);
+  sim.after_ordered(2.0, 8);
+  // Pending events were tagged for the first handler: no switching now.
+  EXPECT_THROW(sim.set_ordered_handler(&second), util::InvalidState);
+  sim.set_ordered_handler(&first);  // rebinding the same handler is a no-op
+  sim.run_to_completion();
+  EXPECT_EQ(first.tags, (std::vector<std::uint64_t>{7, 8}));
+  sim.set_ordered_handler(&second);  // an empty lane may change hands
+  sim.after_ordered(1.0, 9);
+  sim.run_to_completion();
+  EXPECT_EQ(second.tags, (std::vector<std::uint64_t>{9}));
+}
+
+TEST(Simulator, LaneDeliversTagsToTheBoundHandler) {
+  // Tags are opaque 64-bit values; the handler gets each exactly once, in
+  // (time, rank) order.
+  Simulator sim;
+  TagLog handler;
+  sim.set_ordered_handler(&handler);
+  const std::uint64_t big = std::numeric_limits<std::uint64_t>::max();
+  sim.after_ordered(1.0, big);
+  sim.after_ordered(1.0, 0);
+  sim.after_ordered(3.0, 42);
+  sim.run_until(2.0);
+  EXPECT_EQ(handler.tags, (std::vector<std::uint64_t>{big, 0}));
+  sim.run_to_completion();
+  EXPECT_EQ(handler.tags, (std::vector<std::uint64_t>{big, 0, 42}));
 }
 
 TEST(Simulator, LaneMergesWithHeapByTimeThenRank) {
   Simulator sim;
+  LaneActions lane(sim);
   std::vector<int> order;
   sim.at(5.0, [&] { order.push_back(0); });
-  sim.after_ordered(5.0, [&] { order.push_back(1); });
+  sim.after_ordered(5.0, lane.add([&] { order.push_back(1); }));
   sim.at(5.0, [&] { order.push_back(2); });
-  sim.after_ordered(7.0, [&] { order.push_back(3); });
+  sim.after_ordered(7.0, lane.add([&] { order.push_back(3); }));
   sim.at(6.0, [&] { order.push_back(4); });
   EXPECT_EQ(sim.pending_events(), 5u);
   sim.run_to_completion();
@@ -136,13 +200,15 @@ TEST(Simulator, LaneMergesWithHeapByTimeThenRank) {
 
 TEST(Simulator, OutOfOrderLaneAppendThrowsAndLeavesQueueUnchanged) {
   Simulator sim;
+  LaneActions lane(sim);
   std::vector<double> fired;
   const auto log = [&] { fired.push_back(sim.now()); };
+  const std::uint64_t log_tag = lane.add(log);
   sim.at(3.0, log);
-  sim.after_ordered(10.0, log);
-  sim.after_ordered(10.0, log);  // ties are in order
+  sim.after_ordered(10.0, log_tag);
+  sim.after_ordered(10.0, log_tag);  // ties are in order
   sim.run_until(2.0);
-  EXPECT_THROW(sim.after_ordered(7.5, log), util::InvalidState);
+  EXPECT_THROW(sim.after_ordered(7.5, log_tag), util::InvalidState);
   EXPECT_EQ(sim.pending_events(), 3u);
   // The refused append burned no rank.
   EXPECT_EQ(sim.allocate_sequence(), 3u);
@@ -155,17 +221,24 @@ TEST(Simulator, SelfRearmingLaneMatchesHeapOnlyOrder) {
   // Forty periodic timers re-arm from their own callbacks (growing and
   // wrapping the lane's ring) amid one-shot heap events at tied times. The
   // lane run must fire everything in exactly the heap-only order.
+  /// Lane events tagged with their timer.
+  struct TimerLane : OrderedHandler {
+    std::function<void(int)>* tick = nullptr;
+    void on_ordered(std::uint64_t tag) override { (*tick)(static_cast<int>(tag)); }
+  };
   const auto run = [](bool use_lane) {
     Simulator sim;
     std::vector<std::pair<double, int>> log;
     std::vector<double> next(40);
+    TimerLane lane;
+    sim.set_ordered_handler(&lane);
     std::function<void(int)> tick = [&](int timer) {
       log.emplace_back(next[static_cast<std::size_t>(timer)], timer);
       double& t = next[static_cast<std::size_t>(timer)];
       t += 4.0;
       if (t > 200.0) return;
       if (use_lane) {
-        sim.after_ordered(4.0, [&tick, timer] { tick(timer); });
+        sim.after_ordered(4.0, static_cast<std::uint64_t>(timer));
       } else {
         sim.at(t, [&tick, timer] { tick(timer); });
       }
@@ -173,6 +246,7 @@ TEST(Simulator, SelfRearmingLaneMatchesHeapOnlyOrder) {
         sim.at(t, [&log, t] { log.emplace_back(t, -1); });
       }
     };
+    lane.tick = &tick;
     for (int timer = 0; timer < 40; ++timer) {
       next[static_cast<std::size_t>(timer)] = static_cast<double>(timer % 4);
       sim.at(next[static_cast<std::size_t>(timer)], [&tick, timer] { tick(timer); });
@@ -194,27 +268,27 @@ class TickStream : public EventStream {
   TickStream(Simulator& sim, std::vector<std::string>& log, bool gate)
       : sim_(sim), log_(log), gate_(gate) {}
 
-  void claim_first() { rank_ = sim_.allocate_sequence(); }
-  double next_time() const override {
-    return time_ <= 15.0 ? time_ : std::numeric_limits<double>::infinity();
-  }
-  std::uint64_t next_rank() const override { return rank_; }
+  void claim_first() { publish(sim_.allocate_sequence()); }
   void fire() override {
     log_.push_back("S" + std::to_string(static_cast<int>(sim_.now())));
     time_ += 5.0;
-    rank_ = sim_.allocate_sequence();
+    publish(sim_.allocate_sequence());
     open_ = false;
   }
   bool ready() const override { return !gate_ || open_; }
   void open() { open_ = true; }
 
  private:
+  void publish(std::uint64_t rank) {
+    sim_.set_stream_head(*this, time_ <= 15.0 ? time_ : std::numeric_limits<double>::infinity(),
+                         rank);
+  }
+
   Simulator& sim_;
   std::vector<std::string>& log_;
   bool gate_;
   bool open_ = false;
   double time_ = 5.0;
-  std::uint64_t rank_ = 0;
 };
 
 TEST(Simulator, LaneAndStreamTiesFireInRankOrder) {
@@ -230,10 +304,11 @@ TEST(Simulator, LaneAndStreamTiesFireInRankOrder) {
       // every tie.
       sim.at(100.0, [] {});
       TickStream stream(sim, log, gated);
-      std::function<void()> tick = [&] {
+      LaneActions lane(sim);
+      const std::uint64_t tick = lane.add([&] {
         log.push_back("L" + std::to_string(static_cast<int>(sim.now())));
-        if (sim.now() < 15.0) sim.after_ordered(5.0, tick);
-      };
+        if (sim.now() < 15.0) sim.after_ordered(5.0, 0);  // tag 0: this callback
+      });
       if (lane_first) {
         sim.after_ordered(5.0, tick);
         stream.claim_first();
@@ -241,7 +316,7 @@ TEST(Simulator, LaneAndStreamTiesFireInRankOrder) {
         stream.claim_first();
         sim.after_ordered(5.0, tick);
       }
-      sim.add_event_stream(&stream);
+      sim.add_event_stream(&stream, /*can_gate=*/true);
       int pauses = 0;
       if (gated) {
         while (!sim.run_until_gated(20.0)) {
@@ -273,13 +348,10 @@ class HeadStream : public EventStream {
       : sim_(sim), log_(log), name_(std::move(name)), script_(std::move(script)) {}
 
   void arm(double t) {
-    if (t != time_) rank_ = sim_.allocate_sequence();
-    time_ = t;
+    if (t != head_time()) sim_.set_stream_head(*this, t, sim_.allocate_sequence());
   }
-  double next_time() const override { return time_; }
-  std::uint64_t next_rank() const override { return rank_; }
   void fire() override {
-    time_ = std::numeric_limits<double>::infinity();
+    sim_.set_stream_head(*this, std::numeric_limits<double>::infinity(), head_rank());
     log_.push_back(name_ + std::to_string(static_cast<int>(sim_.now())));
     if (next_ < script_.size()) arm(script_[next_++]);
   }
@@ -293,8 +365,6 @@ class HeadStream : public EventStream {
   std::string name_;
   std::vector<double> script_;
   std::size_t next_ = 0;
-  double time_ = std::numeric_limits<double>::infinity();
-  std::uint64_t rank_ = 0;
   bool closed_ = false;
 };
 
@@ -310,12 +380,14 @@ TEST(Simulator, FourSourcesTiedAtOneInstantFireInRankOrder) {
       std::vector<std::string> log;
       HeadStream first(sim, log, "S");
       HeadStream second(sim, log, "R");
-      sim.add_event_stream(&first);
-      sim.add_event_stream(&second);
+      sim.add_event_stream(&first, gated);
+      sim.add_event_stream(&second, gated);
+      LaneActions lane(sim);
+      const std::uint64_t lane_event = lane.add([&] { log.push_back("L5"); });
       std::vector<std::string> expected;
       for (const int source : order) {
         if (source == 0) sim.at(5.0, [&] { log.push_back("H5"); });
-        if (source == 1) sim.after_ordered(5.0, [&] { log.push_back("L5"); });
+        if (source == 1) sim.after_ordered(5.0, lane_event);
         if (source == 2) first.arm(5.0);
         if (source == 3) second.arm(5.0);
         expected.push_back(names[static_cast<std::size_t>(source)] + "5");
@@ -348,7 +420,7 @@ TEST(Simulator, RegistrationOrderNeverChangesTieOrder) {
         streams.reserve(3);
         for (const std::string& name : names) streams.emplace_back(sim, log, name);
         for (const int s : registration) {
-          sim.add_event_stream(&streams[static_cast<std::size_t>(s)]);
+          sim.add_event_stream(&streams[static_cast<std::size_t>(s)], gated);
         }
         std::vector<std::string> expected;
         for (const int source : claim) {
@@ -372,6 +444,57 @@ TEST(Simulator, RegistrationOrderNeverChangesTieOrder) {
   } while (std::next_permutation(registration.begin(), registration.end()));
 }
 
+/// A HeadStream whose every fire() also re-arms another stream, the way a
+/// flow arrival moves the engine's completion head.
+class RearmingStream : public HeadStream {
+ public:
+  RearmingStream(Simulator& sim, std::vector<std::string>& log, HeadStream& other,
+                 std::vector<double> script, std::vector<double> other_times)
+      : HeadStream(sim, log, "A", std::move(script)),
+        other_(other),
+        other_times_(std::move(other_times)) {}
+  void fire() override {
+    HeadStream::fire();
+    if (next_other_ < other_times_.size()) other_.arm(other_times_[next_other_++]);
+  }
+
+ private:
+  HeadStream& other_;
+  std::vector<double> other_times_;
+  std::size_t next_other_ = 0;
+};
+
+TEST(Simulator, FireMayRearmAnotherStreamEarlier) {
+  // B waits at 9. A fires at 5 and pulls B forward to 6, ahead of a heap
+  // event at 7 and of B's own old head; at 8, A pushes B onto the current
+  // instant, where B's fresh rank puts it after everything already there.
+  // The published heads must reflect each re-arm before the next pick, in
+  // either registration order, gated or not.
+  for (const bool b_first : {false, true}) {
+    for (const bool gated : {false, true}) {
+      Simulator sim;
+      std::vector<std::string> log;
+      HeadStream b(sim, log, "B");
+      RearmingStream a(sim, log, b, {8.0}, {6.0, 8.0});
+      if (b_first) sim.add_event_stream(&b, gated);
+      sim.add_event_stream(&a, gated);
+      if (!b_first) sim.add_event_stream(&b, gated);
+      b.arm(9.0);
+      sim.at(7.0, [&] { log.push_back("H7"); });
+      sim.at(8.0, [&] { log.push_back("H8"); });
+      a.arm(5.0);
+      if (gated) {
+        EXPECT_TRUE(sim.run_until_gated(20.0));
+      } else {
+        sim.run_until(20.0);
+      }
+      EXPECT_EQ(log, (std::vector<std::string>{"A5", "B6", "H7", "H8", "A8", "B8"}))
+          << "b_first " << b_first << " gated " << gated;
+      EXPECT_EQ(sim.executed_events(), 6u);
+    }
+  }
+}
+
 TEST(Simulator, GatePausesOnAnyNotReadyHead) {
   // run_until_gated pauses before whichever stream head is about to fire
   // with ready() false, leaving the clock at the last dispatched instant;
@@ -380,8 +503,8 @@ TEST(Simulator, GatePausesOnAnyNotReadyHead) {
   std::vector<std::string> log;
   HeadStream closed(sim, log, "R", {7.0});
   HeadStream open(sim, log, "S");
-  sim.add_event_stream(&closed);
-  sim.add_event_stream(&open);
+  sim.add_event_stream(&closed, /*can_gate=*/true);
+  sim.add_event_stream(&open, /*can_gate=*/true);
   sim.at(1.0, [&] { log.push_back("H1"); });
   closed.arm(3.0);
   closed.close();
@@ -433,20 +556,18 @@ class DeferringStream : public EventStream {
 
   void defer() {
     deferred_ = true;
-    sim_.request_flush();
+    sim_.request_flush(*this);
   }
-  double next_time() const override { return time_; }
-  std::uint64_t next_rank() const override { return rank_; }
   void fire() override {
-    time_ = std::numeric_limits<double>::infinity();
+    sim_.set_stream_head(*this, std::numeric_limits<double>::infinity(), head_rank());
     log_.push_back(name_ + "@" + std::to_string(sim_.now()));
   }
   void flush() override {
+    ++flush_calls;
     if (!deferred_) return;
     deferred_ = false;
     log_.push_back("flush " + name_ + "@" + std::to_string(sim_.now()));
-    time_ = sim_.now() + 0.5;
-    rank_ = sim_.allocate_sequence();
+    sim_.set_stream_head(*this, sim_.now() + 0.5, sim_.allocate_sequence());
   }
 
  private:
@@ -454,8 +575,9 @@ class DeferringStream : public EventStream {
   std::vector<std::string>& log_;
   std::string name_;
   bool deferred_ = false;
-  double time_ = std::numeric_limits<double>::infinity();
-  std::uint64_t rank_ = 0;
+
+ public:
+  int flush_calls = 0;
 };
 
 TEST(Simulator, FlushBarrierFlushesEveryRegisteredStream) {
@@ -483,6 +605,43 @@ TEST(Simulator, FlushBarrierFlushesEveryRegisteredStream) {
                                            "H@" + std::to_string(2.0)}));
 }
 
+TEST(Simulator, OnlyGatingStreamsAreAskedIfReady) {
+  // A closed stream registered without can_gate never pauses the gated
+  // loop: its ready() is not consulted.
+  Simulator sim;
+  std::vector<std::string> log;
+  HeadStream quiet(sim, log, "Q");
+  HeadStream gate(sim, log, "G");
+  sim.add_event_stream(&quiet);
+  sim.add_event_stream(&gate, /*can_gate=*/true);
+  quiet.arm(1.0);
+  quiet.close();
+  gate.arm(2.0);
+  gate.close();
+  EXPECT_FALSE(sim.run_until_gated(5.0));
+  EXPECT_EQ(log, (std::vector<std::string>{"Q1"}));
+  gate.open();
+  EXPECT_TRUE(sim.run_until_gated(5.0));
+  EXPECT_EQ(log, (std::vector<std::string>{"Q1", "G2"}));
+}
+
+TEST(Simulator, FlushReachesOnlyStreamsThatAsked) {
+  Simulator sim;
+  std::vector<std::string> log;
+  DeferringStream a(sim, log, "A");
+  DeferringStream b(sim, log, "B");
+  DeferringStream unregistered(sim, log, "U");
+  sim.add_event_stream(&a);
+  sim.add_event_stream(&b);
+  EXPECT_THROW(unregistered.defer(), util::InvalidState);
+  sim.at(1.0, [&] { b.defer(); });
+  sim.run_until(3.0);
+  const std::string one = std::to_string(1.0);
+  EXPECT_EQ(log, (std::vector<std::string>{"flush B@" + one, "B@" + std::to_string(1.5)}));
+  EXPECT_EQ(a.flush_calls, 0);
+  EXPECT_EQ(b.flush_calls, 1);
+}
+
 TEST(Simulator, RunToCompletionRunsEveryRegisteredStreamEvent) {
   Simulator sim;
   std::vector<std::string> log;
@@ -494,7 +653,7 @@ TEST(Simulator, RunToCompletionRunsEveryRegisteredStreamEvent) {
   EXPECT_EQ(log, (std::vector<std::string>{"R1", "R2", "H3", "R4"}));
   EXPECT_EQ(sim.executed_events(), 4u);
   EXPECT_DOUBLE_EQ(sim.now(), 4.0);  // the clock ends at the last event
-  EXPECT_TRUE(std::isinf(registered.next_time()));
+  EXPECT_TRUE(std::isinf(registered.head_time()));
 }
 
 }  // namespace

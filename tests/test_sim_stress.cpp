@@ -182,9 +182,15 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
 /// clear a cancel — so the merged run must match the all-heap model.
 class ModelStream : public EventStream {
  public:
+  /// With `gate`, every arm closes the stream until open(): a gated run
+  /// pauses before each head once, as a live arrival waits for its
+  /// successor.
   ModelStream(Simulator& sim, ReferenceQueue& reference, Random& rng,
-              std::vector<EventId>& fired)
-      : sim_(sim), reference_(reference), rng_(rng), fired_(fired) {}
+              std::vector<EventId>& fired, bool gate)
+      : sim_(sim), reference_(reference), rng_(rng), fired_(fired), gate_(gate) {}
+
+  bool ready() const override { return !closed_; }
+  void open() { closed_ = false; }
 
   bool armed() const { return ref_id_ != 0; }
   void arm(double t) {
@@ -194,21 +200,22 @@ class ModelStream : public EventStream {
     } else {
       ref_id_ = reference_.schedule(t);
     }
-    rank_ = sim_.allocate_sequence();
     time_ = t;
+    closed_ = gate_;
+    sim_.set_stream_head(*this, t, sim_.allocate_sequence());
   }
   void clear() {
     if (!armed()) return;
     ASSERT_TRUE(reference_.cancel(ref_id_));
     ref_id_ = 0;
     time_ = std::numeric_limits<double>::infinity();
+    sim_.set_stream_head(*this, time_, head_rank());
   }
-  double next_time() const override { return time_; }
-  std::uint64_t next_rank() const override { return rank_; }
   void fire() override {
     fired_.push_back(ref_id_);
     ref_id_ = 0;
     time_ = std::numeric_limits<double>::infinity();
+    sim_.set_stream_head(*this, time_, head_rank());
     // Re-arm from inside the fire a third of the time, often at this very
     // instant, as completions re-arm the engine's head.
     if (rng_.uniform_int(0, 2) == 0) arm(sim_.now() + rng_.uniform_int(0, 3));
@@ -219,20 +226,45 @@ class ModelStream : public EventStream {
   ReferenceQueue& reference_;
   Random& rng_;
   std::vector<EventId>& fired_;
+  bool gate_;
+  bool closed_ = false;
   double time_ = std::numeric_limits<double>::infinity();
-  std::uint64_t rank_ = 0;
   EventId ref_id_ = 0;
 };
 
+/// Lane events carry the reference id they mirror as their tag.
+class LaneToLog : public OrderedHandler {
+ public:
+  explicit LaneToLog(std::vector<EventId>& fired) : fired_(fired) {}
+  void on_ordered(std::uint64_t tag) override { fired_.push_back(tag); }
+
+ private:
+  std::vector<EventId>& fired_;
+};
+
+void check_registered_streams(int seed, bool gated);
+
 TEST_P(EventQueueModel, RegisteredStreamMatchesReference) {
-  Random rng(static_cast<std::uint64_t>(GetParam()) * 11);
+  // Ungated, and gated with every armed head paused once: a gated run that
+  // always resumes fires exactly what the ungated one does.
+  for (const bool gated : {false, true}) {
+    SCOPED_TRACE(gated ? "gated" : "ungated");
+    check_registered_streams(GetParam(), gated);
+    if (HasFatalFailure()) return;
+  }
+}
+
+void check_registered_streams(int seed, bool gated) {
+  Random rng(static_cast<std::uint64_t>(seed) * 11);
   Simulator sim;
   ReferenceQueue reference;
   std::vector<EventId> fired;  // reference ids, in the order the simulator ran them
-  std::array<ModelStream, 2> streams{ModelStream(sim, reference, rng, fired),
-                                     ModelStream(sim, reference, rng, fired)};
-  sim.add_event_stream(&streams[0]);
-  sim.add_event_stream(&streams[1]);
+  std::array<ModelStream, 2> streams{ModelStream(sim, reference, rng, fired, gated),
+                                     ModelStream(sim, reference, rng, fired, gated)};
+  sim.add_event_stream(&streams[0], gated);
+  sim.add_event_stream(&streams[1], gated);
+  LaneToLog lane_log(fired);
+  sim.set_ordered_handler(&lane_log);
   std::vector<std::pair<EventId, EventId>> live;  // (queue id, reference id)
   std::vector<EventId> lane;
   double lane_time = 0.0;
@@ -287,7 +319,7 @@ TEST_P(EventQueueModel, RegisteredStreamMatchesReference) {
     } else if (op == 7) {
       lane_time = std::max(lane_time, now) + (rng.uniform_int(0, 3) == 0 ? 1.0 : 0.0);
       const EventId ref_id = reference.schedule(lane_time);
-      sim.after_ordered(lane_time - now, [&fired, ref_id] { fired.push_back(ref_id); });
+      sim.after_ordered(lane_time - now, ref_id);
       lane.push_back(ref_id);
     } else if (op < 11) {
       // Arm or move a head; small offsets make same-time re-arms (rank
@@ -297,7 +329,14 @@ TEST_P(EventQueueModel, RegisteredStreamMatchesReference) {
       streams[static_cast<std::size_t>(rng.uniform_int(0, 1))].clear();
     } else if (!reference.empty()) {
       const double horizon = reference.peek_key().first;
-      sim.run_until(horizon);
+      if (gated) {
+        while (!sim.run_until_gated(horizon)) {
+          streams[0].open();
+          streams[1].open();
+        }
+      } else {
+        sim.run_until(horizon);
+      }
       check_fired(horizon);
     }
     ASSERT_EQ(sim.pending_events(), live.size() + lane.size());
