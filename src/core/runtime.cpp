@@ -45,7 +45,7 @@ AccessRuntime::AccessRuntime(const ScenarioConfig& scenario,
   util::require(scenario.gateway_count <= scenario.dslam_ports(),
                 "every gateway needs a DSLAM port");
 
-  simulator_.add_event_stream(&arrivals_, /*can_gate=*/true);
+  simulator_.add_event_stream(&arrivals_);
   std::vector<double> backhaul(static_cast<std::size_t>(scenario.gateway_count),
                                scenario.backhaul_bps);
   network_ = make_network != nullptr
@@ -248,6 +248,8 @@ void AccessRuntime::repack_dslam() {
 void AccessRuntime::on_flow_complete(const flow::CompletedFlow& done) {
   if (done.id < metrics_.completion_time.size()) {
     metrics_.completion_time[done.id] = done.duration();
+  } else if (live_) {
+    live_completion_.set(done.id, done.duration());
   }
   auto& live = client_live_flows_[static_cast<std::size_t>(done.client)];
   live.erase(std::remove(live.begin(), live.end(), done.id), live.end());
@@ -397,7 +399,36 @@ RunMetrics AccessRuntime::finish_live(double covered_duration) {
   util::require_state(!live_finished_, "finish_live may only be called once");
   live_finished_ = true;
   metrics_.duration = covered_duration;
+  metrics_.completion_time = live_completion_.to_vector(live_appended_);
   return assemble_metrics();
+}
+
+void AccessRuntime::LiveCompletionTimes::set(std::size_t id, double value) {
+  while (id >= capacity_) {
+    segments_.emplace_back(kFirst << segments_.size(), std::numeric_limits<double>::quiet_NaN());
+    capacity_ += segments_.back().size();
+  }
+  // Flows mostly finish soon after they arrive, so the newest segment (half
+  // the ids) is nearly always the one.
+  std::size_t k = segments_.size() - 1;
+  std::size_t start = capacity_ - segments_[k].size();
+  while (id < start) {
+    --k;
+    start -= segments_[k].size();
+  }
+  segments_[k][id - start] = value;
+}
+
+std::vector<double> AccessRuntime::LiveCompletionTimes::to_vector(std::size_t count) const {
+  std::vector<double> out(count, std::numeric_limits<double>::quiet_NaN());
+  std::size_t start = 0;
+  for (const std::vector<double>& segment : segments_) {
+    if (start >= count) break;
+    const std::size_t n = std::min(segment.size(), count - start);
+    std::copy_n(segment.begin(), n, out.begin() + static_cast<std::ptrdiff_t>(start));
+    start += segment.size();
+  }
+  return out;
 }
 
 }  // namespace insomnia::core

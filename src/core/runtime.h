@@ -128,10 +128,8 @@ class AccessRuntime final : private flow::CompletionSink {
   /// covered horizon plus drain. `covered_duration` is the virtual span the
   /// day actually covered (metrics normalise energy/series against it); an
   /// uninterrupted full-day live replay passes scenario().duration and gets
-  /// metrics bit-identical to run(), except that a live day keeps no
-  /// per-flow completion times (completion_time is empty): nothing online
-  /// reads them, and they would cost two day-sized buffers. Replay the
-  /// recorded trace offline for flow completion times.
+  /// metrics bit-identical to run(), completion times included (one per
+  /// appended record, NaN where the flow did not finish).
   RunMetrics finish_live(double covered_duration);
 
   std::size_t arrivals_appended() const { return live_appended_; }
@@ -202,9 +200,8 @@ class AccessRuntime final : private flow::CompletionSink {
   /// first arrival armed.
   void start_day();
 
-  /// flow::CompletionSink: records the completion time (replay only),
-  /// retires the flow from its client's live list, re-arms SoI and notifies
-  /// the policy.
+  /// flow::CompletionSink: records the completion time, retires the flow
+  /// from its client's live list, re-arms SoI and notifies the policy.
   void on_flow_complete(const flow::CompletedFlow& done) override;
 
   /// Records the trace holds or were appended live (the cursor's end).
@@ -239,8 +236,8 @@ class AccessRuntime final : private flow::CompletionSink {
   RunMetrics assemble_metrics();
 
   /// Adapts the trace cursor to sim::EventStream; registered with the
-  /// simulator (able to gate) for the runtime's lifetime. arm_next_arrival
-  /// publishes its head.
+  /// simulator for the runtime's lifetime. arm_next_arrival publishes its
+  /// head.
   class ArrivalStream : public sim::EventStream {
    public:
     explicit ArrivalStream(AccessRuntime& runtime) : runtime_(&runtime) {}
@@ -280,9 +277,26 @@ class AccessRuntime final : private flow::CompletionSink {
   bool arrival_armed_ = false;
   bool ran_ = false;
 
+  /// A live day's completion times by flow id, NaN until the flow
+  /// completes. The day's flow count is not known up front, so the times
+  /// sit in segments of doubling size: none is re-copied while the day
+  /// runs, and a day takes O(log n) allocations.
+  class LiveCompletionTimes {
+   public:
+    void set(std::size_t id, double value);
+    /// The first `count` times, NaN where none was set.
+    std::vector<double> to_vector(std::size_t count) const;
+
+   private:
+    /// Segment k holds ids [kFirst * (2^k - 1), kFirst * (2^(k+1) - 1)).
+    static constexpr std::size_t kFirst = 4096;
+    std::vector<std::vector<double>> segments_;
+    std::size_t capacity_ = 0;  ///< ids the segments cover
+  };
+
   // Live-mode state. The delegating LiveMode constructor binds `flows_` to
-  // an empty trace (so no completion times are kept); appended records wait
-  // in `live_pending_` until they dispatch.
+  // an empty trace; appended records wait in `live_pending_` until they
+  // dispatch, and completion times go to `live_completion_`.
   bool live_ = false;
   bool live_gated_ = false;
   bool live_started_ = false;
@@ -294,6 +308,7 @@ class AccessRuntime final : private flow::CompletionSink {
   /// a live day's records stay in cache and never re-copy the day.
   std::vector<trace::FlowRecord> live_pending_;
   std::size_t live_appended_ = 0;
+  LiveCompletionTimes live_completion_;
 };
 
 }  // namespace insomnia::core

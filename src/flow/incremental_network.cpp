@@ -45,7 +45,7 @@ void IncrementalFluidNetwork::mark_dirty(int g) {
     gw.dirty = true;
     dirty_list_.push_back(g);
   }
-  simulator_->request_flush(*this);
+  simulator_->request_flush();
 }
 
 void IncrementalFluidNetwork::flush() {

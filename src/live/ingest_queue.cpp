@@ -2,46 +2,13 @@
 
 #include <algorithm>
 
-#include "obs/obs.h"
 #include "util/error.h"
 
 namespace insomnia::live {
 
-IngestQueue::IngestQueue(std::size_t capacity, OverflowPolicy policy)
-    : capacity_(capacity), policy_(policy) {
+IngestQueue::IngestQueue(std::size_t capacity, OverflowPolicy policy, Clock clock)
+    : capacity_(capacity), policy_(policy), clock_(clock) {
   util::require(capacity >= 1, "ingest queue needs capacity >= 1");
-}
-
-std::size_t IngestQueue::commit(std::size_t first, std::uint64_t stamp_ns) {
-  const std::size_t count = records_.size() - first;
-  const std::size_t room = capacity_ - (first - head_);
-  const std::size_t taken = std::min(count, room);
-  if (taken < count) {
-    if (policy_ != OverflowPolicy::kDropNewest) {
-      records_.resize(first);
-      util::require_state(false,
-                          "backpressure ingest queue overfilled — poll must honour "
-                          "free_slots()");
-    }
-    dropped_ += count - taken;
-    records_.resize(first + taken);
-  }
-  if (taken == 0) return 0;
-  if (!stamps_.empty() && stamps_.back().stamp_ns == stamp_ns) {
-    stamps_.back().count += static_cast<std::uint32_t>(taken);
-  } else {
-    stamps_.push_back({stamp_ns, static_cast<std::uint32_t>(taken)});
-  }
-  accepted_ += taken;
-  peak_depth_ = std::max(peak_depth_, size());
-  return taken;
-}
-
-std::size_t IngestQueue::push_batch(const trace::FlowRecord* records, std::size_t count,
-                                    std::uint64_t stamp_ns) {
-  const std::size_t first = records_.size();
-  records_.insert(records_.end(), records, records + count);
-  return commit(first, stamp_ns);
 }
 
 IngestQueue::Polled IngestQueue::poll_from(EventSource& source, double horizon,
@@ -54,10 +21,36 @@ IngestQueue::Polled IngestQueue::poll_from(EventSource& source, double horizon,
     records_.resize(first);  // a failed poll queues nothing
     throw;
   }
-  util::require_state(records_.size() == first + polled.got,
-                      "event source appended a different count than it returned");
-  polled.taken = polled.got == 0 ? 0 : commit(first, obs::now_ns());
+  if (records_.size() != first + polled.got) {
+    records_.resize(first);
+    util::require_state(false, "event source appended a different count than it returned");
+  }
   polled.records = records_.data() + first;
+  if (polled.got == 0) return polled;
+
+  // Shed (kDropNewest) or refuse (kBackpressure) the batch tail past
+  // capacity, then stamp what stayed as one run.
+  const std::size_t room = capacity_ - (first - head_);
+  polled.taken = std::min(polled.got, room);
+  if (polled.taken < polled.got) {
+    if (policy_ != OverflowPolicy::kDropNewest) {
+      records_.resize(first);
+      util::require_state(false,
+                          "backpressure ingest queue overfilled — poll must honour "
+                          "free_slots()");
+    }
+    dropped_ += polled.got - polled.taken;
+    records_.resize(first + polled.taken);
+  }
+  if (polled.taken == 0) return polled;
+  const std::uint64_t stamp_ns = clock_();
+  if (!stamps_.empty() && stamps_.back().stamp_ns == stamp_ns) {
+    stamps_.back().count += static_cast<std::uint32_t>(polled.taken);
+  } else {
+    stamps_.push_back({stamp_ns, static_cast<std::uint32_t>(polled.taken)});
+  }
+  accepted_ += polled.taken;
+  peak_depth_ = std::max(peak_depth_, size());
   return polled;
 }
 
@@ -84,15 +77,6 @@ void IngestQueue::consume(std::size_t count, std::deque<StampRun>& stamps) {
     records_.erase(records_.begin(), records_.begin() + static_cast<std::ptrdiff_t>(head_));
     head_ = 0;
   }
-}
-
-std::size_t IngestQueue::pop(std::size_t max, trace::FlowTrace& records,
-                             std::deque<StampRun>& stamps) {
-  const std::size_t taken = std::min(max, size());
-  if (taken == 0) return 0;
-  records.insert(records.end(), front(), front() + taken);
-  consume(taken, stamps);
-  return taken;
 }
 
 }  // namespace insomnia::live

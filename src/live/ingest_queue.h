@@ -13,6 +13,7 @@
 // Records are copied once on the way in — a source polls straight into the
 // queue's storage (poll_from) — and once on the way out, when the consumer
 // reads the contiguous queued span (front/consume) into its own buffer.
+// That is the queue's only way in and out.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +21,7 @@
 #include <deque>
 
 #include "live/event_source.h"
+#include "obs/obs.h"
 #include "trace/records.h"
 
 namespace insomnia::live {
@@ -37,20 +39,16 @@ struct StampRun {
 
 class IngestQueue {
  public:
-  IngestQueue(std::size_t capacity, OverflowPolicy policy);
+  /// The ingest stamp clock, read once per poll (obs::now_ns by default).
+  using Clock = std::uint64_t (*)();
+
+  IngestQueue(std::size_t capacity, OverflowPolicy policy, Clock clock = obs::now_ns);
 
   /// Slots available before the queue is full.
   std::size_t free_slots() const { return capacity_ - size(); }
   std::size_t size() const { return records_.size() - head_; }
   std::size_t capacity() const { return capacity_; }
   bool empty() const { return size() == 0; }
-
-  /// Accepts (or sheds, see OverflowPolicy) `count` records stamped
-  /// `stamp_ns` and returns how many were queued. Under kBackpressure
-  /// pushing past capacity is a caller bug (it must honour free_slots())
-  /// and throws; under kDropNewest the overflow is counted and discarded.
-  std::size_t push_batch(const trace::FlowRecord* records, std::size_t count,
-                         std::uint64_t stamp_ns);
 
   /// One source poll, appended straight to the queue's storage.
   struct Polled {
@@ -61,8 +59,13 @@ class IngestQueue {
   };
 
   /// Polls `source` once for up to `max` records (EventSource::poll's
-  /// `horizon`) into the queue's own storage, then queues them as
-  /// push_batch would, stamped with obs::now_ns() read after the poll.
+  /// `horizon`) into the queue's own storage and queues them, stamped with
+  /// the clock read after the poll. Under kBackpressure a poll that returns
+  /// more than free_slots() is a caller bug (it must pass max <=
+  /// free_slots()) and throws util::InvalidState; under kDropNewest the
+  /// batch's tail beyond capacity is counted and discarded. A poll that
+  /// throws, or returns a count other than what it appended (InvalidState),
+  /// leaves the queue as it was.
   Polled poll_from(EventSource& source, double horizon, std::size_t max);
 
   /// The oldest queued record; all size() queued records are contiguous
@@ -74,12 +77,6 @@ class IngestQueue {
   /// stamp matches).
   void consume(std::size_t count, std::deque<StampRun>& stamps);
 
-  /// Pops up to `max` records in FIFO order into `records`, with their
-  /// ingest stamps appended to `stamps` as consume() does. Returns the
-  /// count.
-  std::size_t pop(std::size_t max, trace::FlowTrace& records,
-                  std::deque<StampRun>& stamps);
-
   std::uint64_t accepted() const { return accepted_; }
   std::uint64_t dropped() const { return dropped_; }
   std::size_t peak_depth() const { return peak_depth_; }
@@ -87,9 +84,7 @@ class IngestQueue {
  private:
   std::size_t capacity_;
   OverflowPolicy policy_;
-  /// Queues the records appended to records_ past `first` (shedding the
-  /// tail beyond capacity under kDropNewest); returns how many stayed.
-  std::size_t commit(std::size_t first, std::uint64_t stamp_ns);
+  Clock clock_;
 
   /// Queued records are records_[head_, records_.size()); consumed ones
   /// before head_ are reclaimed once they outnumber the queued ones.

@@ -92,27 +92,21 @@ void Simulator::fire_lane() {
   ordered_handler_->on_ordered(tag);
 }
 
-void Simulator::add_event_stream(EventStream* stream, bool can_gate) {
+void Simulator::add_event_stream(EventStream* stream) {
   util::require(stream != nullptr, "Simulator::add_event_stream needs a stream");
-  util::require_state(std::find(streams_.begin(), streams_.end(), stream) == streams_.end(),
-                      "event stream already registered with this simulator");
+  util::require_state(stream->owner_ == nullptr, "event stream already registered");
   stream->owner_ = this;
   stream->slot_ = streams_.size();
   streams_.push_back(stream);
   heads_.push_back(Head{stream->head_time_, stream->head_rank_});
-  can_gate_.push_back(can_gate ? 1 : 0);
-  flush_requested_.push_back(0);
 }
 
 void Simulator::remove_event_stream(EventStream* stream) {
-  const auto it = std::find(streams_.begin(), streams_.end(), stream);
-  util::require_state(stream != nullptr && it != streams_.end(),
+  util::require_state(stream != nullptr && stream->owner_ == this,
                       "event stream not registered with this simulator");
-  const auto slot = static_cast<std::size_t>(it - streams_.begin());
-  streams_.erase(it);
+  const std::size_t slot = stream->slot_;
+  streams_.erase(streams_.begin() + static_cast<std::ptrdiff_t>(slot));
   heads_.erase(heads_.begin() + static_cast<std::ptrdiff_t>(slot));
-  can_gate_.erase(can_gate_.begin() + static_cast<std::ptrdiff_t>(slot));
-  flush_requested_.erase(flush_requested_.begin() + static_cast<std::ptrdiff_t>(slot));
   for (std::size_t i = slot; i < streams_.size(); ++i) streams_[i]->slot_ = i;
   stream->owner_ = nullptr;
   stream->slot_ = EventStream::kUnregistered;
@@ -121,11 +115,7 @@ void Simulator::remove_event_stream(EventStream* stream) {
 bool Simulator::flush_if_pending() {
   if (!flush_pending_) return false;
   flush_pending_ = false;
-  for (std::size_t slot = 0; slot < streams_.size(); ++slot) {
-    if (flush_requested_[slot] == 0) continue;
-    flush_requested_[slot] = 0;
-    streams_[slot]->flush();
-  }
+  for (std::size_t slot = kLaneSlot + 1; slot < streams_.size(); ++slot) streams_[slot]->flush();
   return true;
 }
 
@@ -186,7 +176,7 @@ bool Simulator::run_loop(double end_time, bool gated) {
     // was about to fire. Pausing here leaves the clock at the last
     // dispatched instant, so a resumed loop continues exactly where an
     // ungated one would have been.
-    if (gated && next != kQueue && can_gate_[next] != 0 && !streams_[next]->ready()) {
+    if (gated && next != kQueue && next != kLaneSlot && !streams_[next]->ready()) {
       record_executed_delta(executed_ - executed_before);
       return false;
     }

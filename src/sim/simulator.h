@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "util/error.h"
 
 namespace insomnia::sim {
 
@@ -34,29 +33,34 @@ class Simulator;
 /// so the order streams were registered in never matters.
 class EventStream {
  public:
+  EventStream() = default;
   virtual ~EventStream() = default;
+
+  // A registered stream is known to its simulator by address, and its
+  // registration lives in it: a copy would share the original's slot.
+  EventStream(const EventStream&) = delete;
+  EventStream& operator=(const EventStream&) = delete;
 
   /// Fires the head event and advances the stream (publishing its next
   /// head, or +infinity).
   virtual void fire() = 0;
 
-  /// Gate consulted by run_until_gated at the instant the head would fire,
-  /// and only for a stream registered as able to gate: false pauses the run
-  /// loop so the producer can extend the stream first. Live replay uses
-  /// this to hold the last buffered arrival back until its successor is
-  /// known — the successor's FIFO rank is claimed while the head is
-  /// processed, so firing early would claim it at a later point in the
-  /// event order than an offline replay would (run_until ignores the gate).
-  /// Default: always ready.
+  /// Gate consulted by run_until_gated at the instant the head would fire:
+  /// false pauses the run loop so the producer can extend the stream
+  /// first. Live replay uses this to hold the last buffered arrival back
+  /// until its successor is known — the successor's FIFO rank is claimed
+  /// while the head is processed, so firing early would claim it at a later
+  /// point in the event order than an offline replay would (run_until
+  /// ignores the gate). Default: always ready.
   virtual bool ready() const { return true; }
 
   /// The deferred-work barrier. A stream that batches same-instant work (the
   /// incremental flow engine coalesces a burst of arrivals into one
-  /// reallocation pass) calls Simulator::request_flush(*this) after
-  /// deferring; the run loop then flushes every stream that asked, in
-  /// registration order, before the clock moves past the current instant,
-  /// so deferred work can still arm events at future times without ever
-  /// being observed late. Called with now() unchanged since the request;
+  /// reallocation pass) calls Simulator::request_flush() after deferring;
+  /// the run loop then flushes every registered stream, in registration
+  /// order, before the clock moves past the current instant, so deferred
+  /// work can still arm events at future times without ever being
+  /// observed late. Called with now() unchanged since the request;
   /// must leave nothing deferred (it is not re-entered for work it performs
   /// itself, unless request_flush is called again). Default: nothing
   /// deferred.
@@ -75,7 +79,7 @@ class EventStream {
   // registered so that a later registration starts from it.
   double head_time_ = std::numeric_limits<double>::infinity();
   std::uint64_t head_rank_ = 0;
-  const Simulator* owner_ = nullptr;  ///< simulator it is registered with
+  Simulator* owner_ = nullptr;        ///< simulator it is registered with
   std::size_t slot_ = kUnregistered;  ///< its index in the owner's head array
 };
 
@@ -142,7 +146,7 @@ class Simulator {
   void run_until(double end_time);
 
   /// As run_until, but pauses when the next event to fire is the head of a
-  /// stream registered with `can_gate` whose ready() is false: returns
+  /// registered stream whose ready() is false: returns
   /// false with the clock still at the last dispatched instant (it does NOT
   /// jump to end_time) so the caller can extend the stream and resume.
   /// Returns true once end_time is reached. A sequence of gated calls that
@@ -159,12 +163,11 @@ class Simulator {
 
   /// Registers a stream the run loop merges with the queue by (time, rank)
   /// in every run, starting from the head it last published; a requested
-  /// flush reaches the streams in registration order. `can_gate` marks a
-  /// stream whose ready() run_until_gated must ask; no other stream's is
-  /// ever called. Registering a pointer twice throws util::InvalidState; a
-  /// stream belongs to at most one simulator at a time. The stream must be
-  /// removed before it is destroyed unless the simulator goes first.
-  void add_event_stream(EventStream* stream, bool can_gate = false);
+  /// flush reaches the streams in registration order. A stream belongs to
+  /// at most one simulator at a time: registering one that is already
+  /// registered (here or elsewhere) throws util::InvalidState. The stream
+  /// must be removed before it is destroyed unless the simulator goes first.
+  void add_event_stream(EventStream* stream);
 
   /// Unregisters a stream; throws util::InvalidState if it is not
   /// registered.
@@ -172,22 +175,17 @@ class Simulator {
 
   /// Publishes `stream`'s head: its next event fires at `time` (+infinity:
   /// none) with FIFO rank `rank`. Registered or not — a later registration
-  /// starts from it.
-  void set_stream_head(EventStream& stream, double time, std::uint64_t rank) {
+  /// starts from it — and to whichever simulator holds it.
+  static void set_stream_head(EventStream& stream, double time, std::uint64_t rank) {
     stream.head_time_ = time;
     stream.head_rank_ = rank;
-    if (stream.owner_ == this) heads_[stream.slot_] = Head{time, rank};
+    if (stream.owner_ != nullptr) stream.owner_->heads_[stream.slot_] = Head{time, rank};
   }
 
-  /// Asks the run loop to flush `stream` (registered here) before the
-  /// clock next moves past the current instant (and before run_until /
-  /// run_to_completion return). Cheap and idempotent; streams that did not
-  /// ask are not called.
-  void request_flush(EventStream& stream) {
-    util::require_state(stream.owner_ == this, "request_flush from an unregistered stream");
-    flush_requested_[stream.slot_] = 1;
-    flush_pending_ = true;
-  }
+  /// Asks the run loop to flush every registered stream before the clock
+  /// next moves past the current instant (and before run_until /
+  /// run_to_completion return). Cheap and idempotent.
+  void request_flush() { flush_pending_ = true; }
 
   /// Number of events executed so far.
   std::uint64_t executed_events() const { return executed_; }
@@ -243,8 +241,8 @@ class Simulator {
   /// Pops the lane's head and hands its tag to the bound handler.
   void fire_lane();
 
-  /// Flushes, in registration order, every stream that requested it since
-  /// the last flush; returns true if any did (the run loop must then
+  /// Flushes every registered stream, in registration order, if a flush
+  /// was requested; returns true if it was (the run loop must then
   /// re-evaluate what fires next).
   bool flush_if_pending();
 
@@ -258,11 +256,8 @@ class Simulator {
   OrderedHandler* ordered_handler_ = nullptr;
   /// Slot i's head: the lane's at kLaneSlot, registered streams' after it.
   std::vector<Head> heads_{Head{std::numeric_limits<double>::infinity(), 0}};
-  /// Slot i's stream (nullptr for the lane), whether it can gate, and
-  /// whether it asked for a flush.
+  /// Slot i's stream (nullptr for the lane).
   std::vector<EventStream*> streams_{nullptr};
-  std::vector<char> can_gate_{0};
-  std::vector<char> flush_requested_{0};
   double now_;
   std::uint64_t executed_ = 0;
   bool flush_pending_ = false;

@@ -1,16 +1,21 @@
 // Integration tests of the runtime's gateway state machine, energy
 // accounting and wake-up penalty on small hand-built scenarios where every
 // number can be computed by hand.
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/home_policy.h"
 #include "util/error.h"
 #include "core/runtime.h"
+#include "core/scenario_presets.h"
 #include "core/scheme_registry.h"
 #include "topology/access_topology.h"
+#include "trace/synthetic_crawdad.h"
 
 namespace insomnia::core {
 namespace {
@@ -180,6 +185,69 @@ TEST(Runtime, LiveAppendRefusesNegativeAndNonFiniteRecords) {
     runtime.append_live_arrivals(&edge, 1);
     EXPECT_EQ(runtime.arrivals_appended(), 1u);
   }
+}
+
+/// Steps a gated live runtime over `flows` appended in `batch`-record
+/// slices, then to `until`; returns the finished day's metrics.
+RunMetrics live_day(const ScenarioConfig& scenario, const topo::AccessTopology& topology,
+                    const trace::FlowTrace& flows, std::size_t batch, double until) {
+  NoSleepPolicy policy;
+  AccessRuntime runtime(scenario, topology, policy, sim::Random(5),
+                        AccessRuntime::LiveMode{true});
+  runtime.begin_live();
+  for (std::size_t first = 0; first < flows.size(); first += batch) {
+    const std::size_t count = std::min(batch, flows.size() - first);
+    runtime.append_live_arrivals(flows.data() + first, count);
+    runtime.step_live(std::min(until, flows[first + count - 1].start_time));
+  }
+  runtime.finish_live_input();
+  EXPECT_EQ(runtime.step_live(until), AccessRuntime::StepResult::kReachedTime);
+  return runtime.finish_live(std::min(until, scenario.duration));
+}
+
+TEST(Runtime, LiveDayKeepsTheOfflineCompletionTimes) {
+  // The live store holds completion times in doubling segments (4096,
+  // 8192, ... ids); a day of several segments returns run()'s times bit
+  // for bit, one per appended record.
+  ScenarioConfig scenario = find_scenario_preset("paper-default").scenario;
+  scenario.duration = 12 * 3600.0;
+  sim::Random topology_rng(3);
+  const topo::AccessTopology topology =
+      topo::make_overlap_topology(scenario.client_count, scenario.degrees, topology_rng);
+  sim::Random trace_rng(5);
+  trace::FlowTrace flows =
+      trace::SyntheticCrawdadGenerator(scenario.traffic).generate(trace_rng);
+  flows.erase(std::find_if(flows.begin(), flows.end(),
+                           [&](const trace::FlowRecord& r) {
+                             return r.start_time >= scenario.duration;
+                           }),
+              flows.end());
+  ASSERT_GT(flows.size(), 4096u + 8192u);  // into the third segment
+
+  NoSleepPolicy policy;
+  AccessRuntime offline(scenario, topology, flows, policy, sim::Random(5));
+  const RunMetrics expected = offline.run();
+  const RunMetrics live =
+      live_day(scenario, topology, flows, 1000, scenario.duration + scenario.drain_time);
+  ASSERT_EQ(live.completion_time.size(), flows.size());
+  EXPECT_EQ(live.executed_events, expected.executed_events);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    ASSERT_FALSE(std::isnan(expected.completion_time[i]));
+    ASSERT_EQ(live.completion_time[i], expected.completion_time[i]) << "flow " << i;
+  }
+
+  // A day stopped at its midpoint keeps a time for every appended record:
+  // the offline time for each flow that finished by then, NaN for the rest.
+  const RunMetrics stopped = live_day(scenario, topology, flows, 1000, scenario.duration / 2);
+  ASSERT_EQ(stopped.completion_time.size(), flows.size());
+  std::size_t finished = 0;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (std::isnan(stopped.completion_time[i])) continue;
+    ++finished;
+    ASSERT_EQ(stopped.completion_time[i], expected.completion_time[i]) << "flow " << i;
+  }
+  EXPECT_GT(finished, 0u);
+  EXPECT_LT(finished, flows.size());
 }
 
 }  // namespace

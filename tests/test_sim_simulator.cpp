@@ -2,9 +2,11 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -316,7 +318,7 @@ TEST(Simulator, LaneAndStreamTiesFireInRankOrder) {
         stream.claim_first();
         sim.after_ordered(5.0, tick);
       }
-      sim.add_event_stream(&stream, /*can_gate=*/true);
+      sim.add_event_stream(&stream);
       int pauses = 0;
       if (gated) {
         while (!sim.run_until_gated(20.0)) {
@@ -380,8 +382,8 @@ TEST(Simulator, FourSourcesTiedAtOneInstantFireInRankOrder) {
       std::vector<std::string> log;
       HeadStream first(sim, log, "S");
       HeadStream second(sim, log, "R");
-      sim.add_event_stream(&first, gated);
-      sim.add_event_stream(&second, gated);
+      sim.add_event_stream(&first);
+      sim.add_event_stream(&second);
       LaneActions lane(sim);
       const std::uint64_t lane_event = lane.add([&] { log.push_back("L5"); });
       std::vector<std::string> expected;
@@ -416,11 +418,10 @@ TEST(Simulator, RegistrationOrderNeverChangesTieOrder) {
       for (const bool gated : {false, true}) {
         Simulator sim;
         std::vector<std::string> log;
-        std::vector<HeadStream> streams;
-        streams.reserve(3);
+        std::deque<HeadStream> streams;  // streams are not copyable or movable
         for (const std::string& name : names) streams.emplace_back(sim, log, name);
         for (const int s : registration) {
-          sim.add_event_stream(&streams[static_cast<std::size_t>(s)], gated);
+          sim.add_event_stream(&streams[static_cast<std::size_t>(s)]);
         }
         std::vector<std::string> expected;
         for (const int source : claim) {
@@ -476,9 +477,9 @@ TEST(Simulator, FireMayRearmAnotherStreamEarlier) {
       std::vector<std::string> log;
       HeadStream b(sim, log, "B");
       RearmingStream a(sim, log, b, {8.0}, {6.0, 8.0});
-      if (b_first) sim.add_event_stream(&b, gated);
-      sim.add_event_stream(&a, gated);
-      if (!b_first) sim.add_event_stream(&b, gated);
+      if (b_first) sim.add_event_stream(&b);
+      sim.add_event_stream(&a);
+      if (!b_first) sim.add_event_stream(&b);
       b.arm(9.0);
       sim.at(7.0, [&] { log.push_back("H7"); });
       sim.at(8.0, [&] { log.push_back("H8"); });
@@ -503,8 +504,8 @@ TEST(Simulator, GatePausesOnAnyNotReadyHead) {
   std::vector<std::string> log;
   HeadStream closed(sim, log, "R", {7.0});
   HeadStream open(sim, log, "S");
-  sim.add_event_stream(&closed, /*can_gate=*/true);
-  sim.add_event_stream(&open, /*can_gate=*/true);
+  sim.add_event_stream(&closed);
+  sim.add_event_stream(&open);
   sim.at(1.0, [&] { log.push_back("H1"); });
   closed.arm(3.0);
   closed.close();
@@ -544,6 +545,29 @@ TEST(Simulator, SecondRegistrationThrows) {
   sim.add_event_stream(&first);
   sim.run_until(3.0);
   EXPECT_EQ(log, (std::vector<std::string>{"B2", "A2"}));
+
+  // A stream belongs to one simulator at a time: another may neither take
+  // it nor remove it, and the first keeps firing it.
+  Simulator other;
+  EXPECT_THROW(other.add_event_stream(&second), util::InvalidState);
+  EXPECT_THROW(other.remove_event_stream(&second), util::InvalidState);
+  second.arm(4.0);
+  sim.run_until(5.0);
+  EXPECT_EQ(log, (std::vector<std::string>{"B2", "A2", "B4"}));
+  // Once removed, it may move, and its published head follows it.
+  sim.remove_event_stream(&second);
+  other.add_event_stream(&second);
+  second.arm(6.0);
+  sim.run_until(7.0);
+  EXPECT_EQ(log.size(), 3u);
+  other.run_until(7.0);
+  EXPECT_EQ(other.executed_events(), 1u);
+  EXPECT_EQ(log.size(), 4u);  // (the stream logs its constructing simulator's clock)
+  other.remove_event_stream(&second);
+
+  // A copy would share the original's registration slot, so there is none.
+  static_assert(!std::is_copy_constructible_v<EventStream>);
+  static_assert(!std::is_copy_assignable_v<EventStream>);
 }
 
 /// A stream that defers work the way the flow engine coalesces a burst:
@@ -556,14 +580,13 @@ class DeferringStream : public EventStream {
 
   void defer() {
     deferred_ = true;
-    sim_.request_flush(*this);
+    sim_.request_flush();
   }
   void fire() override {
     sim_.set_stream_head(*this, std::numeric_limits<double>::infinity(), head_rank());
     log_.push_back(name_ + "@" + std::to_string(sim_.now()));
   }
   void flush() override {
-    ++flush_calls;
     if (!deferred_) return;
     deferred_ = false;
     log_.push_back("flush " + name_ + "@" + std::to_string(sim_.now()));
@@ -575,9 +598,6 @@ class DeferringStream : public EventStream {
   std::vector<std::string>& log_;
   std::string name_;
   bool deferred_ = false;
-
- public:
-  int flush_calls = 0;
 };
 
 TEST(Simulator, FlushBarrierFlushesEveryRegisteredStream) {
@@ -603,43 +623,6 @@ TEST(Simulator, FlushBarrierFlushesEveryRegisteredStream) {
                                            "flush B@" + one, "A@" + std::to_string(1.5),
                                            "B@" + std::to_string(1.5),
                                            "H@" + std::to_string(2.0)}));
-}
-
-TEST(Simulator, OnlyGatingStreamsAreAskedIfReady) {
-  // A closed stream registered without can_gate never pauses the gated
-  // loop: its ready() is not consulted.
-  Simulator sim;
-  std::vector<std::string> log;
-  HeadStream quiet(sim, log, "Q");
-  HeadStream gate(sim, log, "G");
-  sim.add_event_stream(&quiet);
-  sim.add_event_stream(&gate, /*can_gate=*/true);
-  quiet.arm(1.0);
-  quiet.close();
-  gate.arm(2.0);
-  gate.close();
-  EXPECT_FALSE(sim.run_until_gated(5.0));
-  EXPECT_EQ(log, (std::vector<std::string>{"Q1"}));
-  gate.open();
-  EXPECT_TRUE(sim.run_until_gated(5.0));
-  EXPECT_EQ(log, (std::vector<std::string>{"Q1", "G2"}));
-}
-
-TEST(Simulator, FlushReachesOnlyStreamsThatAsked) {
-  Simulator sim;
-  std::vector<std::string> log;
-  DeferringStream a(sim, log, "A");
-  DeferringStream b(sim, log, "B");
-  DeferringStream unregistered(sim, log, "U");
-  sim.add_event_stream(&a);
-  sim.add_event_stream(&b);
-  EXPECT_THROW(unregistered.defer(), util::InvalidState);
-  sim.at(1.0, [&] { b.defer(); });
-  sim.run_until(3.0);
-  const std::string one = std::to_string(1.0);
-  EXPECT_EQ(log, (std::vector<std::string>{"flush B@" + one, "B@" + std::to_string(1.5)}));
-  EXPECT_EQ(a.flush_calls, 0);
-  EXPECT_EQ(b.flush_calls, 1);
 }
 
 TEST(Simulator, RunToCompletionRunsEveryRegisteredStreamEvent) {

@@ -261,8 +261,8 @@ void check_registered_streams(int seed, bool gated) {
   std::vector<EventId> fired;  // reference ids, in the order the simulator ran them
   std::array<ModelStream, 2> streams{ModelStream(sim, reference, rng, fired, gated),
                                      ModelStream(sim, reference, rng, fired, gated)};
-  sim.add_event_stream(&streams[0], gated);
-  sim.add_event_stream(&streams[1], gated);
+  sim.add_event_stream(&streams[0]);
+  sim.add_event_stream(&streams[1]);
   LaneToLog lane_log(fired);
   sim.set_ordered_handler(&lane_log);
   std::vector<std::pair<EventId, EventId>> live;  // (queue id, reference id)
