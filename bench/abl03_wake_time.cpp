@@ -6,9 +6,10 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/experiments.h"
 #include "core/metrics.h"
+#include "core/scheme_registry.h"
 #include "exec/sweep_runner.h"
+#include "sim/random.h"
 #include "topology/access_topology.h"
 #include "trace/synthetic_crawdad.h"
 

@@ -5,6 +5,7 @@
 // everything a driver prints, written as JSON by --json PATH.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/experiments.h"
 #include "core/scenario_presets.h"
 #include "core/scheme_registry.h"
@@ -204,41 +206,35 @@ inline const core::SchemeSpec& scheme_or(const std::string& default_name) {
   return spec;
 }
 
-/// For drivers comparing a fixed paper scheme list: adds the --scheme
-/// override to `schemes` (unless already listed) so it joins the
-/// comparison. "soi" is prepended — it is the Fig. 9b fairness reference
-/// and must run before any fairness-paired scheme — everything else is
-/// appended (after soi, if listed, so the pairing convention holds).
-/// Returns the override, or nullptr when none was given.
-inline const core::SchemeSpec* add_scheme_override(std::vector<std::string>& schemes) {
-  const core::SchemeSpec* spec = scheme_override();
-  if (spec == nullptr) return nullptr;
-  for (const std::string& name : schemes) {
-    if (name == spec->name) return spec;
+/// Prints one row per day-series bin: the bin index, then every series'
+/// value in that bin times `scale`, to one decimal.
+inline void print_bin_table(std::vector<std::string> header,
+                            const std::vector<const std::vector<double>*>& series,
+                            double scale = 1.0) {
+  util::TextTable table;
+  table.set_header(std::move(header));
+  for (std::size_t bin = 0; bin < series.front()->size(); ++bin) {
+    std::vector<std::string> row{std::to_string(bin)};
+    for (const std::vector<double>* values : series) row.push_back(num((*values)[bin] * scale, 1));
+    table.add_row(std::move(row));
   }
-  if (spec->name == "soi") {
-    schemes.insert(schemes.begin(), spec->name);
-  } else {
-    schemes.push_back(spec->name);
-  }
-  detail::scheme_override_appended_slot() = true;
-  return spec;
+  table.print(std::cout);
 }
 
-/// Companion of add_scheme_override: prints (and mirrors into the report)
+/// Companion of run_figure (below): prints (and mirrors into the report)
 /// the override scheme's headline numbers next to the paper schemes the
 /// driver formats by hand. No-op when the override was already part of the
 /// driver's comparison (its numbers are in the driver's own table).
-inline void report_scheme_override(const core::MainExperimentResult& result) {
+inline void report_scheme_override(const std::vector<core::RunReport>& reports) {
   const core::SchemeSpec* spec = scheme_override();
   if (spec == nullptr || !detail::scheme_override_appended_slot()) return;
-  const core::SchemeOutcome& o = result.outcome(spec->name);
+  const core::RunReport& r = core::find_report(reports, spec->name);
   std::cout << "\n--scheme " << spec->name << " (" << spec->display << "):\n";
-  compare(spec->name + " day savings", "n/a (--scheme row)", pct(o.day_savings));
-  compare(spec->name + " ISP share", "n/a (--scheme row)", pct(o.day_isp_share));
+  compare(spec->name + " day savings", "n/a (--scheme row)", pct(r.day_savings));
+  compare(spec->name + " ISP share", "n/a (--scheme row)", pct(r.day_isp_share));
   compare(spec->name + " peak online gateways", "n/a (--scheme row)",
-          num(o.peak_online_gateways, 1));
-  compare(spec->name + " wake events/run", "n/a (--scheme row)", num(o.wake_events, 0));
+          num(r.peak_online_gateways, 1));
+  compare(spec->name + " wake events/run", "n/a (--scheme row)", num(r.mean_wake_events, 0));
 }
 
 /// For artefacts with no sleep scheme in them (trace/PHY figures): tell the
@@ -425,6 +421,32 @@ inline int runs_from_env(int fallback) {
     std::cerr << error.what() << "\n";
     std::exit(1);
   }
+}
+
+/// For drivers comparing a fixed paper scheme list through core::Engine:
+/// INSOMNIA_RUNS paired days (default 3; the paper uses 10) of the scenario
+/// from the command line (scenario_from_args), with hourly day series and,
+/// when `fct` is set, FCTs. Prints the run count (`note` follows it), then
+/// runs `schemes` over the same days. The --scheme override joins the
+/// comparison unless already listed. "soi" is prepended — it is the Fig. 9b
+/// fairness reference and must run before any fairness-paired scheme —
+/// everything else is appended (after soi, if listed).
+inline std::vector<core::RunReport> run_figure(int argc, char** argv,
+                                               std::vector<std::string> schemes,
+                                               bool fct = false, const std::string& note = "") {
+  core::RunSpec spec;
+  spec.scenario = scenario_from_args(argc, argv);
+  spec.runs = runs_from_env(3);
+  spec.bins = 24;
+  spec.fct = fct;
+  const core::SchemeSpec* extra = scheme_override();
+  if (extra != nullptr &&
+      std::find(schemes.begin(), schemes.end(), extra->name) == schemes.end()) {
+    schemes.insert(extra->name == "soi" ? schemes.begin() : schemes.end(), extra->name);
+    detail::scheme_override_appended_slot() = true;
+  }
+  std::cout << "(" << spec.runs << " paired runs" << note << ")\n\n";
+  return core::Engine().run(spec, schemes);
 }
 
 /// Averages one statistic over per-run sweep rows, folding in run-index

@@ -1,47 +1,35 @@
 // Regenerates Fig. 6: energy savings vs the no-sleep baseline over the day
 // for Optimal, SoI, SoI + k-switch, and BH2 + k-switch.
-//
-// Runs INSOMNIA_RUNS paired simulation days (default 3; the paper uses 10).
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/experiments.h"
+#include "core/engine.h"
 
 int main(int argc, char** argv) {
   using namespace insomnia;
   using namespace insomnia::core;
   bench::banner("Fig. 6", "energy savings vs no-sleep over the day");
 
-  MainExperimentConfig config;
-  config.scenario = bench::scenario_from_args(argc, argv);
-  config.runs = bench::runs_from_env(3);
-  config.bins = 24;  // hourly resolution
-  config.schemes = {"soi", "soi-kswitch", "bh2-kswitch", "optimal"};
-  bench::add_scheme_override(config.schemes);
-  std::cout << "(" << config.runs << " paired runs; set INSOMNIA_RUNS to change)\n\n";
-  const MainExperimentResult result = run_main_experiment(config);
+  const std::vector<RunReport> reports =
+      bench::run_figure(argc, argv, {"soi", "soi-kswitch", "bh2-kswitch", "optimal"},
+                        /*fct=*/false, "; set INSOMNIA_RUNS to change");
 
-  util::TextTable table;
-  table.set_header({"hour", "Optimal %", "SoI %", "SoI+k-switch %", "BH2+k-switch %"});
-  const auto& optimal = result.outcome("optimal");
-  const auto& soi = result.outcome("soi");
-  const auto& soik = result.outcome("soi-kswitch");
-  const auto& bh2k = result.outcome("bh2-kswitch");
-  for (const SchemeOutcome& outcome : result.schemes) {
-    bench::report().add_series(outcome.scheme + "_savings", outcome.savings);
+  const RunReport& optimal = find_report(reports, "optimal");
+  const RunReport& soi = find_report(reports, "soi");
+  const RunReport& soik = find_report(reports, "soi-kswitch");
+  const RunReport& bh2k = find_report(reports, "bh2-kswitch");
+  for (const RunReport& r : reports) {
+    bench::report().add_series(r.scheme + "_savings", r.savings_series);
   }
-  for (std::size_t bin = 0; bin < config.bins; ++bin) {
-    table.add_row({std::to_string(bin), bench::num(optimal.savings[bin] * 100, 1),
-                   bench::num(soi.savings[bin] * 100, 1),
-                   bench::num(soik.savings[bin] * 100, 1),
-                   bench::num(bh2k.savings[bin] * 100, 1)});
-  }
-  table.print(std::cout);
+  bench::print_bin_table({"hour", "Optimal %", "SoI %", "SoI+k-switch %", "BH2+k-switch %"},
+                         {&optimal.savings_series, &soi.savings_series,
+                          &soik.savings_series, &bh2k.savings_series},
+                         100);
 
   // Peak-window (11-19 h) savings for the paper's headline observations.
-  auto window_mean = [&](const SchemeOutcome& o, std::size_t lo, std::size_t hi) {
+  auto window_mean = [&](const RunReport& r, std::size_t lo, std::size_t hi) {
     double total = 0.0;
-    for (std::size_t b = lo; b < hi; ++b) total += o.savings[b];
+    for (std::size_t b = lo; b < hi; ++b) total += r.savings_series[b];
     return total / static_cast<double>(hi - lo);
   };
   std::cout << "\n";
@@ -57,6 +45,6 @@ int main(int argc, char** argv) {
   bench::compare("off-peak (2-6 h) schemes", ">60%",
                  bench::pct(window_mean(soik, 2, 6)) + " (SoI+k), " +
                      bench::pct(window_mean(bh2k, 2, 6)) + " (BH2+k)");
-  bench::report_scheme_override(result);
+  bench::report_scheme_override(reports);
   return bench::finish();
 }

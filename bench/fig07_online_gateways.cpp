@@ -4,43 +4,37 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/experiments.h"
+#include "core/engine.h"
 
 int main(int argc, char** argv) {
   using namespace insomnia;
   using namespace insomnia::core;
   bench::banner("Fig. 7", "number of online gateways over the day");
 
-  MainExperimentConfig config;
-  config.scenario = bench::scenario_from_args(argc, argv);
-  config.runs = bench::runs_from_env(3);
-  config.bins = 24;
-  config.schemes = {"soi", "bh2-kswitch", "bh2-nobackup-kswitch", "optimal"};
-  bench::add_scheme_override(config.schemes);
-  std::cout << "(" << config.runs << " paired runs)\n\n";
-  const MainExperimentResult result = run_main_experiment(config);
+  const std::vector<RunReport> reports =
+      bench::run_figure(argc, argv, {"soi", "bh2-kswitch", "bh2-nobackup-kswitch", "optimal"});
 
-  const auto& soi = result.outcome("soi");
-  const auto& bh2 = result.outcome("bh2-kswitch");
-  const auto& bh2nb = result.outcome("bh2-nobackup-kswitch");
-  const auto& optimal = result.outcome("optimal");
-  for (const SchemeOutcome& outcome : result.schemes) {
-    bench::report().add_series(outcome.scheme + "_online_gateways", outcome.online_gateways);
+  const RunReport& soi = find_report(reports, "soi");
+  const RunReport& bh2 = find_report(reports, "bh2-kswitch");
+  const RunReport& bh2nb = find_report(reports, "bh2-nobackup-kswitch");
+  const RunReport& optimal = find_report(reports, "optimal");
+  for (const RunReport& r : reports) {
+    bench::report().add_series(r.scheme + "_online_gateways", r.online_gateways_series);
   }
+  // Mean of a per-day counter across runs.
+  const auto per_run = [](const RunReport& r, long EngineDay::*counter) {
+    double total = 0.0;
+    for (const EngineDay& day : r.days) total += static_cast<double>(day.*counter);
+    return total / static_cast<double>(r.runs);
+  };
 
-  util::TextTable table;
-  table.set_header({"hour", "SoI", "BH2", "BH2 w/o backup", "Optimal"});
-  for (std::size_t bin = 0; bin < config.bins; ++bin) {
-    table.add_row({std::to_string(bin), bench::num(soi.online_gateways[bin], 1),
-                   bench::num(bh2.online_gateways[bin], 1),
-                   bench::num(bh2nb.online_gateways[bin], 1),
-                   bench::num(optimal.online_gateways[bin], 1)});
-  }
-  table.print(std::cout);
+  bench::print_bin_table({"hour", "SoI", "BH2", "BH2 w/o backup", "Optimal"},
+                         {&soi.online_gateways_series, &bh2.online_gateways_series,
+                          &bh2nb.online_gateways_series, &optimal.online_gateways_series});
 
   std::cout << "\n";
   bench::compare("off-peak online gateways (all schemes)", "3-4 of 40",
-                 bench::num(optimal.online_gateways[3], 1) + " (Optimal, 3h)");
+                 bench::num(optimal.online_gateways_series[3], 1) + " (Optimal, 3h)");
   bench::compare("SoI at peak", "up to ~38 of 40 (95% at 15h)",
                  bench::num(soi.peak_online_gateways, 1) + " (11-19h mean)");
   bench::compare("BH2 tracks Optimal at peak", "close",
@@ -50,8 +44,9 @@ int main(int argc, char** argv) {
                  bench::num(bh2.peak_online_gateways, 1) + " (backup) vs " +
                      bench::num(bh2nb.peak_online_gateways, 1) + " (none)");
   bench::compare("BH2 assignment changes per run", "low (oscillation-free)",
-                 bench::num(bh2.bh2_moves, 0) + " moves, " +
-                     bench::num(bh2.bh2_home_returns, 0) + " home returns");
-  bench::report_scheme_override(result);
+                 bench::num(per_run(bh2, &EngineDay::bh2_moves), 0) + " moves, " +
+                     bench::num(per_run(bh2, &EngineDay::bh2_home_returns), 0) +
+                     " home returns");
+  bench::report_scheme_override(reports);
   return bench::finish();
 }

@@ -3,45 +3,34 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/experiments.h"
+#include "core/engine.h"
 
 int main(int argc, char** argv) {
   using namespace insomnia;
   using namespace insomnia::core;
   bench::banner("Fig. 8", "ISP-side contribution to the total energy savings");
 
-  MainExperimentConfig config;
-  config.scenario = bench::scenario_from_args(argc, argv);
-  config.runs = bench::runs_from_env(3);
-  config.bins = 24;
-  config.schemes = {"soi", "soi-kswitch", "bh2-kswitch", "optimal"};
-  bench::add_scheme_override(config.schemes);
-  std::cout << "(" << config.runs << " paired runs)\n\n";
-  const MainExperimentResult result = run_main_experiment(config);
+  const std::vector<RunReport> reports =
+      bench::run_figure(argc, argv, {"soi", "soi-kswitch", "bh2-kswitch", "optimal"});
 
-  const auto& soi = result.outcome("soi");
-  const auto& soik = result.outcome("soi-kswitch");
-  const auto& bh2k = result.outcome("bh2-kswitch");
-  const auto& optimal = result.outcome("optimal");
-  for (const SchemeOutcome& outcome : result.schemes) {
-    bench::report().add_series(outcome.scheme + "_isp_share", outcome.isp_share);
+  const RunReport& soi = find_report(reports, "soi");
+  const RunReport& soik = find_report(reports, "soi-kswitch");
+  const RunReport& bh2k = find_report(reports, "bh2-kswitch");
+  const RunReport& optimal = find_report(reports, "optimal");
+  for (const RunReport& r : reports) {
+    bench::report().add_series(r.scheme + "_isp_share", r.isp_share_series);
   }
 
-  util::TextTable table;
-  table.set_header({"hour", "Optimal %", "SoI+k-switch %", "BH2+k-switch %", "SoI %"});
-  for (std::size_t bin = 0; bin < config.bins; ++bin) {
-    table.add_row({std::to_string(bin), bench::num(optimal.isp_share[bin] * 100, 1),
-                   bench::num(soik.isp_share[bin] * 100, 1),
-                   bench::num(bh2k.isp_share[bin] * 100, 1),
-                   bench::num(soi.isp_share[bin] * 100, 1)});
-  }
-  table.print(std::cout);
+  bench::print_bin_table({"hour", "Optimal %", "SoI+k-switch %", "BH2+k-switch %", "SoI %"},
+                         {&optimal.isp_share_series, &soik.isp_share_series,
+                          &bh2k.isp_share_series, &soi.isp_share_series},
+                         100);
 
   std::cout << "\n";
   bench::compare("Optimal day-average ISP share", "~40%", bench::pct(optimal.day_isp_share));
   bench::compare("BH2+k-switch day-average ISP share", "~30%", bench::pct(bh2k.day_isp_share));
   bench::compare("SoI saves little for the ISP at peak", "near zero",
-                 bench::pct(soi.isp_share[15]) + " at 15h");
-  bench::report_scheme_override(result);
+                 bench::pct(soi.isp_share_series[15]) + " at 15h");
+  bench::report_scheme_override(reports);
   return bench::finish();
 }

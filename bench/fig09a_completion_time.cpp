@@ -4,7 +4,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/experiments.h"
+#include "core/engine.h"
 #include "stats/cdf.h"
 
 int main(int argc, char** argv) {
@@ -12,13 +12,9 @@ int main(int argc, char** argv) {
   using namespace insomnia::core;
   bench::banner("Fig. 9a", "CDF of flow completion-time increase vs no-sleep");
 
-  MainExperimentConfig config;
-  config.scenario = bench::scenario_from_args(argc, argv);
-  config.runs = bench::runs_from_env(3);
-  config.schemes = {"soi", "bh2-kswitch", "bh2-nobackup-kswitch"};
-  const core::SchemeSpec* extra = bench::add_scheme_override(config.schemes);
-  std::cout << "(" << config.runs << " paired runs)\n\n";
-  const MainExperimentResult result = run_main_experiment(config);
+  const std::vector<RunReport> reports = bench::run_figure(
+      argc, argv, {"soi", "bh2-kswitch", "bh2-nobackup-kswitch"}, /*fct=*/true);
+  const core::SchemeSpec* extra = bench::scheme_override();
 
   std::vector<std::pair<std::string, std::string>> rows{
       {"SoI", "soi"},
@@ -34,7 +30,7 @@ int main(int argc, char** argv) {
   table.set_header({"scheme", "flows affected (> +1%)", "flows slowed > 2x", "p99 increase",
                     "p99.9 increase", "max increase"});
   for (const auto& [label, name] : rows) {
-    const auto& fct = result.outcome(name).fct_increase;
+    const auto& fct = find_report(reports, name).fct_increase;
     const stats::EmpiricalCdf cdf(fct);
     const double affected = 1.0 - cdf.fraction_at_or_below(0.01);
     const double doubled = 1.0 - cdf.fraction_at_or_below(1.0);
@@ -54,7 +50,7 @@ int main(int argc, char** argv) {
   for (double x : {0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 6.0}) {
     std::vector<std::string> row{bench::pct(x, 0)};
     for (const auto& [label, name] : rows) {
-      const stats::EmpiricalCdf cdf(result.outcome(name).fct_increase);
+      const stats::EmpiricalCdf cdf(find_report(reports, name).fct_increase);
       row.push_back(bench::num(cdf.fraction_at_or_below(x), 4));
     }
     cdf_table.add_row(std::move(row));
@@ -65,6 +61,6 @@ int main(int argc, char** argv) {
   bench::compare("SoI affected flows", "~8%, up to 7x stretch", "see table");
   bench::compare("BH2 affected flows", "~2%, less heavily", "see table");
   bench::compare("backup helps slightly", "yes", "compare BH2 rows");
-  bench::report_scheme_override(result);
+  bench::report_scheme_override(reports);
   return bench::finish();
 }

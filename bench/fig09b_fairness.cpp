@@ -4,7 +4,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/experiments.h"
+#include "core/engine.h"
 #include "stats/cdf.h"
 
 int main(int argc, char** argv) {
@@ -12,17 +12,12 @@ int main(int argc, char** argv) {
   using namespace insomnia::core;
   bench::banner("Fig. 9b", "CDF of gateway online-time variation vs SoI");
 
-  MainExperimentConfig config;
-  config.scenario = bench::scenario_from_args(argc, argv);
-  config.runs = bench::runs_from_env(3);
   // SoI must be listed before the BH2 schemes (it is the reference).
-  config.schemes = {"soi", "bh2-kswitch", "bh2-nobackup-kswitch"};
-  bench::add_scheme_override(config.schemes);
-  std::cout << "(" << config.runs << " paired runs)\n\n";
-  const MainExperimentResult result = run_main_experiment(config);
+  const std::vector<RunReport> reports =
+      bench::run_figure(argc, argv, {"soi", "bh2-kswitch", "bh2-nobackup-kswitch"});
 
-  const auto& bh2 = result.outcome("bh2-kswitch").online_time_variation;
-  const auto& bh2nb = result.outcome("bh2-nobackup-kswitch").online_time_variation;
+  const auto& bh2 = find_report(reports, "bh2-kswitch").online_time_variation;
+  const auto& bh2nb = find_report(reports, "bh2-nobackup-kswitch").online_time_variation;
 
   const stats::EmpiricalCdf cdf_bh2(bh2);
   const stats::EmpiricalCdf cdf_nb(bh2nb);
@@ -47,6 +42,6 @@ int main(int argc, char** argv) {
   bench::compare("w/o backup is less fair", "more extremes",
                  bench::pct(nb_always_asleep) + " fully asleep, " + bench::pct(nb_increased) +
                      " increased");
-  bench::report_scheme_override(result);
+  bench::report_scheme_override(reports);
   return bench::finish();
 }

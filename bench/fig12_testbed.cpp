@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/experiments.h"
+#include "core/scheme_registry.h"
 #include "core/testbed.h"
 
 int main(int argc, char** argv) {

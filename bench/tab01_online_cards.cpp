@@ -4,21 +4,16 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/experiments.h"
+#include "core/engine.h"
 
 int main(int argc, char** argv) {
   using namespace insomnia;
   using namespace insomnia::core;
   bench::banner("Table (§5.2.3)", "average online line cards during peak hours");
 
-  MainExperimentConfig config;
-  config.scenario = bench::scenario_from_args(argc, argv);
-  config.runs = bench::runs_from_env(3);
-  config.schemes = {"soi",         "soi-kswitch",    "soi-fullswitch",
-                    "bh2-kswitch", "bh2-fullswitch", "optimal"};
-  bench::add_scheme_override(config.schemes);
-  std::cout << "(" << config.runs << " paired runs)\n\n";
-  const MainExperimentResult result = run_main_experiment(config);
+  const std::vector<RunReport> reports = bench::run_figure(
+      argc, argv,
+      {"soi", "soi-kswitch", "soi-fullswitch", "bh2-kswitch", "bh2-fullswitch", "optimal"});
 
   const std::vector<std::pair<std::string, double>> paper{
       {"optimal", 1.0},        {"bh2-fullswitch", 2.0}, {"bh2-kswitch", 2.88},
@@ -27,10 +22,10 @@ int main(int argc, char** argv) {
   util::TextTable table;
   table.set_header({"scheme", "paper", "measured (11-19h mean)"});
   for (const auto& [name, expected] : paper) {
-    const SchemeOutcome& outcome = result.outcome(name);
-    table.add_row({outcome.display, bench::num(expected, 2),
-                   bench::num(outcome.peak_online_cards, 2)});
-    bench::report().set_field(name + "_peak_online_cards", outcome.peak_online_cards);
+    const RunReport& r = find_report(reports, name);
+    table.add_row({r.scheme_display, bench::num(expected, 2),
+                   bench::num(r.peak_online_cards, 2)});
+    bench::report().set_field(name + "_peak_online_cards", r.peak_online_cards);
   }
   table.print(std::cout);
 
@@ -39,6 +34,6 @@ int main(int argc, char** argv) {
                  "see table");
   bench::compare("small switches track full switching", "4-switch close to full",
                  "compare BH2 rows");
-  bench::report_scheme_override(result);
+  bench::report_scheme_override(reports);
   return bench::finish();
 }

@@ -4,7 +4,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/experiments.h"
+#include "core/engine.h"
 #include "core/extrapolation.h"
 
 int main(int argc, char** argv) {
@@ -12,16 +12,10 @@ int main(int argc, char** argv) {
   using namespace insomnia::core;
   bench::banner("Summary (§5.4)", "headline savings and world-wide extrapolation");
 
-  MainExperimentConfig config;
-  config.scenario = bench::scenario_from_args(argc, argv);
-  config.runs = bench::runs_from_env(3);
-  config.schemes = {"bh2-kswitch", "optimal"};
-  bench::add_scheme_override(config.schemes);
-  std::cout << "(" << config.runs << " paired runs)\n\n";
-  const MainExperimentResult result = run_main_experiment(config);
+  const std::vector<RunReport> reports = bench::run_figure(argc, argv, {"bh2-kswitch", "optimal"});
 
-  const auto& bh2 = result.outcome("bh2-kswitch");
-  const auto& optimal = result.outcome("optimal");
+  const RunReport& bh2 = find_report(reports, "bh2-kswitch");
+  const RunReport& optimal = find_report(reports, "optimal");
 
   bench::compare("savings margin (Optimal, day avg)", "~80%", bench::pct(optimal.day_savings));
   bench::compare("BH2 + k-switch (day avg)", "66%", bench::pct(bh2.day_savings));
@@ -38,6 +32,6 @@ int main(int argc, char** argv) {
   bench::compare("annual savings", "~33 TWh", bench::num(annual_savings_twh(world), 1) + " TWh");
   bench::compare("equivalent nuclear plants", "~3",
                  bench::num(equivalent_nuclear_plants(world), 1));
-  bench::report_scheme_override(result);
+  bench::report_scheme_override(reports);
   return bench::finish();
 }

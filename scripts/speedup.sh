@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Measures the parallel engine's wall-clock scaling on two workloads, each
 # run serially and with N threads:
-#   * the Fig. 6 main experiment (INSOMNIA_THREADS=1 vs N), which shards
+#   * the Fig. 6 driver (INSOMNIA_THREADS=1 vs N), whose Engine run shards
 #     paired runs;
 #   * the country fleet at --scale 0.01 --nbhd-scale 0.1 --seed 1
 #     (--threads 1 vs N), whose one metro city holds 8 of 35 neighbourhoods,

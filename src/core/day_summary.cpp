@@ -90,45 +90,66 @@ PairedDaySummary summarize_paired_day(const RunMetrics& baseline,
 
 void fold_paired_days(const std::vector<PairedDaySummary>& days, RunReport& report) {
   const std::size_t bins = report.bins;
-  std::vector<double> baseline_bins(bins, 0.0);
-  std::vector<double> scheme_bins(bins, 0.0);
+  EnergyBins base{std::vector<double>(bins), std::vector<double>(bins)};
+  EnergyBins mine{std::vector<double>(bins), std::vector<double>(bins)};
   std::vector<std::vector<double>> gateway_rows;
-  double baseline_energy = 0.0;
-  double scheme_energy = 0.0;
-  double baseline_user = 0.0;
-  double scheme_user = 0.0;
+  std::vector<std::vector<double>> card_rows;
+  double base_user = 0.0;
+  double base_isp = 0.0;
+  double user = 0.0;
+  double isp = 0.0;
   double peak_gateways = 0.0;
+  double peak_cards = 0.0;
   double wakes = 0.0;
   for (const PairedDaySummary& out : days) {
     report.days.push_back(out.day);
     for (std::size_t i = 0; i < bins; ++i) {
-      baseline_bins[i] += out.baseline_energy.user[i] + out.baseline_energy.isp[i];
-      scheme_bins[i] += out.scheme_energy.user[i] + out.scheme_energy.isp[i];
+      base.user[i] += out.baseline_energy.user[i];
+      base.isp[i] += out.baseline_energy.isp[i];
+      mine.user[i] += out.scheme_energy.user[i];
+      mine.isp[i] += out.scheme_energy.isp[i];
     }
     gateway_rows.push_back(out.online_gateways);
-    baseline_energy += out.day.baseline_user_energy + out.day.baseline_isp_energy;
-    scheme_energy += out.day.user_energy + out.day.isp_energy;
-    baseline_user += out.day.baseline_user_energy;
-    scheme_user += out.day.user_energy;
+    card_rows.push_back(out.online_cards);
+    base_user += out.day.baseline_user_energy;
+    base_isp += out.day.baseline_isp_energy;
+    user += out.day.user_energy;
+    isp += out.day.isp_energy;
     peak_gateways += out.day.peak_online_gateways;
+    peak_cards += out.day.peak_online_cards;
     wakes += static_cast<double>(out.day.wake_events);
     report.executed_events += out.day.executed_events;
+    report.fct_increase.insert(report.fct_increase.end(), out.fct_increase.begin(),
+                               out.fct_increase.end());
+    report.online_time_variation.insert(report.online_time_variation.end(),
+                                        out.online_time_variation.begin(),
+                                        out.online_time_variation.end());
   }
 
-  report.day_savings = baseline_energy > 0.0 ? 1.0 - scheme_energy / baseline_energy : 0.0;
-  const double user_saved = baseline_user - scheme_user;
-  const double total_saved = baseline_energy - scheme_energy;
-  report.day_isp_share = total_saved > 0.0 ? (total_saved - user_saved) / total_saved : 0.0;
+  const double base_total = base_user + base_isp;
+  report.day_savings = base_total > 0.0 ? 1.0 - (user + isp) / base_total : 0.0;
+  const double user_saved = base_user - user;
+  const double isp_saved = base_isp - isp;
+  report.day_isp_share =
+      (user_saved + isp_saved) > 0.0 ? isp_saved / (user_saved + isp_saved) : 0.0;
   const double runs_d = static_cast<double>(report.runs);
   report.peak_online_gateways = peak_gateways / runs_d;
+  report.peak_online_cards = peak_cards / runs_d;
   report.mean_wake_events = wakes / runs_d;
 
   report.savings_series.resize(bins);
+  report.isp_share_series.resize(bins);
   for (std::size_t i = 0; i < bins; ++i) {
-    report.savings_series[i] =
-        baseline_bins[i] > 0.0 ? 1.0 - scheme_bins[i] / baseline_bins[i] : 0.0;
+    const double base_bin = base.user[i] + base.isp[i];
+    const double mine_bin = mine.user[i] + mine.isp[i];
+    report.savings_series[i] = base_bin > 0.0 ? 1.0 - mine_bin / base_bin : 0.0;
+    const double bin_user_saved = base.user[i] - mine.user[i];
+    const double bin_isp_saved = base.isp[i] - mine.isp[i];
+    const double bin_saved = bin_user_saved + bin_isp_saved;
+    report.isp_share_series[i] = bin_saved > base_bin * 1e-9 ? bin_isp_saved / bin_saved : 0.0;
   }
   report.online_gateways_series = stats::elementwise_mean(gateway_rows);
+  report.online_cards_series = stats::elementwise_mean(card_rows);
 }
 
 }  // namespace insomnia::core

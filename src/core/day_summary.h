@@ -1,11 +1,11 @@
 // The paired day — one day of traffic replayed under a set of schemes and
 // the no-sleep baseline on the same trace and topology — and its per-day
 // summary: the one kernel every driver simulates its days through (Engine,
-// the figure experiments, the city fleet), the substream salts those days
-// draw from, and the summarization and run-order fold behind Engine::run.
-// The online LiveController (src/live/) steps its day incrementally, so it
-// takes only the salts and the summary; one copy of the arithmetic is what
-// makes the live replay-equivalence gate a byte-compare.
+// and so every figure driver; the density sweep; the city fleet), the
+// substream salts those days draw from, and the summarization and run-order
+// fold behind Engine::run. The online LiveController (src/live/) steps its
+// day itself, so it takes only the salts, the summary and the fold; one copy
+// of the arithmetic makes the live replay-equivalence gate a byte-compare.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +28,8 @@ struct DayKeys {
   std::uint64_t scheme;
 };
 
-/// Engine, the figure experiments and livectl: one topology from stream 0,
-/// run r's day from stream r.
+/// Engine (and so every figure driver) and livectl: one topology from
+/// stream 0, run r's day from stream r.
 inline constexpr DayKeys kRunDayKeys{7, 1, 2, 100};
 
 /// Fleet neighbourhoods, streamed by neighbourhood index under the city
@@ -72,14 +72,15 @@ struct EnergyBins {
   std::vector<double> isp;
 };
 
-/// Everything one scheme's paired day contributes to a RunReport or to the
-/// figure experiments.
+/// Everything one scheme's paired day contributes to a RunReport.
 struct PairedDaySummary {
   EngineDay day;
   EnergyBins baseline_energy;
   EnergyBins scheme_energy;
   std::vector<double> online_gateways;  ///< binned means
   std::vector<double> online_cards;     ///< binned means
+  std::vector<double> fct_increase;           ///< Fig. 9a; RunSpec::fct only
+  std::vector<double> online_time_variation;  ///< Fig. 9b; SoI listed first only
 };
 
 /// Summarizes one paired day. `flows` is the number of trace records
@@ -92,7 +93,8 @@ PairedDaySummary summarize_paired_day(const RunMetrics& baseline,
 /// Folds day summaries into `report` strictly in day order — independent of
 /// which thread computed each day. Reads report.runs and report.bins (the
 /// caller sets the spec-echo fields first) and fills days, the aggregates,
-/// and both day series.
+/// the day series and the pooled QoS samples. User and ISP energy are summed
+/// apart, per bin and per day: ISP share = isp_saved / (user_saved + isp_saved).
 void fold_paired_days(const std::vector<PairedDaySummary>& days, RunReport& report);
 
 }  // namespace insomnia::core

@@ -1,6 +1,10 @@
 #include "core/engine.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "core/day_summary.h"
+#include "core/metrics.h"
 #include "core/scenario_presets.h"
 #include "exec/sweep_runner.h"
 #include "obs/profiler.h"
@@ -17,41 +21,50 @@ Engine::Engine() : registry_(&scheme_registry()) {}
 
 Engine::Engine(const SchemeRegistry& registry) : registry_(&registry) {}
 
-RunReport Engine::run(const RunSpec& spec) const {
+std::vector<RunReport> Engine::run(const RunSpec& spec,
+                                   const std::vector<std::string>& names) const {
   util::require(spec.runs >= 1, "engine run needs at least one repeat");
   util::require(spec.bins >= 1, "engine run needs at least one bin");
   util::require(spec.peak_start < spec.peak_end, "peak window must not be empty");
   util::require(spec.preset.empty() || !spec.scenario.has_value(),
                 "RunSpec sets both a preset name and an inline scenario");
+  util::require(!names.empty(), "engine run needs at least one scheme");
 
-  const SchemeSpec& scheme = registry_->find(spec.scheme);
+  // Resolve every scheme and the fairness pairing before any day runs, so a
+  // bad list fails fast. Fairness (Fig. 9b) pairs a scheme with the same
+  // day's SoI, which must be listed before it.
+  const bool lists_soi = std::find(names.begin(), names.end(), "soi") != names.end();
+  std::vector<const SchemeSpec*> schemes;
+  std::optional<std::size_t> soi;
+  for (std::size_t s = 0; s < names.size(); ++s) {
+    schemes.push_back(&registry_->find(names[s]));
+    if (schemes[s]->name == "soi") soi = s;
+    util::require_state(soi.has_value() || !lists_soi || !schemes[s]->fairness_vs_soi,
+                        "list \"soi\" before fairness-paired schemes");
+  }
 
+  // The spec echo every scheme's report starts from.
+  RunReport echo;
   ScenarioConfig scenario;
-  std::string preset_name = "(inline)";
+  echo.preset = "(inline)";
   if (spec.scenario.has_value()) {
     scenario = *spec.scenario;
   } else {
     const ScenarioPreset& preset =
         find_scenario_preset(spec.preset.empty() ? "paper-default" : spec.preset);
     scenario = preset.scenario;
-    preset_name = preset.name;
+    echo.preset = preset.name;
   }
+  echo.trace_file = spec.trace_file;
+  echo.seed = spec.seed;
+  echo.runs = spec.runs;
+  echo.bins = spec.bins;
+  echo.peak_start = spec.peak_start;
+  echo.peak_end = spec.peak_end;
+  echo.clients = scenario.client_count;
+  echo.gateways = scenario.gateway_count;
 
-  RunReport report;
-  report.scheme = scheme.name;
-  report.scheme_display = scheme.display;
-  report.preset = preset_name;
-  report.trace_file = spec.trace_file;
-  report.seed = spec.seed;
-  report.runs = spec.runs;
-  report.bins = spec.bins;
-  report.peak_start = spec.peak_start;
-  report.peak_end = spec.peak_end;
-  report.clients = scenario.client_count;
-  report.gateways = scenario.gateway_count;
-
-  // One fixed topology; run r is the paired day of stream r (kRunDayKeys,
-  // shared with core/experiments).
+  // One fixed topology; run r is the paired day of stream r (kRunDayKeys).
   sim::Random topo_rng(sim::Random::substream_seed(spec.seed, 0, kRunDayKeys.topology));
   const topo::AccessTopology topology =
       topo::make_overlap_topology(scenario.client_count, scenario.degrees, topo_rng);
@@ -59,20 +72,53 @@ RunReport Engine::run(const RunSpec& spec) const {
   trace::FlowTrace recorded;
   if (!spec.trace_file.empty()) recorded = trace::load_flow_trace(spec.trace_file);
 
+  // Only FCTs need the no-sleep day simulated over the trace.
+  const Baseline baseline = spec.fct ? Baseline::kSimulated : Baseline::kTrafficFree;
   exec::SweepRunner runner(spec.threads);
-  const std::vector<PairedDaySummary> outputs =
+  std::vector<std::vector<PairedDaySummary>> runs =
       runner.run(static_cast<std::size_t>(spec.runs), [&](std::size_t run) {
         OBS_SCOPE("engine.day");
         const PairedDay day = simulate_paired_day(
-            scenario, topology, spec.seed, run, kRunDayKeys, {&scheme},
-            Baseline::kTrafficFree, spec.trace_file.empty() ? nullptr : &recorded);
-        return summarize_paired_day(day.baseline, day.schemes[0], day.flows, spec.bins,
-                                    spec.peak_start, spec.peak_end);
+            scenario, topology, spec.seed, run, kRunDayKeys, schemes, baseline,
+            spec.trace_file.empty() ? nullptr : &recorded);
+        std::vector<PairedDaySummary> out;
+        for (std::size_t s = 0; s < schemes.size(); ++s) {
+          const RunMetrics& metrics = day.schemes[s];
+          out.push_back(summarize_paired_day(day.baseline, metrics, day.flows, spec.bins,
+                                             spec.peak_start, spec.peak_end));
+          if (spec.fct && schemes[s]->name != "no-sleep") {
+            out.back().fct_increase = completion_time_increase(metrics, day.baseline);
+          }
+          if (soi.has_value() && schemes[s]->fairness_vs_soi) {
+            out.back().online_time_variation =
+                online_time_variation(metrics, day.schemes[*soi]);
+          }
+        }
+        return out;
       });
 
-  // Fold in run order — independent of the thread count.
-  fold_paired_days(outputs, report);
-  return report;
+  // Fold each scheme's days in run order — independent of the thread count.
+  std::vector<RunReport> reports(schemes.size(), echo);
+  for (std::size_t s = 0; s < schemes.size(); ++s) {
+    reports[s].scheme = schemes[s]->name;
+    reports[s].scheme_display = schemes[s]->display;
+    std::vector<PairedDaySummary> days;
+    for (std::vector<PairedDaySummary>& run : runs) days.push_back(std::move(run[s]));
+    fold_paired_days(days, reports[s]);
+  }
+  return reports;
+}
+
+RunReport Engine::run(const RunSpec& spec) const {
+  return std::move(run(spec, {spec.scheme}).front());
+}
+
+const RunReport& find_report(const std::vector<RunReport>& reports,
+                             const std::string& scheme) {
+  for (const RunReport& report : reports) {
+    if (report.scheme == scheme) return report;
+  }
+  throw util::InvalidArgument("scheme not part of this run: " + scheme);
 }
 
 std::string RunReport::to_json(bool include_telemetry) const {

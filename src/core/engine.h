@@ -1,13 +1,13 @@
-// The unified experiment-facing entry point: a declarative RunSpec in, a
-// structured RunReport out. One Engine call replaces the scenario-resolve /
-// topology / trace / paired-day / aggregate boilerplate every driver used
-// to hand-roll: it resolves a scenario (preset name or inline config),
+// The experiment facade: a declarative RunSpec in, one structured RunReport
+// per scheme out. It resolves a scenario (preset name or inline config),
 // builds the shared topology, runs `runs` paired days through
-// core::simulate_paired_day (traffic-free no-sleep baseline + the named
-// scheme), shards them over the parallel sweep engine, and folds the
-// outcomes deterministically (bit-identical for any thread count).
-// RunReport serializes to JSON via util/json_writer for machine consumers
-// (--json, CI checks, notebooks).
+// core::simulate_paired_day (no-sleep baseline + every listed scheme on the
+// same trace), shards them over the parallel sweep engine, and folds each
+// scheme's days with core::fold_paired_days (bit-identical for any thread
+// count). engine01_run, livectl's offline twin and every figure driver
+// (Figs. 6-9, the §5.2.3 and §5.4 tables) run through it. RunReport
+// serializes to JSON via util/json_writer for machine consumers (--json, CI
+// checks, notebooks).
 #pragma once
 
 #include <cstdint>
@@ -31,8 +31,8 @@ struct RunSpec {
   /// Path of a recorded flow trace (trace/trace_io.h) replayed in every
   /// run; empty generates a fresh synthetic day per run (§5.2 methodology).
   std::string trace_file;
-  /// Registered scheme name (core/scheme_registry.h). Unknown names throw
-  /// util::InvalidArgument listing the valid schemes.
+  /// Registered scheme name (core/scheme_registry.h) that run(spec) runs;
+  /// unknown names throw util::InvalidArgument listing the valid schemes.
   std::string scheme = "bh2-kswitch";
   std::uint64_t seed = 42;
   int runs = 1;      ///< paired days (§5.2 uses 10, averaged)
@@ -40,6 +40,10 @@ struct RunSpec {
   std::size_t bins = 24;  ///< day-series resolution
   double peak_start = 11.0 * 3600.0;  ///< §5.2.5 peak window
   double peak_end = 19.0 * 3600.0;
+  /// Fig. 9a: simulate the no-sleep day over the trace, not the traffic-free
+  /// baseline (same energies: tests/test_core_baseline.cpp), and pool each
+  /// scheme's flow completion-time increase into RunReport::fct_increase.
+  bool fct = false;
 };
 
 /// One paired simulated day (baseline + scheme on the same trace).
@@ -76,7 +80,7 @@ struct RunReport {
 
   std::vector<EngineDay> days;  ///< one entry per run, in run order
 
-  // Aggregates across runs (energy-weighted, matching core/experiments).
+  // Aggregates across runs (energy-weighted, user and ISP summed apart).
   double day_savings = 0.0;
   double day_isp_share = 0.0;
   double peak_online_gateways = 0.0;  ///< mean across runs
@@ -86,6 +90,13 @@ struct RunReport {
   // Day series (one value per bin).
   std::vector<double> savings_series;          ///< energy-weighted across runs
   std::vector<double> online_gateways_series;  ///< mean count
+
+  // Figure products, not serialized by to_json.
+  double peak_online_cards = 0.0;            ///< mean across runs (§5.2.3)
+  std::vector<double> isp_share_series;      ///< ISP share of the savings (Fig. 8)
+  std::vector<double> online_cards_series;   ///< mean count
+  std::vector<double> fct_increase;          ///< Fig. 9a, pooled; RunSpec::fct only
+  std::vector<double> online_time_variation; ///< Fig. 9b vs the same day's SoI, pooled
 
   /// Stable-key-order, locale-independent JSON document. With
   /// `include_telemetry` a "telemetry" block (counters, phase wall times,
@@ -99,18 +110,29 @@ class Engine {
  public:
   /// Uses the process-wide scheme registry.
   Engine();
-  /// Resolves schemes in a caller-supplied registry (tests, embeddings);
-  /// the baseline is always run_no_sleep_baseline, never a registry entry.
+  /// Resolves schemes in `registry` (tests, embeddings). The baseline is
+  /// run_no_sleep_baseline, or under RunSpec::fct the global "no-sleep".
   explicit Engine(const SchemeRegistry& registry);
 
-  /// Runs the spec. Run r is core::simulate_paired_day's stream r under
-  /// core::kRunDayKeys (core/day_summary.h), the keys core/experiments uses
-  /// too, so a single-scheme Engine run reproduces the main experiment's
-  /// per-run days bit for bit (pinned by tests/test_core_engine.cpp).
+  /// Runs `schemes` (spec.scheme is not read) over the same paired days: one
+  /// report per scheme, in list order. Run r is simulate_paired_day's stream
+  /// r under kRunDayKeys (core/day_summary.h), scheme s drawing from
+  /// kRunDayKeys.scheme + s. A fairness_vs_soi scheme gets
+  /// online_time_variation against the day's "soi" when "soi" is listed,
+  /// which must then come first (else util::InvalidState).
+  std::vector<RunReport> run(const RunSpec& spec,
+                             const std::vector<std::string>& schemes) const;
+
+  /// The one-scheme case: run(spec, {spec.scheme}).
   RunReport run(const RunSpec& spec) const;
 
  private:
   const SchemeRegistry* registry_;
 };
+
+/// The report of `scheme` among a multi-scheme run's reports; throws
+/// util::InvalidArgument when the scheme was not run.
+const RunReport& find_report(const std::vector<RunReport>& reports,
+                             const std::string& scheme);
 
 }  // namespace insomnia::core

@@ -1,22 +1,25 @@
 // Engine facade tests: RunSpec validation, bit-identity of Engine::run
 // against the run_scheme path for all eight paper schemes on a pinned seed,
-// day-for-day agreement with the main experiment, thread-count invariance,
-// and the RunReport JSON golden (stable key order, locale-independent
-// formatting).
+// a multi-scheme run's agreement with the one-scheme run and with
+// run_scheme, the days each run simulates, thread-count invariance, and the
+// RunReport JSON golden (stable key order, locale-independent formatting).
 #include <clocale>
 #include <cmath>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/day_summary.h"
 #include "core/engine.h"
-#include "core/experiments.h"
 #include "core/home_policy.h"
 #include "core/metrics.h"
 #include "core/scenario_presets.h"
 #include "core/scheme_registry.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "sim/random.h"
 #include "topology/access_topology.h"
 #include "trace/synthetic_crawdad.h"
@@ -130,11 +133,10 @@ TEST(EngineRun, BitIdenticalToRunSchemeForAllPaperSchemes) {
   }
 }
 
-// engine.h's claim, checked: a one-run Engine report and the main
-// experiment (core/experiments) replay the same paired day, so the per-day
-// savings and ISP share, the peak and wake counters, and both day series
-// agree bit for bit. (The aggregate ISP shares come from two different folds
-// and may differ in the last bits; the per-day ones may not.)
+// The figure drivers' multi-scheme run and Engine::run(spec) are one code
+// path: scheme 0 of a multi-scheme run is the one-scheme report bit for bit
+// (JSON and the figure products), and scheme s > 0 is run_scheme over the
+// same day from kRunDayKeys.scheme + s.
 class EngineSharesExperimentDays
     : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
@@ -145,24 +147,47 @@ TEST_P(EngineSharesExperimentDays, PerDayNumbersAndSeriesAreBitIdentical) {
   spec.scheme = scheme;
   spec.seed = 5;
   spec.threads = 1;
-  const RunReport report = Engine().run(spec);
+  const RunReport single = Engine().run(spec);
 
-  MainExperimentConfig config;
-  config.scenario = find_scenario_preset(preset).scenario;
-  config.schemes = {scheme};
-  config.runs = 1;
-  config.seed = spec.seed;
-  config.bins = spec.bins;
-  config.threads = 1;
-  const SchemeOutcome outcome = run_main_experiment(config).outcome(scheme);
+  // `scheme` first, then the other parameter schemes but SoI, which only
+  // ever leads (fairness-paired schemes must follow it).
+  std::vector<std::string> names{scheme};
+  for (const char* other : {"bh2-kswitch", "multilevel-doze"}) {
+    if (scheme != other) names.push_back(other);
+  }
+  const std::vector<RunReport> multi = Engine().run(spec, names);
+  ASSERT_EQ(multi.size(), names.size());
 
-  const EngineDay& day = report.days[0];
-  EXPECT_EQ(day.savings, outcome.day_savings);
-  EXPECT_EQ(day.isp_share, outcome.day_isp_share);
-  EXPECT_EQ(day.peak_online_gateways, outcome.peak_online_gateways);
-  EXPECT_EQ(static_cast<double>(day.wake_events), outcome.wake_events);
-  EXPECT_EQ(report.savings_series, outcome.savings);
-  EXPECT_EQ(report.online_gateways_series, outcome.online_gateways);
+  EXPECT_EQ(multi[0].to_json(), single.to_json());
+  EXPECT_EQ(multi[0].peak_online_cards, single.peak_online_cards);
+  EXPECT_EQ(multi[0].isp_share_series, single.isp_share_series);
+  EXPECT_EQ(multi[0].online_cards_series, single.online_cards_series);
+
+  const ScenarioConfig& scenario = find_scenario_preset(preset).scenario;
+  sim::Random topo_rng(sim::Random::substream_seed(spec.seed, 0, kRunDayKeys.topology));
+  const auto topology =
+      topo::make_overlap_topology(scenario.client_count, scenario.degrees, topo_rng);
+  sim::Random trace_rng(sim::Random::substream_seed(spec.seed, 0, kRunDayKeys.trace));
+  const trace::FlowTrace flows =
+      trace::SyntheticCrawdadGenerator(scenario.traffic).generate(trace_rng);
+  for (std::size_t s = 1; s < names.size(); ++s) {
+    const RunMetrics metrics =
+        run_scheme(scenario, topology, flows, names[s],
+                   sim::Random::substream_seed(spec.seed, 0, kRunDayKeys.scheme + s));
+    const EngineDay& day = multi[s].days[0];
+    EXPECT_EQ(multi[s].scheme, names[s]);
+    EXPECT_EQ(day.user_energy, metrics.user_energy()) << names[s];
+    EXPECT_EQ(day.isp_energy, metrics.isp_energy()) << names[s];
+    EXPECT_EQ(day.peak_online_gateways,
+              metrics.online_gateways.mean(spec.peak_start, spec.peak_end))
+        << names[s];
+    EXPECT_EQ(day.wake_events, metrics.gateway_wake_events) << names[s];
+    EXPECT_EQ(day.bh2_moves, metrics.bh2_moves) << names[s];
+    EXPECT_EQ(day.executed_events, metrics.executed_events) << names[s];
+    EXPECT_EQ(multi[s].online_gateways_series,
+              metrics.online_gateways.binned_means(0.0, metrics.duration, spec.bins))
+        << names[s];
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -177,6 +202,24 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// "day.events" takes one sample per simulated scheme or no-sleep day: k
+// schemes over r runs simulate k x r days against the traffic-free baseline,
+// and (k + 1) x r when FCTs ask for the no-sleep day over the trace.
+TEST(EngineRun, SimulatesTheNoSleepDayOnlyForFct) {
+  obs::set_enabled(true);
+  RunSpec spec = small_spec("soi");
+  spec.runs = 3;
+  const std::vector<std::string> schemes{"soi", "bh2-kswitch"};
+  for (const bool fct : {false, true}) {
+    obs::Registry::global().reset_values();
+    spec.fct = fct;
+    const std::vector<RunReport> reports = Engine().run(spec, schemes);
+    const std::uint64_t days = (schemes.size() + (fct ? 1 : 0)) * 3;
+    EXPECT_EQ(obs::histogram("day.events").snapshot().count, days) << "fct " << fct;
+    EXPECT_EQ(reports[0].fct_increase.empty(), !fct);
+  }
+}
 
 TEST(EngineRun, ReportIsIdenticalForAnyThreadCount) {
   RunSpec spec = small_spec("bh2-kswitch");

@@ -1,11 +1,14 @@
-// Tests of the figure-level experiment drivers on scaled-down scenarios:
-// aggregation plumbing (paired runs, energy-weighted series), the density
-// sweep, and the testbed emulation.
-#include <algorithm>
+// Tests of the figure-level experiments on scaled-down scenarios: the
+// multi-scheme Engine run the figure drivers make (paired runs,
+// energy-weighted series, FCT and fairness samples), the density sweep, and
+// the testbed emulation.
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "core/experiments.h"
 #include "core/testbed.h"
 #include "obs/metrics.h"
@@ -15,56 +18,70 @@
 namespace insomnia::core {
 namespace {
 
-MainExperimentConfig small_config() {
-  MainExperimentConfig config;
-  config.scenario.client_count = 48;
-  config.scenario.gateway_count = 8;
-  config.scenario.degrees.node_count = 8;
-  config.scenario.degrees.mean_degree = 4.0;
-  config.scenario.traffic.client_count = 48;
-  config.scenario.dslam.line_cards = 4;
-  config.scenario.dslam.ports_per_card = 2;
-  config.runs = 2;
-  config.bins = 12;
-  config.schemes = {"soi", "bh2-kswitch", "optimal"};
-  return config;
+RunSpec small_spec() {
+  ScenarioConfig scenario;
+  scenario.client_count = 48;
+  scenario.gateway_count = 8;
+  scenario.degrees.node_count = 8;
+  scenario.degrees.mean_degree = 4.0;
+  scenario.traffic.client_count = 48;
+  scenario.dslam.line_cards = 4;
+  scenario.dslam.ports_per_card = 2;
+  RunSpec spec;
+  spec.scenario = scenario;
+  spec.runs = 2;
+  spec.bins = 12;
+  spec.fct = true;
+  return spec;
+}
+
+const std::vector<std::string> kSchemes{"soi", "bh2-kswitch", "optimal"};
+
+/// Mean BH2 moves per run.
+double mean_moves(const RunReport& report) {
+  double total = 0.0;
+  for (const EngineDay& day : report.days) total += static_cast<double>(day.bh2_moves);
+  return total / static_cast<double>(report.runs);
 }
 
 class MainExperimentFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    result_ = new MainExperimentResult(run_main_experiment(small_config()));
+    reports_ = new std::vector<RunReport>(Engine().run(small_spec(), kSchemes));
   }
   static void TearDownTestSuite() {
-    delete result_;
-    result_ = nullptr;
+    delete reports_;
+    reports_ = nullptr;
   }
-  static MainExperimentResult* result_;
+  static const RunReport& report(const std::string& scheme) {
+    return find_report(*reports_, scheme);
+  }
+  static std::vector<RunReport>* reports_;
 };
 
-MainExperimentResult* MainExperimentFixture::result_ = nullptr;
+std::vector<RunReport>* MainExperimentFixture::reports_ = nullptr;
 
 TEST_F(MainExperimentFixture, OneOutcomePerScheme) {
-  EXPECT_EQ(result_->schemes.size(), 3u);
-  EXPECT_NO_THROW(result_->outcome("soi"));
-  EXPECT_NO_THROW(result_->outcome("optimal"));
-  EXPECT_THROW(result_->outcome("no-sleep"), util::InvalidArgument);
+  EXPECT_EQ(reports_->size(), 3u);
+  EXPECT_NO_THROW(report("soi"));
+  EXPECT_NO_THROW(report("optimal"));
+  EXPECT_THROW(report("no-sleep"), util::InvalidArgument);
 }
 
 TEST_F(MainExperimentFixture, SeriesHaveRequestedResolution) {
-  for (const SchemeOutcome& outcome : result_->schemes) {
-    EXPECT_EQ(outcome.savings.size(), 12u);
-    EXPECT_EQ(outcome.isp_share.size(), 12u);
-    EXPECT_EQ(outcome.online_gateways.size(), 12u);
-    EXPECT_EQ(outcome.online_cards.size(), 12u);
+  for (const RunReport& r : *reports_) {
+    EXPECT_EQ(r.savings_series.size(), 12u);
+    EXPECT_EQ(r.isp_share_series.size(), 12u);
+    EXPECT_EQ(r.online_gateways_series.size(), 12u);
+    EXPECT_EQ(r.online_cards_series.size(), 12u);
   }
 }
 
 TEST_F(MainExperimentFixture, SavingsAreFractions) {
-  for (const SchemeOutcome& outcome : result_->schemes) {
-    EXPECT_GT(outcome.day_savings, 0.0);
-    EXPECT_LT(outcome.day_savings, 1.0);
-    for (double v : outcome.savings) {
+  for (const RunReport& r : *reports_) {
+    EXPECT_GT(r.day_savings, 0.0);
+    EXPECT_LT(r.day_savings, 1.0);
+    for (double v : r.savings_series) {
       EXPECT_GT(v, -0.05);
       EXPECT_LT(v, 1.0);
     }
@@ -72,27 +89,25 @@ TEST_F(MainExperimentFixture, SavingsAreFractions) {
 }
 
 TEST_F(MainExperimentFixture, OptimalDominates) {
-  EXPECT_GT(result_->outcome("optimal").day_savings,
-            result_->outcome("bh2-kswitch").day_savings);
-  EXPECT_GT(result_->outcome("bh2-kswitch").day_savings,
-            result_->outcome("soi").day_savings);
+  EXPECT_GT(report("optimal").day_savings, report("bh2-kswitch").day_savings);
+  EXPECT_GT(report("bh2-kswitch").day_savings, report("soi").day_savings);
 }
 
 TEST_F(MainExperimentFixture, FairnessSamplesOnlyForBh2) {
-  EXPECT_TRUE(result_->outcome("soi").online_time_variation.empty());
+  EXPECT_TRUE(report("soi").online_time_variation.empty());
   // 2 runs x 8 gateways pooled.
-  EXPECT_EQ(result_->outcome("bh2-kswitch").online_time_variation.size(), 16u);
+  EXPECT_EQ(report("bh2-kswitch").online_time_variation.size(), 16u);
 }
 
 TEST_F(MainExperimentFixture, FctSamplesPresent) {
-  EXPECT_FALSE(result_->outcome("soi").fct_increase.empty());
-  EXPECT_FALSE(result_->outcome("bh2-kswitch").fct_increase.empty());
+  EXPECT_FALSE(report("soi").fct_increase.empty());
+  EXPECT_FALSE(report("bh2-kswitch").fct_increase.empty());
 }
 
 TEST_F(MainExperimentFixture, CountersAveraged) {
-  EXPECT_GT(result_->outcome("soi").wake_events, 0.0);
-  EXPECT_GT(result_->outcome("bh2-kswitch").bh2_moves, 0.0);
-  EXPECT_DOUBLE_EQ(result_->outcome("optimal").wake_events, 0.0);
+  EXPECT_GT(report("soi").mean_wake_events, 0.0);
+  EXPECT_GT(mean_moves(report("bh2-kswitch")), 0.0);
+  EXPECT_DOUBLE_EQ(report("optimal").mean_wake_events, 0.0);
 }
 
 TEST(MainExperiment, RequiresSoiBeforeBh2ForFairness) {
@@ -100,17 +115,16 @@ TEST(MainExperiment, RequiresSoiBeforeBh2ForFairness) {
   // is simulated ("day.events" takes one sample per simulated day).
   obs::set_enabled(true);
   obs::Registry::global().reset_values();
-  MainExperimentConfig config = small_config();
-  config.runs = 1;
-  config.schemes = {"bh2-kswitch", "soi"};
-  EXPECT_THROW(run_main_experiment(config), util::InvalidState);
+  RunSpec spec = small_spec();
+  spec.runs = 1;
+  EXPECT_THROW(Engine().run(spec, {"bh2-kswitch", "soi"}), util::InvalidState);
   EXPECT_EQ(obs::histogram("day.events").snapshot().count, 0u);
 }
 
 TEST(MainExperiment, Validation) {
-  MainExperimentConfig config = small_config();
-  config.runs = 0;
-  EXPECT_THROW(run_main_experiment(config), util::InvalidArgument);
+  RunSpec spec = small_spec();
+  spec.runs = 0;
+  EXPECT_THROW(Engine().run(spec, kSchemes), util::InvalidArgument);
 }
 
 TEST(DensitySweep, MoreNeighboursMeanFewerOnlineGateways) {

@@ -2,30 +2,36 @@
 // number of threads yields bit-identical results to the serial path. Every
 // comparison here is exact (EXPECT_EQ on doubles), not approximate.
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "core/experiments.h"
 
 namespace insomnia::core {
 namespace {
 
-MainExperimentConfig small_config(int threads) {
-  MainExperimentConfig config;
-  config.scenario.client_count = 48;
-  config.scenario.gateway_count = 8;
-  config.scenario.degrees.node_count = 8;
-  config.scenario.degrees.mean_degree = 4.0;
-  config.scenario.traffic.client_count = 48;
-  config.scenario.dslam.line_cards = 4;
-  config.scenario.dslam.ports_per_card = 2;
-  config.runs = 4;  // more runs than some thread counts, fewer than others
-  config.bins = 12;
-  config.schemes = {"soi", "bh2-kswitch"};
-  config.threads = threads;
-  return config;
+RunSpec small_spec(int threads) {
+  ScenarioConfig scenario;
+  scenario.client_count = 48;
+  scenario.gateway_count = 8;
+  scenario.degrees.node_count = 8;
+  scenario.degrees.mean_degree = 4.0;
+  scenario.traffic.client_count = 48;
+  scenario.dslam.line_cards = 4;
+  scenario.dslam.ports_per_card = 2;
+  RunSpec spec;
+  spec.scenario = scenario;
+  spec.runs = 4;  // more runs than some thread counts, fewer than others
+  spec.bins = 12;
+  spec.fct = true;
+  spec.threads = threads;
+  return spec;
 }
+
+const std::vector<std::string> kSchemes{"soi", "bh2-kswitch"};
 
 void expect_identical(const std::vector<double>& a, const std::vector<double>& b,
                       const char* what) {
@@ -35,40 +41,44 @@ void expect_identical(const std::vector<double>& a, const std::vector<double>& b
   }
 }
 
-void expect_identical(const SchemeOutcome& a, const SchemeOutcome& b) {
+void expect_identical(const RunReport& a, const RunReport& b) {
   EXPECT_EQ(a.scheme, b.scheme);
-  expect_identical(a.savings, b.savings, "savings");
-  expect_identical(a.isp_share, b.isp_share, "isp_share");
-  expect_identical(a.online_gateways, b.online_gateways, "online_gateways");
-  expect_identical(a.online_cards, b.online_cards, "online_cards");
+  expect_identical(a.savings_series, b.savings_series, "savings");
+  expect_identical(a.isp_share_series, b.isp_share_series, "isp_share");
+  expect_identical(a.online_gateways_series, b.online_gateways_series, "online_gateways");
+  expect_identical(a.online_cards_series, b.online_cards_series, "online_cards");
   EXPECT_EQ(a.day_savings, b.day_savings);
   EXPECT_EQ(a.day_isp_share, b.day_isp_share);
   EXPECT_EQ(a.peak_online_gateways, b.peak_online_gateways);
   EXPECT_EQ(a.peak_online_cards, b.peak_online_cards);
   expect_identical(a.fct_increase, b.fct_increase, "fct_increase");
   expect_identical(a.online_time_variation, b.online_time_variation, "online_time_variation");
-  EXPECT_EQ(a.wake_events, b.wake_events);
-  EXPECT_EQ(a.bh2_moves, b.bh2_moves);
-  EXPECT_EQ(a.bh2_home_returns, b.bh2_home_returns);
+  EXPECT_EQ(a.mean_wake_events, b.mean_wake_events);
+  // The per-day counters behind the figures' per-run means.
+  ASSERT_EQ(a.days.size(), b.days.size());
+  for (std::size_t d = 0; d < a.days.size(); ++d) {
+    EXPECT_EQ(a.days[d].bh2_moves, b.days[d].bh2_moves) << "day " << d;
+    EXPECT_EQ(a.days[d].bh2_home_returns, b.days[d].bh2_home_returns) << "day " << d;
+  }
 }
 
 TEST(ExecDeterminism, MainExperimentIsBitIdenticalAcrossThreadCounts) {
-  const MainExperimentResult serial = run_main_experiment(small_config(1));
+  const std::vector<RunReport> serial = Engine().run(small_spec(1), kSchemes);
   for (int threads : {2, 3, 8}) {
-    const MainExperimentResult sharded = run_main_experiment(small_config(threads));
-    ASSERT_EQ(serial.schemes.size(), sharded.schemes.size()) << threads << " threads";
-    for (std::size_t s = 0; s < serial.schemes.size(); ++s) {
-      expect_identical(serial.schemes[s], sharded.schemes[s]);
+    const std::vector<RunReport> sharded = Engine().run(small_spec(threads), kSchemes);
+    ASSERT_EQ(serial.size(), sharded.size()) << threads << " threads";
+    for (std::size_t s = 0; s < serial.size(); ++s) {
+      expect_identical(serial[s], sharded[s]);
     }
   }
 }
 
 TEST(ExecDeterminism, MainExperimentIsStableAcrossRepeats) {
-  const MainExperimentResult a = run_main_experiment(small_config(4));
-  const MainExperimentResult b = run_main_experiment(small_config(4));
-  ASSERT_EQ(a.schemes.size(), b.schemes.size());
-  for (std::size_t s = 0; s < a.schemes.size(); ++s) {
-    expect_identical(a.schemes[s], b.schemes[s]);
+  const std::vector<RunReport> a = Engine().run(small_spec(4), kSchemes);
+  const std::vector<RunReport> b = Engine().run(small_spec(4), kSchemes);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    expect_identical(a[s], b[s]);
   }
 }
 

@@ -1,7 +1,8 @@
 // Golden regression layer: pinned-seed, low-run-count versions of the
 // paper's figure experiments, and pinned Engine days on three presets,
 // asserted against committed expected values.
-// run_main_experiment and run_density_sweep feed Figs. 6-10 and Tabs. 1-2;
+// The multi-scheme Engine run and run_density_sweep feed Figs. 6-10 and
+// Tabs. 1-2;
 // any change to seed derivation, scheme wiring, accumulation order, or the
 // simulators themselves shifts these numbers — this suite turns such a shift
 // from a silently different curve into a red test.
@@ -18,6 +19,7 @@
 // pinned experiment once per case.
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,21 +37,36 @@ namespace {
 #define INSOMNIA_SKIP_GOLDENS() (void)0
 #endif
 
-MainExperimentConfig pinned_config() {
-  MainExperimentConfig config;
-  config.scenario.client_count = 48;
-  config.scenario.gateway_count = 8;
-  config.scenario.degrees.node_count = 8;
-  config.scenario.degrees.mean_degree = 4.0;
-  config.scenario.traffic.client_count = 48;
-  config.scenario.dslam.line_cards = 4;
-  config.scenario.dslam.ports_per_card = 2;
-  config.runs = 2;
-  config.bins = 12;
-  config.seed = 2025;
-  config.schemes = {"soi", "bh2-kswitch", "optimal"};
-  config.threads = 1;
-  return config;
+ScenarioConfig pinned_scenario() {
+  ScenarioConfig scenario;
+  scenario.client_count = 48;
+  scenario.gateway_count = 8;
+  scenario.degrees.node_count = 8;
+  scenario.degrees.mean_degree = 4.0;
+  scenario.traffic.client_count = 48;
+  scenario.dslam.line_cards = 4;
+  scenario.dslam.ports_per_card = 2;
+  return scenario;
+}
+
+/// The figure drivers' call: several schemes over the same paired days, with
+/// FCTs on (the goldens pin the FCT sample counts).
+std::vector<RunReport> run_pinned_experiment() {
+  RunSpec spec;
+  spec.scenario = pinned_scenario();
+  spec.runs = 2;
+  spec.bins = 12;
+  spec.seed = 2025;
+  spec.fct = true;
+  spec.threads = 1;
+  return Engine().run(spec, {"soi", "bh2-kswitch", "optimal"});
+}
+
+/// Mean of a per-day counter across runs.
+double per_run(const RunReport& report, long EngineDay::*counter) {
+  double total = 0.0;
+  for (const EngineDay& day : report.days) total += static_cast<double>(day.*counter);
+  return total / static_cast<double>(report.runs);
 }
 
 void expect_series(const std::vector<double>& actual, const std::vector<double>& golden,
@@ -61,10 +78,10 @@ void expect_series(const std::vector<double>& actual, const std::vector<double>&
 }
 
 TEST(RegressionMainExperiment, PinnedSeedRunMatchesGoldens) {
-  const MainExperimentResult result = run_main_experiment(pinned_config());
-  const SchemeOutcome& soi = result.outcome("soi");
-  const SchemeOutcome& bh2 = result.outcome("bh2-kswitch");
-  const SchemeOutcome& optimal = result.outcome("optimal");
+  const std::vector<RunReport> reports = run_pinned_experiment();
+  const RunReport& soi = find_report(reports, "soi");
+  const RunReport& bh2 = find_report(reports, "bh2-kswitch");
+  const RunReport& optimal = find_report(reports, "optimal");
 
   // Structural fairness-sample counts (runs x gateways for BH2, none for
   // the SoI reference) hold on any conforming standard library.
@@ -95,38 +112,38 @@ TEST(RegressionMainExperiment, PinnedSeedRunMatchesGoldens) {
   EXPECT_DOUBLE_EQ(optimal.peak_online_cards, 1.0020225833410283);
 
   // Behaviour counters.
-  EXPECT_DOUBLE_EQ(soi.wake_events, 111.5);
-  EXPECT_DOUBLE_EQ(soi.bh2_moves, 0.0);
-  EXPECT_DOUBLE_EQ(bh2.wake_events, 106.5);
-  EXPECT_DOUBLE_EQ(bh2.bh2_moves, 3752.5);
-  EXPECT_DOUBLE_EQ(bh2.bh2_home_returns, 1056.5);
+  EXPECT_DOUBLE_EQ(soi.mean_wake_events, 111.5);
+  EXPECT_DOUBLE_EQ(per_run(soi, &EngineDay::bh2_moves), 0.0);
+  EXPECT_DOUBLE_EQ(bh2.mean_wake_events, 106.5);
+  EXPECT_DOUBLE_EQ(per_run(bh2, &EngineDay::bh2_moves), 3752.5);
+  EXPECT_DOUBLE_EQ(per_run(bh2, &EngineDay::bh2_home_returns), 1056.5);
 
   // Day series (Figs. 6-8).
-  expect_series(soi.savings,
+  expect_series(soi.savings_series,
                 {0.86602088548036926, 0.89598068798216501, 0.89284938293116456,
                  0.8063239215821566, 0.42971473987263253, 0.14240802764320681,
                  0.098518335822596503, 0.071336782461625892, 0.059915901013525064,
                  0.081835445735161771, 0.30542373855370963, 0.77517080408586514},
                 "SoI savings");
-  expect_series(bh2.savings,
+  expect_series(bh2.savings_series,
                 {0.86602088548036926, 0.89598068798216501, 0.89317226322378862,
                  0.83718852196516302, 0.68711882052079032, 0.62469132443501274,
                  0.57767548276115366, 0.5488762722259497, 0.60957560958049051,
                  0.55520042270570946, 0.59883595632296016, 0.82415196046958605},
                 "BH2 savings");
-  expect_series(optimal.savings,
+  expect_series(optimal.savings_series,
                 {0.86374423463991057, 0.89612158033530087, 0.89342743271732528,
                  0.85260652844797225, 0.76251204195462807, 0.747519716748555,
                  0.74581117279441678, 0.74695121951219512, 0.74611973710818646,
                  0.7470238630693754, 0.74791637509071318, 0.84107434339836451},
                 "Optimal savings");
-  expect_series(bh2.online_gateways,
+  expect_series(bh2.online_gateways_series,
                 {0.44611387645100142, 0.30479905580093858, 0.31804587346655444,
                  0.5821107769253816, 1.3103475048147462, 1.7813694903989017,
                  2.103385568881416, 2.5740169633412688, 2.1366031246969586,
                  2.6239240853207306, 1.8348899808870698, 0.67644578504405417},
                 "BH2 online gateways");
-  expect_series(optimal.isp_share,
+  expect_series(optimal.isp_share_series,
                 {0.77061328074824109, 0.77452323695967207, 0.77411817319460441,
                  0.76936836688516541, 0.75710277984083207, 0.75537326806782168,
                  0.75599226559643751, 0.75589743589743585, 0.75576307889311989,
@@ -136,7 +153,7 @@ TEST(RegressionMainExperiment, PinnedSeedRunMatchesGoldens) {
 
 TEST(RegressionDensitySweep, PointsMatchGoldens) {
   INSOMNIA_SKIP_GOLDENS();
-  ScenarioConfig scenario = pinned_config().scenario;
+  ScenarioConfig scenario = pinned_scenario();
   const auto points = run_density_sweep(scenario, {1.0, 3.0, 6.0}, 2, 424242, 1);
   ASSERT_EQ(points.size(), 3u);
   EXPECT_DOUBLE_EQ(points[0].mean_online_gateways, 6.4842992511470134);
