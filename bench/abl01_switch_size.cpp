@@ -53,6 +53,9 @@ int main(int argc, char** argv) {
     ScenarioConfig shaped = scenario;
     shaped.dslam.line_cards = config.cards;
     shaped.dslam.ports_per_card = config.ports;
+    shaped.dslam.switch_size = config.switch_size;  // read in kKSwitch mode only
+    SchemeSpec fabric = scheme;
+    fabric.switch_mode = config.mode;
 
     struct RunRow {
       double savings;
@@ -64,8 +67,7 @@ int main(int argc, char** argv) {
       const auto flows =
           trace::SyntheticCrawdadGenerator(shaped.traffic).generate(trace_rng);
       const RunMetrics base = run_scheme(shaped, topology, flows, "no-sleep", 1);
-      const RunMetrics m = run_scheme_with_fabric(shaped, topology, flows, scheme,
-                                                  config.mode, config.switch_size, 500 + run);
+      const RunMetrics m = run_scheme(shaped, topology, flows, fabric, 500 + run);
       return RunRow{savings_fraction(m, base, 0.0, m.duration),
                     isp_share_of_savings(m, base, 0.0, m.duration).value_or(0.0),
                     m.online_cards.mean(11 * 3600.0, 19 * 3600.0)};

@@ -81,10 +81,13 @@ cmp "$build_dir/country01_chaos.json" "$build_dir/country01_fresh.json"
 python3 -m json.tool "$build_dir/engine01_report.json" > /dev/null
 
 # Figure-driver smoke: the Engine-backed figure and table drivers (Figs.
-# 6-9, the §5.2.3 and §5.4 tables) end to end at one paired day on the small
-# sparse-rural preset, each --json report validated by an independent parser.
+# 6-9, the §5.2.3 and §5.4 tables), the Fig. 10 density sweep and the four
+# ablations end to end at one paired day on the small sparse-rural preset,
+# each --json report validated by an independent parser.
 for driver in fig06_energy_savings fig07_online_gateways fig08_isp_share \
-    fig09a_completion_time fig09b_fairness tab01_online_cards tab02_summary_savings; do
+    fig09a_completion_time fig09b_fairness tab01_online_cards tab02_summary_savings \
+    fig10_density abl01_switch_size abl02_bh2_thresholds abl03_wake_time \
+    abl04_backup_count; do
   INSOMNIA_RUNS=1 "$build_dir/$driver" --preset sparse-rural \
     --json "$build_dir/smoke_$driver.json" > /dev/null
   python3 -m json.tool "$build_dir/smoke_$driver.json" > /dev/null

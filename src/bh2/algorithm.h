@@ -1,9 +1,8 @@
 // The Broadband Hitch-Hiking (BH2) terminal algorithm of §3.1. Pure
 // decision logic: terminals sense gateway state through a GatewayObserver
-// (implemented over the air by SN counting — see sn_load_estimator.h — and
-// by the simulator's ground truth in the evaluation), and emit decisions the
-// runtime executes. Keeping the policy stateless makes every branch unit-
-// testable.
+// (over the air by SN counting, §3.2; in the evaluation by the simulator's
+// ground truth), and emit decisions the runtime executes. Keeping the
+// policy stateless makes every branch unit-testable.
 //
 // Faithfulness notes (also in DESIGN.md):
 //  * The paper gates candidate gateways on "load above the low threshold"

@@ -15,7 +15,7 @@ namespace insomnia::core {
 
 /// BH2 user policy over the shared runtime. The gateway observer is backed
 /// by the simulator's ground truth (equivalent to an ideal SN-counting
-/// estimator; bh2::SnLoadEstimator shows the over-the-air version works).
+/// estimator, §3.2).
 /// It is the simulator's ordered-lane handler: each terminal's periodic
 /// decision epoch re-arms on the lane tagged with the client index.
 class Bh2Policy : public Policy, private sim::OrderedHandler {

@@ -2,6 +2,7 @@
 
 #include "sim/random.h"
 #include "stats/timeseries.h"
+#include "topology/access_topology.h"
 #include "trace/synthetic_crawdad.h"
 
 namespace insomnia::core {
@@ -24,6 +25,11 @@ EnergyBins bin_energy(const RunMetrics& metrics, std::size_t bins) {
 
 }  // namespace
 
+topo::AccessTopology run_topology(const ScenarioConfig& scenario, std::uint64_t seed) {
+  sim::Random rng(sim::Random::substream_seed(seed, 0, kRunDayKeys.topology));
+  return topo::make_overlap_topology(scenario.client_count, scenario.degrees, rng);
+}
+
 PairedDay simulate_paired_day(const ScenarioConfig& scenario,
                               const topo::AccessTopology& topology, std::uint64_t seed,
                               std::uint64_t stream, const DayKeys& keys,
@@ -44,7 +50,7 @@ PairedDay simulate_paired_day(const ScenarioConfig& scenario,
   if (baseline == Baseline::kTrafficFree) {
     day.baseline =
         run_no_sleep_baseline(scenario, topology, salted(keys.baseline), scenario.duration);
-  } else if (baseline == Baseline::kSimulated) {
+  } else {
     day.baseline = run_scheme(scenario, topology, flows, find_scheme("no-sleep"),
                               salted(keys.baseline));
   }

@@ -37,21 +37,24 @@ inline constexpr DayKeys kRunDayKeys{7, 1, 2, 100};
 inline constexpr DayKeys kNeighbourhoodDayKeys{12, 13, 14, 15};
 
 /// The Fig. 10 density sweep at `level`: a fresh binomial topology and a
-/// scheme day per (level, run), over run r's trace. No baseline is drawn.
+/// scheme day per (level, run), over run r's trace.
 constexpr DayKeys density_day_keys(std::uint64_t level) {
   return {300 + level, kRunDayKeys.trace, kRunDayKeys.baseline, 400 + level};
 }
+
+/// The one topology of an Engine run, which every run's day shares, and of
+/// livectl's day: the overlap topology of stream 0 under kRunDayKeys.
+topo::AccessTopology run_topology(const ScenarioConfig& scenario, std::uint64_t seed);
 
 /// Which no-sleep baseline a paired day carries.
 enum class Baseline {
   kTrafficFree,  ///< run_no_sleep_baseline: energy and online series only
   kSimulated,    ///< the no-sleep scheme over the trace (Fig. 9a needs its FCTs)
-  kNone,         ///< scheme days only
 };
 
 /// The simulated products of one paired day.
 struct PairedDay {
-  RunMetrics baseline;              ///< default-constructed under Baseline::kNone
+  RunMetrics baseline;
   std::vector<RunMetrics> schemes;  ///< one per requested scheme, in order
   std::uint64_t flows = 0;          ///< trace records replayed
 };

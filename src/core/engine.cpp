@@ -9,7 +9,6 @@
 #include "exec/sweep_runner.h"
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
-#include "sim/random.h"
 #include "topology/access_topology.h"
 #include "trace/trace_io.h"
 #include "util/error.h"
@@ -65,9 +64,7 @@ std::vector<RunReport> Engine::run(const RunSpec& spec,
   echo.gateways = scenario.gateway_count;
 
   // One fixed topology; run r is the paired day of stream r (kRunDayKeys).
-  sim::Random topo_rng(sim::Random::substream_seed(spec.seed, 0, kRunDayKeys.topology));
-  const topo::AccessTopology topology =
-      topo::make_overlap_topology(scenario.client_count, scenario.degrees, topo_rng);
+  const topo::AccessTopology topology = run_topology(scenario, spec.seed);
 
   trace::FlowTrace recorded;
   if (!spec.trace_file.empty()) recorded = trace::load_flow_trace(spec.trace_file);

@@ -37,7 +37,7 @@ std::vector<DensityPoint> run_density_sweep(const ScenarioConfig& scenario,
         const topo::AccessTopology topology = topo::make_binomial_topology(
             scenario.client_count, scenario.gateway_count, mean_gateways[level], topo_rng);
         const PairedDay day = simulate_paired_day(scenario, topology, seed, run, keys,
-                                                  {&spec}, Baseline::kNone);
+                                                  {&spec}, Baseline::kTrafficFree);
         return day.schemes[0].online_gateways.mean(peak_start, peak_end);
       });
 

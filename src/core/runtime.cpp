@@ -25,7 +25,6 @@ AccessRuntime::AccessRuntime(const ScenarioConfig& scenario,
                              NetworkFactory make_network)
     : scenario_(&scenario),
       topology_(&topology),
-      flows_(&flows),
       policy_(&policy),
       rng_(rng),
       simulator_(0.0),
@@ -37,7 +36,10 @@ AccessRuntime::AccessRuntime(const ScenarioConfig& scenario,
       cards_("line-cards", scenario.power.line_card, scenario.dslam.line_cards, 0.0,
              power::PowerState::kAsleep),
       online_gateways_(0.0, 0.0),
-      online_cards_(0.0, 0.0) {
+      online_cards_(0.0, 0.0),
+      completion_(flows.empty() ? CompletionTimes::kLiveFirstSegment : flows.size()),
+      base_(flows.data()),
+      appended_(flows.size()) {
   util::require(topology.gateway_count == scenario.gateway_count,
                 "topology and scenario disagree on gateway count");
   util::require(topology.client_count() == scenario.client_count,
@@ -51,7 +53,6 @@ AccessRuntime::AccessRuntime(const ScenarioConfig& scenario,
   network_ = make_network != nullptr
                  ? make_network(simulator_, std::move(backhaul))
                  : std::make_unique<flow::IncrementalFluidNetwork>(simulator_, std::move(backhaul));
-  network_->reserve_flows(flows.size());
   network_->set_completion_sink(this);
 
   states_.assign(static_cast<std::size_t>(scenario.gateway_count), GatewayState::kAsleep);
@@ -59,15 +60,11 @@ AccessRuntime::AccessRuntime(const ScenarioConfig& scenario,
   idle_events_.assign(states_.size(), sim::kInvalidEventId);
   activation_time_.assign(states_.size(), 0.0);
   client_live_flows_.resize(static_cast<std::size_t>(scenario.client_count));
-
-  metrics_.duration = scenario.duration;
-  metrics_.completion_time.assign(flows.size(), std::numeric_limits<double>::quiet_NaN());
 }
 
 namespace {
 
-/// What the LiveMode constructor's `flows_` points at: live arrivals are
-/// read from the runtime's own buffer, never through `flows_`.
+/// The input the LiveMode constructor starts from: nothing appended yet.
 const trace::FlowTrace kNoTrace;
 
 }  // namespace
@@ -76,8 +73,8 @@ AccessRuntime::AccessRuntime(const ScenarioConfig& scenario,
                              const topo::AccessTopology& topology, Policy& policy,
                              sim::Random rng, LiveMode mode)
     : AccessRuntime(scenario, topology, kNoTrace, policy, rng) {
-  live_ = true;
-  live_gated_ = mode.gated;
+  gated_ = mode.gated;
+  input_done_ = false;
 }
 
 GatewayState AccessRuntime::gateway_state(int gateway) const {
@@ -246,11 +243,7 @@ void AccessRuntime::repack_dslam() {
 }
 
 void AccessRuntime::on_flow_complete(const flow::CompletedFlow& done) {
-  if (done.id < metrics_.completion_time.size()) {
-    metrics_.completion_time[done.id] = done.duration();
-  } else if (live_) {
-    live_completion_.set(done.id, done.duration());
-  }
+  completion_.set(done.id, done.duration());
   auto& live = client_live_flows_[static_cast<std::size_t>(done.client)];
   live.erase(std::remove(live.begin(), live.end(), done.id), live.end());
   // Re-arm the SoI timer exactly when a gateway drains its last flow.
@@ -263,7 +256,7 @@ void AccessRuntime::on_flow_complete(const flow::CompletedFlow& done) {
 }
 
 void AccessRuntime::arm_next_arrival() {
-  if (arrival_armed_ || cursor_ >= arrivals_available()) return;
+  if (arrival_armed_ || cursor_ >= appended_) return;
   simulator_.set_stream_head(arrivals_, arrival(cursor_).start_time,
                              simulator_.allocate_sequence());
   arrival_armed_ = true;
@@ -275,7 +268,7 @@ bool AccessRuntime::arrival_ready() const {
   // the head is processed, and claiming it later — after other events
   // allocated sequence numbers — would break same-instant FIFO ties against
   // the offline replay.
-  return !live_gated_ || live_input_done_ || cursor_ + 1 < live_appended_;
+  return !gated_ || input_done_ || cursor_ + 1 < appended_;
 }
 
 void AccessRuntime::process_arrival() {
@@ -296,52 +289,27 @@ void AccessRuntime::process_arrival() {
 }
 
 RunMetrics AccessRuntime::run() {
-  util::require_state(!live_, "AccessRuntime::run needs the trace constructor");
-  util::require_state(!ran_, "AccessRuntime::run may only be called once");
-  ran_ = true;
-  start_day();
-  simulator_.run_until(scenario_->duration + scenario_->drain_time);
-  return assemble_metrics();
+  util::require_state(input_done_, "AccessRuntime::run needs finished input");
+  begin_live();
+  step_live(scenario_->duration + scenario_->drain_time);
+  return finish_live(scenario_->duration);
 }
 
-void AccessRuntime::start_day() {
+void AccessRuntime::begin_live() {
+  util::require_state(!started_, "a day may only be started once");
+  started_ = true;
   if (scenario_->start_awake) {
     for (int g = 0; g < scenario_->gateway_count; ++g) force_active(g);
   }
   policy_->start(*this);
-  // The first arrival's rank is claimed here, after policy start, in both
-  // modes — in live mode whether or not its record has been appended yet.
+  // The first arrival's rank is claimed here, after policy start, whether
+  // or not its record has been appended yet.
   arm_next_arrival();
-}
-
-RunMetrics AccessRuntime::assemble_metrics() {
-  metrics_.executed_events = simulator_.executed_events();
-  metrics_.user_power = households_.power_series();
-  metrics_.isp_power = stats::sum_series({&modems_.power_series(), &cards_.power_series()},
-                                         scenario_->power.shelf.active_watts);
-  metrics_.online_gateways = online_gateways_;
-  metrics_.online_cards = online_cards_;
-  metrics_.gateway_online_time.resize(static_cast<std::size_t>(scenario_->gateway_count));
-  for (int g = 0; g < scenario_->gateway_count; ++g) {
-    metrics_.gateway_online_time[static_cast<std::size_t>(g)] =
-        households_.online_time(g, 0.0, metrics_.duration);
-  }
-  // run() and finish_live() end the day once each, so the metrics move out.
-  return std::move(metrics_);
-}
-
-void AccessRuntime::begin_live() {
-  util::require_state(live_, "begin_live needs the LiveMode constructor");
-  util::require_state(!ran_, "begin_live may only be called once");
-  ran_ = true;
-  live_started_ = true;
-  start_day();
 }
 
 void AccessRuntime::append_live_arrivals(const trace::FlowRecord* records,
                                          std::size_t count) {
-  util::require_state(live_, "append_live_arrivals needs the LiveMode constructor");
-  util::require_state(!live_input_done_,
+  util::require_state(!input_done_,
                       "append_live_arrivals after finish_live_input");
   for (std::size_t i = 0; i < count; ++i) {
     trace::FlowRecord record = records[i];
@@ -353,39 +321,37 @@ void AccessRuntime::append_live_arrivals(const trace::FlowRecord* records,
                   "live arrival start_time must be finite and non-negative");
     util::require(std::isfinite(record.bytes) && record.bytes >= 0.0,
                   "live arrival bytes must be finite and non-negative");
-    if (live_gated_) {
-      util::require(record.start_time >= live_last_time_,
+    if (gated_) {
+      util::require(record.start_time >= last_time_,
                     "live arrivals must be sorted by time");
     } else {
       // Wall-clock mode: a late or out-of-order event is decided now — the
       // decision latency is real, the virtual clock never rewinds.
       record.start_time =
-          std::max({record.start_time, live_last_time_, simulator_.now()});
+          std::max({record.start_time, last_time_, simulator_.now()});
     }
-    live_last_time_ = record.start_time;
-    if (live_appended_ - cursor_ == live_pending_.size()) grow_live_pending();
-    live_pending_[live_appended_ & (live_pending_.size() - 1)] = record;
-    ++live_appended_;
+    last_time_ = record.start_time;
+    if (appended_ - cursor_ == ring_.size()) grow_ring();
+    ring_[appended_ & mask_] = record;
+    ++appended_;
   }
-  if (live_started_) arm_next_arrival();
+  if (started_) arm_next_arrival();
 }
 
-void AccessRuntime::grow_live_pending() {
-  std::vector<trace::FlowRecord> grown(std::max<std::size_t>(1024, 2 * live_pending_.size()));
-  for (std::size_t i = cursor_; i < live_appended_; ++i) {
-    grown[i & (grown.size() - 1)] = live_pending_[i & (live_pending_.size() - 1)];
-  }
-  live_pending_.swap(grown);
+void AccessRuntime::grow_ring() {
+  std::vector<trace::FlowRecord> grown(std::max<std::size_t>(1024, 2 * ring_.size()));
+  const std::size_t mask = grown.size() - 1;
+  for (std::size_t i = cursor_; i < appended_; ++i) grown[i & mask] = arrival(i);
+  ring_.swap(grown);
+  base_ = ring_.data();
+  mask_ = mask;
 }
 
-void AccessRuntime::finish_live_input() {
-  util::require_state(live_, "finish_live_input needs the LiveMode constructor");
-  live_input_done_ = true;
-}
+void AccessRuntime::finish_live_input() { input_done_ = true; }
 
 AccessRuntime::StepResult AccessRuntime::step_live(double until) {
-  util::require_state(live_started_, "step_live before begin_live");
-  if (live_gated_) {
+  util::require_state(started_, "step_live before begin_live");
+  if (gated_) {
     return simulator_.run_until_gated(until) ? StepResult::kReachedTime
                                              : StepResult::kNeedArrival;
   }
@@ -394,18 +360,30 @@ AccessRuntime::StepResult AccessRuntime::step_live(double until) {
 }
 
 RunMetrics AccessRuntime::finish_live(double covered_duration) {
-  util::require_state(live_started_, "finish_live before begin_live");
-  util::require_state(live_input_done_, "finish_live before finish_live_input");
-  util::require_state(!live_finished_, "finish_live may only be called once");
-  live_finished_ = true;
+  util::require_state(started_, "finish_live before begin_live");
+  util::require_state(input_done_, "finish_live before finish_live_input");
+  util::require_state(!finished_, "finish_live may only be called once");
+  finished_ = true;
   metrics_.duration = covered_duration;
-  metrics_.completion_time = live_completion_.to_vector(live_appended_);
-  return assemble_metrics();
+  metrics_.completion_time = completion_.take(appended_);
+  metrics_.executed_events = simulator_.executed_events();
+  metrics_.user_power = households_.power_series();
+  metrics_.isp_power = stats::sum_series({&modems_.power_series(), &cards_.power_series()},
+                                         scenario_->power.shelf.active_watts);
+  metrics_.online_gateways = online_gateways_;
+  metrics_.online_cards = online_cards_;
+  metrics_.gateway_online_time.resize(static_cast<std::size_t>(scenario_->gateway_count));
+  for (int g = 0; g < scenario_->gateway_count; ++g) {
+    metrics_.gateway_online_time[static_cast<std::size_t>(g)] =
+        households_.online_time(g, 0.0, metrics_.duration);
+  }
+  // The day ends once, so the metrics move out.
+  return std::move(metrics_);
 }
 
-void AccessRuntime::LiveCompletionTimes::set(std::size_t id, double value) {
+void AccessRuntime::CompletionTimes::set(std::size_t id, double value) {
   while (id >= capacity_) {
-    segments_.emplace_back(kFirst << segments_.size(), std::numeric_limits<double>::quiet_NaN());
+    segments_.emplace_back(first_ << segments_.size(), std::numeric_limits<double>::quiet_NaN());
     capacity_ += segments_.back().size();
   }
   // Flows mostly finish soon after they arrive, so the newest segment (half
@@ -419,8 +397,14 @@ void AccessRuntime::LiveCompletionTimes::set(std::size_t id, double value) {
   segments_[k][id - start] = value;
 }
 
-std::vector<double> AccessRuntime::LiveCompletionTimes::to_vector(std::size_t count) const {
-  std::vector<double> out(count, std::numeric_limits<double>::quiet_NaN());
+std::vector<double> AccessRuntime::CompletionTimes::take(std::size_t count) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  if (segments_.size() == 1) {
+    std::vector<double> out = std::move(segments_.front());
+    out.resize(count, kNaN);
+    return out;
+  }
+  std::vector<double> out(count, kNaN);
   std::size_t start = 0;
   for (const std::vector<double>& segment : segments_) {
     if (start >= count) break;

@@ -55,11 +55,13 @@ class Policy {
   virtual bool sleep_on_idle() const { return true; }
 };
 
-/// One simulated day. Construct, then call run() exactly once — or, for the
-/// online controller, construct with LiveMode and drive the incremental
-/// begin_live / append_live_arrivals / step_live / finish_live sequence.
-/// The data plane reports finished flows straight to the runtime (it is the
-/// network's flow::CompletionSink).
+/// One simulated day. Construct over a trace, then call run() exactly once
+/// — or, for the online controller, construct with LiveMode and drive the
+/// incremental begin_live / append_live_arrivals / step_live / finish_live
+/// sequence. The two are one path: a trace runtime is a live runtime whose
+/// input is already appended and finished, and run() is that sequence over
+/// the whole day. The data plane reports finished flows straight to the
+/// runtime (it is the network's flow::CompletionSink).
 class AccessRuntime final : private flow::CompletionSink {
  public:
   /// Builds the day's fluid data plane; `backhaul_rates[g]` is gateway g's
@@ -67,9 +69,10 @@ class AccessRuntime final : private flow::CompletionSink {
   using NetworkFactory = std::unique_ptr<flow::FluidNetwork> (*)(
       sim::Simulator& simulator, std::vector<double> backhaul_rates);
 
-  /// `make_network` is a test seam: null (the default) builds the production
-  /// engine, flow::IncrementalFluidNetwork; the day-level engine twin suite
-  /// substitutes the reference engine through it.
+  /// Borrows `flows` (it must outlive the runtime) as the day's appended,
+  /// finished input. `make_network` is a test seam: null (the default)
+  /// builds the production engine, flow::IncrementalFluidNetwork; the
+  /// day-level engine twin suite substitutes the reference engine through it.
   AccessRuntime(const ScenarioConfig& scenario, const topo::AccessTopology& topology,
                 const trace::FlowTrace& flows, Policy& policy, sim::Random rng,
                 NetworkFactory make_network = nullptr);
@@ -92,13 +95,16 @@ class AccessRuntime final : private flow::CompletionSink {
   AccessRuntime(const AccessRuntime&) = delete;
   AccessRuntime& operator=(const AccessRuntime&) = delete;
 
-  /// Replays the trace and returns the day's metrics.
+  /// Replays the finished input over the day plus drain and returns the
+  /// day's metrics: begin_live, step_live(duration + drain_time),
+  /// finish_live(duration). Needs finished input, so a LiveMode runtime
+  /// refuses it until finish_live_input().
   RunMetrics run();
 
-  // --- incremental replay (LiveMode constructor only) ---------------------
+  // --- incremental replay --------------------------------------------------
 
-  /// Mirrors run()'s preamble: warm start, policy start, first arrival armed.
-  /// Call once, after appending any records already on hand.
+  /// Warm start, policy start, first arrival armed. Call once, after
+  /// appending any records already on hand.
   void begin_live();
 
   /// Appends `count` records to the arrival buffer, copying each once into
@@ -107,7 +113,8 @@ class AccessRuntime final : private flow::CompletionSink {
   /// trace::parse_flow_row (finite, non-negative start time and bytes) and
   /// a valid client range. Gated mode also requires sorted times; ungated
   /// mode instead clamps stale times forward to the current virtual time,
-  /// so late events are decided now rather than rejected.
+  /// so late events are decided now rather than rejected. A trace runtime's
+  /// input is finished, so it refuses appends.
   void append_live_arrivals(const trace::FlowRecord* records, std::size_t count);
 
   /// Promises no further append_live_arrivals calls; opens the gate for the
@@ -132,7 +139,7 @@ class AccessRuntime final : private flow::CompletionSink {
   /// appended record, NaN where the flow did not finish).
   RunMetrics finish_live(double covered_duration);
 
-  std::size_t arrivals_appended() const { return live_appended_; }
+  std::size_t arrivals_appended() const { return appended_; }
   /// Arrivals dispatched into the data plane so far (decision made).
   std::size_t arrivals_consumed() const { return cursor_; }
 
@@ -196,24 +203,15 @@ class AccessRuntime final : private flow::CompletionSink {
   /// Re-reads the DSLAM card states into the card meter and series.
   void sync_card_meters();
 
-  /// Shared preamble of run() / begin_live(): warm start, policy start,
-  /// first arrival armed.
-  void start_day();
-
   /// flow::CompletionSink: records the completion time, retires the flow
   /// from its client's live list, re-arms SoI and notifies the policy.
   void on_flow_complete(const flow::CompletedFlow& done) override;
 
-  /// Records the trace holds or were appended live (the cursor's end).
-  std::size_t arrivals_available() const { return live_ ? live_appended_ : flows_->size(); }
+  /// Arrival `i`, for cursor_ <= i < appended_.
+  const trace::FlowRecord& arrival(std::size_t i) const { return base_[i & mask_]; }
 
-  /// Arrival `i` (i >= cursor_ in live mode: dispatched records are gone).
-  const trace::FlowRecord& arrival(std::size_t i) const {
-    return live_ ? live_pending_[i & (live_pending_.size() - 1)] : (*flows_)[i];
-  }
-
-  /// Doubles the live pending ring, keeping each record at its index.
-  void grow_live_pending();
+  /// Doubles the live ring, keeping each record at its index.
+  void grow_ring();
 
   /// Claims the FIFO rank of the next trace arrival and publishes it as the
   /// arrival stream's head. The trace is already time-sorted, so arrivals
@@ -231,10 +229,6 @@ class AccessRuntime final : private flow::CompletionSink {
   /// Gate for run_until_gated: may the arrival at `cursor_` dispatch now?
   bool arrival_ready() const;
 
-  /// Shared metrics-assembly tail of run() / finish_live(); moves the
-  /// metrics out (each ends the day once).
-  RunMetrics assemble_metrics();
-
   /// Adapts the trace cursor to sim::EventStream; registered with the
   /// simulator for the runtime's lifetime. arm_next_arrival publishes its
   /// head.
@@ -248,9 +242,30 @@ class AccessRuntime final : private flow::CompletionSink {
     AccessRuntime* runtime_;
   };
 
+  /// Completion times by flow id, NaN until the flow completes. They sit
+  /// in segments of doubling size, the first as large as the trace the
+  /// runtime was given (kLiveFirstSegment for a live day, whose flow count
+  /// is not known up front): none is re-copied while the day runs, a trace
+  /// day takes one allocation and a live day O(log n).
+  class CompletionTimes {
+   public:
+    static constexpr std::size_t kLiveFirstSegment = 4096;
+
+    explicit CompletionTimes(std::size_t first_segment) : first_(first_segment) {}
+    void set(std::size_t id, double value);
+    /// The first `count` times, NaN where none was set. Moves the storage
+    /// out: a lone segment is returned whole.
+    std::vector<double> take(std::size_t count);
+
+   private:
+    /// Segment k holds ids [first_ * (2^k - 1), first_ * (2^(k+1) - 1)).
+    std::size_t first_;
+    std::vector<std::vector<double>> segments_;
+    std::size_t capacity_ = 0;  ///< ids the segments cover
+  };
+
   const ScenarioConfig* scenario_;
   const topo::AccessTopology* topology_;
-  const trace::FlowTrace* flows_;
   Policy* policy_;
   sim::Random rng_;
 
@@ -273,42 +288,25 @@ class AccessRuntime final : private flow::CompletionSink {
   stats::StepSeries online_cards_;
 
   RunMetrics metrics_;
+  CompletionTimes completion_;
+
+  /// The one arrival window: record i is base_[i & mask_]. A trace runtime
+  /// points it at the borrowed trace with an all-ones mask; a LiveMode one
+  /// at `ring_`, a power-of-two ring as large as the caller's lookahead,
+  /// not the day, holding records [cursor_, appended_) — so a live day's
+  /// records stay in cache and never re-copy the day.
+  const trace::FlowRecord* base_;
+  std::size_t mask_ = ~std::size_t{0};
+  std::vector<trace::FlowRecord> ring_;
+  std::size_t appended_;
   std::size_t cursor_ = 0;
+  double last_time_ = 0.0;  ///< start time of the last appended record
+
+  bool gated_ = false;
+  bool input_done_ = true;
+  bool started_ = false;
+  bool finished_ = false;
   bool arrival_armed_ = false;
-  bool ran_ = false;
-
-  /// A live day's completion times by flow id, NaN until the flow
-  /// completes. The day's flow count is not known up front, so the times
-  /// sit in segments of doubling size: none is re-copied while the day
-  /// runs, and a day takes O(log n) allocations.
-  class LiveCompletionTimes {
-   public:
-    void set(std::size_t id, double value);
-    /// The first `count` times, NaN where none was set.
-    std::vector<double> to_vector(std::size_t count) const;
-
-   private:
-    /// Segment k holds ids [kFirst * (2^k - 1), kFirst * (2^(k+1) - 1)).
-    static constexpr std::size_t kFirst = 4096;
-    std::vector<std::vector<double>> segments_;
-    std::size_t capacity_ = 0;  ///< ids the segments cover
-  };
-
-  // Live-mode state. The delegating LiveMode constructor binds `flows_` to
-  // an empty trace; appended records wait in `live_pending_` until they
-  // dispatch, and completion times go to `live_completion_`.
-  bool live_ = false;
-  bool live_gated_ = false;
-  bool live_started_ = false;
-  bool live_input_done_ = false;
-  bool live_finished_ = false;
-  double live_last_time_ = 0.0;
-  /// Records [cursor_, live_appended_), record i at index i & (size - 1): a
-  /// power-of-two ring as large as the caller's lookahead, not the day, so
-  /// a live day's records stay in cache and never re-copy the day.
-  std::vector<trace::FlowRecord> live_pending_;
-  std::size_t live_appended_ = 0;
-  LiveCompletionTimes live_completion_;
 };
 
 }  // namespace insomnia::core

@@ -15,16 +15,20 @@ namespace insomnia::core {
 
 namespace {
 
+ScenarioConfig with_fabric(ScenarioConfig scenario, const SchemeSpec& spec) {
+  scenario.dslam.mode = spec.switch_mode;
+  return scenario;
+}
+
 // Records one simulated day's event count. Deterministic values (event
 // counts, not wall time), so the histogram folds identically across thread
 // counts — test_obs_determinism pins that.
-void record_day(const RunMetrics& metrics) {
+RunMetrics recorded(RunMetrics metrics) {
 #ifndef INSOMNIA_OBS_DISABLED
   static obs::Histogram& day_events = obs::histogram("day.events");
   day_events.record(static_cast<double>(metrics.executed_events));
-#else
-  (void)metrics;
 #endif
+  return metrics;
 }
 
 }  // namespace
@@ -122,17 +126,31 @@ SchemeRegistry& scheme_registry() {
 
 const SchemeSpec& find_scheme(const std::string& name) { return scheme_registry().find(name); }
 
+SchemeDay::SchemeDay(const ScenarioConfig& scenario, const topo::AccessTopology& topology,
+                     const trace::FlowTrace& flows, const SchemeSpec& spec,
+                     std::uint64_t seed)
+    : scenario_(with_fabric(scenario, spec)),
+      policy_(spec.make_policy(scenario_)),
+      runtime_(scenario_, topology, flows, *policy_, sim::Random(seed)) {}
+
+SchemeDay::SchemeDay(const ScenarioConfig& scenario, const topo::AccessTopology& topology,
+                     const SchemeSpec& spec, std::uint64_t seed,
+                     AccessRuntime::LiveMode mode)
+    : scenario_(with_fabric(scenario, spec)),
+      policy_(spec.make_policy(scenario_)),
+      runtime_(scenario_, topology, *policy_, sim::Random(seed), mode) {}
+
+RunMetrics SchemeDay::run() { return recorded(runtime_.run()); }
+
+RunMetrics SchemeDay::finish(double covered_duration) {
+  return recorded(runtime_.finish_live(covered_duration));
+}
+
 RunMetrics run_scheme(const ScenarioConfig& scenario, const topo::AccessTopology& topology,
                       const trace::FlowTrace& flows, const SchemeSpec& spec,
                       std::uint64_t seed) {
   OBS_SCOPE("day.run");
-  ScenarioConfig configured = scenario;
-  configured.dslam.mode = spec.switch_mode;
-  sim::Random rng(seed);
-  const std::unique_ptr<Policy> policy = spec.make_policy(configured);
-  RunMetrics metrics = AccessRuntime(configured, topology, flows, *policy, rng).run();
-  record_day(metrics);
-  return metrics;
+  return SchemeDay(scenario, topology, flows, spec, seed).run();
 }
 
 RunMetrics run_scheme(const ScenarioConfig& scenario, const topo::AccessTopology& topology,
@@ -150,22 +168,6 @@ RunMetrics run_no_sleep_baseline(const ScenarioConfig& scenario,
   const trace::FlowTrace no_traffic;
   NoSleepPolicy policy;
   return AccessRuntime(configured, topology, no_traffic, policy, sim::Random(seed)).run();
-}
-
-RunMetrics run_scheme_with_fabric(const ScenarioConfig& scenario,
-                                  const topo::AccessTopology& topology,
-                                  const trace::FlowTrace& flows, const SchemeSpec& spec,
-                                  dslam::SwitchMode mode, int switch_size,
-                                  std::uint64_t seed) {
-  OBS_SCOPE("day.run");
-  ScenarioConfig configured = scenario;
-  configured.dslam.mode = mode;
-  configured.dslam.switch_size = switch_size;
-  sim::Random rng(seed);
-  const std::unique_ptr<Policy> policy = spec.make_policy(configured);
-  RunMetrics metrics = AccessRuntime(configured, topology, flows, *policy, rng).run();
-  record_day(metrics);
-  return metrics;
 }
 
 }  // namespace insomnia::core

@@ -80,10 +80,41 @@ SchemeRegistry& scheme_registry();
 /// scheme_registry().find(name).
 const SchemeSpec& find_scheme(const std::string& name);
 
-/// Runs one registered scheme over one day: applies the spec's switch
-/// fabric to the scenario, builds the policy, replays the trace. The same
-/// `topology` and `flows` must be passed to every scheme being compared
-/// (paired-run methodology); `seed` feeds only the scheme's own randomness.
+/// One registered scheme's day, built the one way every scheme day is: the
+/// spec's switch fabric applied to a copy of the scenario, the policy built
+/// over that copy, and the runtime seeded with `seed` (which feeds only the
+/// scheme's own randomness). run_scheme runs one over a trace; the online
+/// LiveController steps one built in LiveMode. A fabric variant (the
+/// switch-size ablation) is a SchemeSpec copy with another switch_mode over
+/// a scenario with another dslam.switch_size.
+class SchemeDay {
+ public:
+  /// A day over `flows`, which is borrowed and must outlive the day.
+  SchemeDay(const ScenarioConfig& scenario, const topo::AccessTopology& topology,
+            const trace::FlowTrace& flows, const SchemeSpec& spec, std::uint64_t seed);
+  /// A live day, fed through runtime().append_live_arrivals.
+  SchemeDay(const ScenarioConfig& scenario, const topo::AccessTopology& topology,
+            const SchemeSpec& spec, std::uint64_t seed, AccessRuntime::LiveMode mode);
+
+  SchemeDay(const SchemeDay&) = delete;
+  SchemeDay& operator=(const SchemeDay&) = delete;
+
+  AccessRuntime& runtime() { return runtime_; }
+
+  /// runtime().run() and runtime().finish_live(covered_duration), each
+  /// recorded as one simulated day in the "day.events" histogram.
+  RunMetrics run();
+  RunMetrics finish(double covered_duration);
+
+ private:
+  ScenarioConfig scenario_;  ///< the caller's scenario with the spec's fabric
+  std::unique_ptr<Policy> policy_;
+  AccessRuntime runtime_;
+};
+
+/// Runs one registered scheme over one day (a SchemeDay over the trace).
+/// The same `topology` and `flows` must be passed to every scheme being
+/// compared (paired-run methodology).
 RunMetrics run_scheme(const ScenarioConfig& scenario, const topo::AccessTopology& topology,
                       const trace::FlowTrace& flows, const SchemeSpec& spec,
                       std::uint64_t seed);
@@ -104,14 +135,5 @@ RunMetrics run_scheme(const ScenarioConfig& scenario, const topo::AccessTopology
 RunMetrics run_no_sleep_baseline(const ScenarioConfig& scenario,
                                  const topo::AccessTopology& topology, std::uint64_t seed,
                                  double duration);
-
-/// Runs a scheme's policy over an explicit HDF fabric — the switch-size
-/// ablation's entry point. `switch_size` is only read in kKSwitch mode and
-/// must divide the card count.
-RunMetrics run_scheme_with_fabric(const ScenarioConfig& scenario,
-                                  const topo::AccessTopology& topology,
-                                  const trace::FlowTrace& flows, const SchemeSpec& spec,
-                                  dslam::SwitchMode mode, int switch_size,
-                                  std::uint64_t seed);
 
 }  // namespace insomnia::core

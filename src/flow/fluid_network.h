@@ -11,11 +11,13 @@
 //
 // Production builds one engine, IncrementalFluidNetwork
 // (flow/incremental_network.h): it water-fills lazily once per gateway per
-// instant, keeps per-flow state as structure-of-arrays, and multiplexes all
-// completion events through one simulator event. The interface stays
-// abstract so tests can substitute the exact, eager reference engine
-// (tests/support/reference_network.h) and hold the two bit-identical
-// (tests/test_flow_differential.cpp, tests/test_flow_day_twin.cpp).
+// instant, keeps one 64-byte flow::FlowState record per live flow in
+// per-gateway blocks, and publishes its next completion as a
+// sim::EventStream head instead of scheduling simulator events. The
+// interface stays abstract so tests can substitute the exact, eager
+// reference engine (tests/support/reference_network.h) and hold the two
+// bit-identical (tests/test_flow_differential.cpp,
+// tests/test_flow_day_twin.cpp).
 #pragma once
 
 #include <cstdint>
@@ -66,12 +68,6 @@ class FluidNetwork {
   /// Routes every finished flow to `sink` (nullptr: nowhere). The sink must
   /// outlive the network's last event.
   void set_completion_sink(CompletionSink* sink) { sink_ = sink; }
-
-  /// Capacity hint: the caller expects about `flow_count` add_flow calls
-  /// with dense ids. An engine that keeps per-flow state for the whole day
-  /// pre-sizes it so the replay loop does not pay for incremental growth;
-  /// one that keeps live flows only may ignore it.
-  virtual void reserve_flows(std::size_t flow_count) = 0;
 
   /// Starts a flow of `bytes` for `client` via `gateway`, throttled to at
   /// most `wireless_cap` bits/s over the air. Zero-byte flows complete

@@ -26,11 +26,6 @@ IncrementalFluidNetwork::~IncrementalFluidNetwork() {
   obs::counter("flow.waterfills").add(waterfills_);
 }
 
-void IncrementalFluidNetwork::reserve_flows(std::size_t /*flow_count*/) {
-  // Nothing to pre-size: the engine holds live flows only, and its id
-  // window tracks the span of live ids, not the day's flow count.
-}
-
 IncrementalFluidNetwork::GatewayState& IncrementalFluidNetwork::gateway(int g) {
   return gateways_.at(static_cast<std::size_t>(g));
 }

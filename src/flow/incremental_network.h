@@ -59,7 +59,6 @@ class IncrementalFluidNetwork final : public FluidNetwork, private sim::EventStr
   IncrementalFluidNetwork(sim::Simulator& simulator, std::vector<double> backhaul_rates);
   ~IncrementalFluidNetwork() override;
 
-  void reserve_flows(std::size_t flow_count) override;  ///< a no-op (see .cpp)
   void add_flow(FlowId id, int client, int gateway, double bytes, double wireless_cap) override;
   void migrate_flow(FlowId id, int new_gateway, double new_wireless_cap) override;
   void set_gateway_serving(int gateway, bool serving) override;

@@ -43,54 +43,7 @@ std::uint64_t seconds_to_ns(double seconds, const char* what) {
   return static_cast<std::uint64_t>(seconds * 1e9);
 }
 
-topo::AccessTopology make_live_topology(const LiveController::Options& options) {
-  // Same derivation as Engine::run: the run-0 day of core::kRunDayKeys.
-  sim::Random rng(
-      sim::Random::substream_seed(options.seed, 0, core::kRunDayKeys.topology));
-  return topo::make_overlap_topology(options.scenario.client_count,
-                                     options.scenario.degrees, rng);
-}
-
-core::ScenarioConfig configure(core::ScenarioConfig scenario,
-                               const core::SchemeSpec& spec) {
-  scenario.dslam.mode = spec.switch_mode;
-  return scenario;
-}
-
-// Mirrors the per-day histogram run_scheme records, so a live day folds into
-// "day.events" exactly like its offline twin: one sample, the scheme day
-// (the traffic-free baseline is not a simulated day and records none).
-void record_day_events(const core::RunMetrics& metrics) {
-#ifndef INSOMNIA_OBS_DISABLED
-  obs::histogram("day.events").record(static_cast<double>(metrics.executed_events));
-#else
-  (void)metrics;
-#endif
-}
-
 }  // namespace
-
-// The live twin of the offline engine's scheme day, fed incrementally.
-// Constructed exactly as run_scheme does — switch fabric applied to a
-// scenario copy, then the policy, then the runtime with the run-0 scheme
-// seed substream. The paired baseline needs no live runtime: it is the
-// traffic-free run_no_sleep_baseline, computed once the covered span is
-// known.
-struct LiveController::Twins {
-  topo::AccessTopology topology;
-  core::ScenarioConfig scheme_config;
-  std::unique_ptr<core::Policy> scheme_policy;
-  core::AccessRuntime scheme;
-
-  Twins(const Options& options, const core::SchemeSpec& scheme_spec, bool gated)
-      : topology(make_live_topology(options)),
-        scheme_config(configure(options.scenario, scheme_spec)),
-        scheme_policy(scheme_spec.make_policy(scheme_config)),
-        scheme(scheme_config, topology, *scheme_policy,
-               sim::Random(sim::Random::substream_seed(options.seed, 0,
-                                                       core::kRunDayKeys.scheme)),
-               core::AccessRuntime::LiveMode{gated}) {}
-};
 
 // The stepping loop's one poll thread. Each round, start() hands it a
 // poll_into_queue(horizon) while the main thread steps the runtime, and
@@ -237,7 +190,7 @@ std::size_t LiveController::drain_queue() {
   if (drained == 0) return 0;
   util::require_state(!input_done_, "records queued after live input was finished");
   // The queued span goes straight into the runtime's arrival buffer.
-  twins_->scheme.append_live_arrivals(queue_.front(), drained);
+  runtime().append_live_arrivals(queue_.front(), drained);
   queue_.consume(drained, inflight_stamps_);
   return drained;
 }
@@ -264,7 +217,7 @@ void LiveController::advance_to(double until, double poll_horizon,
     core::AccessRuntime::StepResult step;
     prefetcher.start(poll_horizon);
     try {
-      step = twins_->scheme.step_live(until);
+      step = runtime().step_live(until);
     } catch (...) {
       prefetcher.settle();  // no poll may outlive the unwinding
       throw;
@@ -278,7 +231,7 @@ void LiveController::advance_to(double until, double poll_horizon,
     if (ingest(std::numeric_limits<double>::infinity()) > 0) continue;
     if (source_->exhausted() || (stop != nullptr && stop->load())) {
       if (!input_done_) {
-        twins_->scheme.finish_live_input();
+        runtime().finish_live_input();
         input_done_ = true;
       }
       continue;  // the gate is open; stepping now reaches `until`
@@ -290,7 +243,7 @@ void LiveController::advance_to(double until, double poll_horizon,
 }
 
 void LiveController::account_latency() {
-  const std::uint64_t consumed = twins_->scheme.arrivals_consumed();
+  const std::uint64_t consumed = runtime().arrivals_consumed();
   std::uint64_t newly = consumed - stats_.decided;
   if (newly == 0) return;
   const std::uint64_t now = obs::now_ns();
@@ -322,19 +275,25 @@ void LiveController::heartbeat(double virtual_time) {
             << queue_.accepted() << " | decided " << stats_.decided << " | queue "
             << queue_.size() << " (peak " << queue_.peak_depth() << ") | dropped "
             << queue_.dropped() << " | online gw "
-            << twins_->scheme.online_gateway_count() << "/"
+            << runtime().online_gateway_count() << "/"
             << options_.scenario.gateway_count << "\n";
 }
 
 LiveResult LiveController::run(const std::atomic<bool>* stop) {
   OBS_SCOPE("live.run");
-  util::require_state(twins_ == nullptr, "LiveController::run may be called once");
+  util::require_state(day_ == nullptr, "LiveController::run may be called once");
 
   const core::SchemeSpec& scheme_spec = core::find_scheme(options_.scheme);
-  const bool gated = options_.pace == PaceMode::kVirtual;
   {
+    // Engine run 0's scheme day, fed incrementally. The paired baseline
+    // needs no live runtime: it is the traffic-free run_no_sleep_baseline,
+    // computed once the covered span is known.
     OBS_SCOPE("live.setup");
-    twins_ = std::make_unique<Twins>(options_, scheme_spec, gated);
+    topology_ = core::run_topology(options_.scenario, options_.seed);
+    day_ = std::make_unique<core::SchemeDay>(
+        options_.scenario, topology_, scheme_spec,
+        sim::Random::substream_seed(options_.seed, 0, core::kRunDayKeys.scheme),
+        core::AccessRuntime::LiveMode{options_.pace == PaceMode::kVirtual});
   }
 
   core::RunReport report;
@@ -367,7 +326,7 @@ LiveResult LiveController::run(const std::atomic<bool>* stop) {
 
   // Records already on hand land in the buffer before the warm start.
   ingest(options_.pace == PaceMode::kVirtual ? options_.tick_virtual_sec : 0.0);
-  twins_->scheme.begin_live();
+  runtime().begin_live();
   Prefetcher prefetcher(*this);
 
   if (options_.pace == PaceMode::kVirtual) {
@@ -391,7 +350,7 @@ LiveResult LiveController::run(const std::atomic<bool>* stop) {
 #ifndef INSOMNIA_OBS_DISABLED
       obs::gauge("live.virtual_time_sec").set(virtual_time);
       obs::gauge("live.online_gateways")
-          .set(static_cast<double>(twins_->scheme.online_gateway_count()));
+          .set(static_cast<double>(runtime().online_gateway_count()));
 #endif
       heartbeat(virtual_time);
     }
@@ -422,12 +381,12 @@ LiveResult LiveController::run(const std::atomic<bool>* stop) {
 #ifndef INSOMNIA_OBS_DISABLED
       obs::gauge("live.virtual_time_sec").set(virtual_time);
       obs::gauge("live.online_gateways")
-          .set(static_cast<double>(twins_->scheme.online_gateway_count()));
+          .set(static_cast<double>(runtime().online_gateway_count()));
 #endif
       heartbeat(virtual_time);
       if (virtual_time >= day_span) break;
       if (source_->exhausted() && queue_.empty() &&
-          twins_->scheme.arrivals_consumed() == twins_->scheme.arrivals_appended()) {
+          runtime().arrivals_consumed() == runtime().arrivals_appended()) {
         break;
       }
     }
@@ -440,10 +399,10 @@ LiveResult LiveController::run(const std::atomic<bool>* stop) {
   const double covered = std::max(std::min(virtual_time, day_span), 1e-9);
   if (!input_done_) {
     drain_queue();
-    twins_->scheme.finish_live_input();
+    runtime().finish_live_input();
     input_done_ = true;
   }
-  const auto drain_step = twins_->scheme.step_live(covered + options_.scenario.drain_time);
+  const auto drain_step = runtime().step_live(covered + options_.scenario.drain_time);
   util::require_state(drain_step == core::AccessRuntime::StepResult::kReachedTime,
                       "live drain stalled with input finished");
   account_latency();
@@ -452,15 +411,14 @@ LiveResult LiveController::run(const std::atomic<bool>* stop) {
   stats_.wall_seconds = static_cast<double>(obs::now_ns() - wall_start_ns_) / 1e9;
 
   const core::RunMetrics baseline_metrics = core::run_no_sleep_baseline(
-      options_.scenario, twins_->topology,
+      options_.scenario, topology_,
       sim::Random::substream_seed(options_.seed, 0, core::kRunDayKeys.baseline), covered);
-  const core::RunMetrics scheme_metrics = twins_->scheme.finish_live(covered);
-  record_day_events(scheme_metrics);
+  const core::RunMetrics scheme_metrics = day_->finish(covered);
 
   std::vector<core::PairedDaySummary> days;
   days.push_back(core::summarize_paired_day(
       baseline_metrics, scheme_metrics,
-      static_cast<std::uint64_t>(twins_->scheme.arrivals_appended()), options_.bins,
+      static_cast<std::uint64_t>(runtime().arrivals_appended()), options_.bins,
       options_.peak_start, options_.peak_end));
   core::fold_paired_days(days, report);
 

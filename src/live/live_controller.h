@@ -28,6 +28,7 @@
 
 #include "core/engine.h"
 #include "core/scenario.h"
+#include "core/scheme_registry.h"
 #include "live/event_source.h"
 #include "live/ingest_queue.h"
 #include "obs/metrics.h"
@@ -102,7 +103,6 @@ class LiveController {
   LiveResult run(const std::atomic<bool>* stop = nullptr);
 
  private:
-  struct Twins;  ///< the scheme's live runtime (defined in the .cpp)
   class Prefetcher;  ///< the persistent poll thread of one run() (the .cpp)
 
   /// Polls the source into the queue (honouring the overflow policy) and
@@ -130,9 +130,12 @@ class LiveController {
 
   void heartbeat(double virtual_time);
 
+  core::AccessRuntime& runtime() { return day_->runtime(); }
+
   Options options_;
   std::unique_ptr<EventSource> source_;
-  std::unique_ptr<Twins> twins_;
+  topo::AccessTopology topology_;
+  std::unique_ptr<core::SchemeDay> day_;  ///< the scheme's live day
   IngestQueue queue_;
   std::deque<StampRun> inflight_stamps_;
   obs::Histogram latency_;  ///< always on, so livectl prints it with obs off

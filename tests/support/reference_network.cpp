@@ -24,11 +24,6 @@ ReferenceFluidNetwork::~ReferenceFluidNetwork() {
   obs::counter("flow.waterfills").add(waterfills_);
 }
 
-void ReferenceFluidNetwork::reserve_flows(std::size_t flow_count) {
-  flows_.reserve(flow_count);
-  id_to_index_.reserve(flow_count);
-}
-
 ReferenceFluidNetwork::GatewayState& ReferenceFluidNetwork::gateway(int g) {
   return gateways_.at(static_cast<std::size_t>(g));
 }

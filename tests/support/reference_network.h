@@ -23,7 +23,6 @@ class ReferenceFluidNetwork final : public FluidNetwork {
   ReferenceFluidNetwork(sim::Simulator& simulator, std::vector<double> backhaul_rates);
   ~ReferenceFluidNetwork() override;  ///< folds the local waterfill tally into obs
 
-  void reserve_flows(std::size_t flow_count) override;
   void add_flow(FlowId id, int client, int gateway, double bytes, double wireless_cap) override;
   void migrate_flow(FlowId id, int new_gateway, double new_wireless_cap) override;
   void set_gateway_serving(int gateway, bool serving) override;

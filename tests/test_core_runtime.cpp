@@ -160,6 +160,53 @@ TEST(Runtime, RunIsSingleShot) {
   EXPECT_THROW(runtime.run(), util::InvalidState);
 }
 
+TEST(Runtime, TraceRuntimeRefusesLiveAppends) {
+  // A trace runtime's input is the whole trace, already finished.
+  const ScenarioConfig scenario = tiny_scenario();
+  const topo::AccessTopology topology = tiny_topology();
+  NoSleepPolicy policy;
+  const trace::FlowTrace flows{{100.0, 0, 750000.0}};
+  AccessRuntime runtime(scenario, topology, flows, policy, sim::Random(1));
+  const trace::FlowRecord extra{200.0, 1, 750000.0};
+  EXPECT_THROW(runtime.append_live_arrivals(&extra, 1), util::InvalidState);
+  EXPECT_EQ(runtime.arrivals_appended(), 1u);
+  runtime.begin_live();
+  EXPECT_THROW(runtime.append_live_arrivals(&extra, 1), util::InvalidState);
+}
+
+TEST(Runtime, LiveRuntimeRefusesRun) {
+  // run() replays finished input; a fresh LiveMode runtime has none.
+  const ScenarioConfig scenario = tiny_scenario();
+  const topo::AccessTopology topology = tiny_topology();
+  for (const bool gated : {true, false}) {
+    NoSleepPolicy policy;
+    AccessRuntime runtime(scenario, topology, policy, sim::Random(1),
+                          AccessRuntime::LiveMode{gated});
+    EXPECT_THROW(runtime.run(), util::InvalidState) << "gated " << gated;
+  }
+}
+
+TEST(Runtime, TraceCompletionTimesCoverTheTraceWithNaNForUnfinishedFlows) {
+  const ScenarioConfig scenario = tiny_scenario();
+  const topo::AccessTopology topology = tiny_topology();
+  // 750 kB at 6 Mbps is 1 s of service; 10 GB arriving at t=1900 needs
+  // hours, far past the day's end plus drain (t=2500).
+  const trace::FlowTrace flows{{100.0, 0, 750000.0}, {1900.0, 1, 1e10}};
+  NoSleepPolicy policy;
+  const RunMetrics m = AccessRuntime(scenario, topology, flows, policy, sim::Random(1)).run();
+  ASSERT_EQ(m.completion_time.size(), flows.size());
+  EXPECT_NEAR(m.completion_time[0], 1.0, 1e-6);
+  EXPECT_TRUE(std::isnan(m.completion_time[1]));
+
+  // No flow finishing at all still yields one (NaN) time per record.
+  const trace::FlowTrace unfinished{{1900.0, 0, 1e10}, {1950.0, 1, 1e10}};
+  NoSleepPolicy idle_policy;
+  const RunMetrics none =
+      AccessRuntime(scenario, topology, unfinished, idle_policy, sim::Random(1)).run();
+  ASSERT_EQ(none.completion_time.size(), unfinished.size());
+  for (const double fct : none.completion_time) EXPECT_TRUE(std::isnan(fct));
+}
+
 TEST(Runtime, LiveAppendRefusesNegativeAndNonFiniteRecords) {
   const ScenarioConfig scenario = tiny_scenario();
   const topo::AccessTopology topology = tiny_topology();

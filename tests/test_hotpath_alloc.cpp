@@ -319,7 +319,6 @@ TEST_P(FluidNetworkAlloc, SteadyStateStaysAllocationFree) {
   net.set_gateway_serving(1, true);
   constexpr int kWarmup = 4000;
   constexpr int kMeasured = 2000;
-  net.reserve_flows(kWarmup + kMeasured);
 
   int completed = 0;
   flow::FunctionSink count([&completed](const flow::CompletedFlow&) { ++completed; });
@@ -365,7 +364,6 @@ TEST_P(FluidNetworkAlloc, CompletionDispatchIsAllocationFree) {
   flow::FluidNetwork& net = *owned;
   net.set_gateway_serving(0, true);
   net.set_gateway_serving(1, true);
-  net.reserve_flows(30000);
 
   struct Sink final : flow::CompletionSink {
     flow::FluidNetwork* net = nullptr;
